@@ -24,8 +24,6 @@ from .qcalc import (
 )
 from .config import (
     Configuration,
-    LoadedConfiguration,
-    PartialConfiguration,
     CoreDecomposition,
     OneHoleShape,
     ConfigFlags,
@@ -34,14 +32,11 @@ from .config import (
     left_to_right_order,
     core,
     reverse,
-    add_ball,
-    remove_ball,
     classify,
     max_weakly_shift,
     one_hole_decompose,
 )
 from .engine import (
-    big_step_weights,
     success_probability,
     remixed_exact,
     remixed_induction,
@@ -78,8 +73,6 @@ __all__ = [
     "q_binomial",
     "q_pochhammer",
     "Configuration",
-    "LoadedConfiguration",
-    "PartialConfiguration",
     "CoreDecomposition",
     "OneHoleShape",
     "ConfigFlags",
@@ -88,12 +81,9 @@ __all__ = [
     "left_to_right_order",
     "core",
     "reverse",
-    "add_ball",
-    "remove_ball",
     "classify",
     "max_weakly_shift",
     "one_hole_decompose",
-    "big_step_weights",
     "success_probability",
     "remixed_exact",
     "remixed_induction",

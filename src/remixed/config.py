@@ -23,10 +23,6 @@ class Empty(ValueError):
     """No sites at all."""
 
 
-class EmptySite(ValueError):
-    """Ball removal from a site that has none."""
-
-
 class NoWeaklyShift(ValueError):
     """No placement of the core satisfies the weak order condition."""
 
@@ -45,6 +41,8 @@ class Configuration:
         c = tuple(self.c)
         if not c:
             raise Empty("a configuration needs at least one site")
+        if any(not isinstance(x, int) for x in c):
+            raise TypeError(f"entries must be int, got {c}")
         if any(x < 0 for x in c):
             raise Negative(f"negative entry in {c}")
         if sum(c) != len(c):
@@ -64,39 +62,6 @@ class Configuration:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.c) + ")"
-
-
-@dataclass(frozen=True)
-class LoadedConfiguration:
-    """A configuration with one extra ball, the state during a drop.
-
-    Not a Configuration: it carries n + 1 balls on n sites.
-    """
-
-    c: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = tuple(self.c)
-        if any(x < 0 for x in c):
-            raise Negative(f"negative entry in {c}")
-        if sum(c) != len(c) + 1:
-            raise BadSum(f"{sum(c)} balls on {len(c)} sites, expected one extra")
-        object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
-class PartialConfiguration:
-    """A configuration with one ball removed, n - 1 balls on n sites."""
-
-    c: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = tuple(self.c)
-        if any(x < 0 for x in c):
-            raise Negative(f"negative entry in {c}")
-        if sum(c) != len(c) - 1:
-            raise BadSum(f"{sum(c)} balls on {len(c)} sites, expected one missing")
-        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -200,26 +165,6 @@ def core(c: Configuration) -> CoreDecomposition:
 def reverse(c: Configuration) -> Configuration:
     """Mirror image of the configuration."""
     return Configuration(c.c[::-1])
-
-
-def add_ball(c: Configuration, j: int) -> LoadedConfiguration:
-    """One extra ball on site j of c."""
-    if not 1 <= j <= c.n:
-        raise ValueError(f"site {j} outside [1, {c.n}]")
-    lst = list(c.c)
-    lst[j - 1] += 1
-    return LoadedConfiguration(tuple(lst))
-
-
-def remove_ball(c: Configuration, j: int) -> PartialConfiguration:
-    """c with one ball taken off site j.  Raises EmptySite if none is there."""
-    if not 1 <= j <= c.n:
-        raise ValueError(f"site {j} outside [1, {c.n}]")
-    if c.c[j - 1] == 0:
-        raise EmptySite(f"site {j} of {c.c} is empty")
-    lst = list(c.c)
-    lst[j - 1] -= 1
-    return PartialConfiguration(tuple(lst))
 
 
 def weak_order_ok(u: tuple[int, ...]) -> bool:

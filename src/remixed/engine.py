@@ -1,19 +1,23 @@
 """Two independent exact evaluators for the configuration polynomials.
 
 The oracle follows the drop dynamics definition: balls fall one by one,
-each bounce redistributes mass by an exact rational weight, and the
-success probability at fixed rational q is lifted to a polynomial through
-interpolation at enough integer points.  The second evaluator runs the
+and a ball that lands on an occupied site jumps to the nearest hole at
+distance a on the left, with weight q^a [b]/[a+b], or at distance b on
+the right, with weight [a]/[a+b].  One drop step is the only place a ball
+moves.  It reads the bounce geometry from a table built once per number
+of sites, and the weights at q = u/v as integers over one common scale,
+so the success probability at a rational point is exact integer mass over
+a power of that scale.  The polynomial is lifted from its integer values
+at q = 0..n(n-1)/2 by qcalc.interpolate.  The second evaluator runs the
 final ball recursion with memoization and never touches probabilities.
 Agreement of the two is the backbone of the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm, prod
 
 from .config import Configuration, all_configurations, left_to_right_order
 from .qcalc import (
@@ -24,7 +28,6 @@ from .qcalc import (
     NonIntegerCoefficients,
     interpolate,
     q_binomial,
-    q_factorial,
     q_int,
 )
 
@@ -33,78 +36,110 @@ class BadContent(ValueError):
     """A drop order whose multiset of sites does not match the configuration."""
 
 
-@dataclass(frozen=True)
-class BigStepWeight:
-    """One branch of a bounce: land at landing_site with the given weight."""
+@lru_cache(maxsize=None)
+def _bounce_table(n: int) -> tuple[tuple[int, int, int] | None, ...]:
+    """Bounce geometry on n sites, indexed by mask * n + site - 1.
 
-    landing_site: int
-    numerator: QPoly
-    denominator: QPoly
-    a: int
-    b: int
-
-
-def big_step_weights(occupied: set[int] | frozenset[int], j: int, n: int) -> list[BigStepWeight]:
-    """Branches for a ball arriving at site j over the occupied set.
-
-    An unoccupied j settles there with weight 1.  Otherwise the ball jumps
-    to the nearest hole at distance a on the left (weight q^a [b]/[a+b])
-    or distance b on the right (weight [a]/[a+b]); a branch landing
-    outside [1, n] is failure mass and is omitted.
-
-    >>> [w.landing_site for w in big_step_weights({2, 3}, 3, 4)]
-    [1, 4]
+    A free site has no entry: the ball settles there.  An occupied site
+    holds (left, right, pair): the masks after landing in the nearest hole
+    to the left and to the right, -1 where that hole is off the line, and
+    the pair number a * (n + 1) + b of the distances a, b to those holes.
+    The table has n * 2**n slots, the order of the states a sweep visits.
     """
-    if not 1 <= j <= n:
-        raise ValueError(f"site {j} outside [1, {n}]")
-    occ = frozenset(occupied)
-    if j not in occ:
-        return [BigStepWeight(j, ONE, ONE, 0, 0)]
-    a = 1
-    while j - a >= 1 and (j - a) in occ:
-        a += 1
-    b = 1
-    while j + b <= n and (j + b) in occ:
-        b += 1
-    out = []
-    if j - a >= 1:
-        out.append(BigStepWeight(j - a, q_int(b).shift(a), q_int(a + b), a, b))
-    if j + b <= n:
-        out.append(BigStepWeight(j + b, q_int(a), q_int(a + b), a, b))
+    tab: list[tuple[int, int, int] | None] = [None] * (n << n)
+    # one int object per landing mask, shared by every entry that lands there
+    ids = list(range(1 << n))
+    for mask in range(1 << n):
+        for s in range(1, n + 1):
+            if not mask >> (s - 1) & 1:
+                continue
+            a = 1
+            while s - a >= 1 and mask >> (s - a - 1) & 1:
+                a += 1
+            b = 1
+            while s + b <= n and mask >> (s + b - 1) & 1:
+                b += 1
+            lt = ids[mask | 1 << (s - a - 1)] if s - a >= 1 else -1
+            rt = ids[mask | 1 << (s + b - 1)] if s + b <= n else -1
+            tab[mask * n + s - 1] = (lt, rt, a * (n + 1) + b)
+    return tuple(tab)
+
+
+def _brackets(n: int, u: int, v: int = 1) -> list[int]:
+    """B_k = sum of u^i v^(k-1-i) over i < k, for k = 0..n.
+
+    B_k is v^(k-1) [k] at q = u/v; at v = 1 it is the bracket [k](u).
+    """
+    return [sum(u**i * v ** (k - 1 - i) for i in range(k)) for k in range(n + 1)]
+
+
+def _weights(n: int, u: int, v: int) -> tuple[int, list[int], list[int]]:
+    """Bounce weights at q = u/v as integers over one scale L.
+
+    Returns L = lcm(B_1..B_n) and the left and right weights by pair
+    number: u^a B_b L / B_(a+b) and v^b B_a L / B_(a+b).  They are the
+    weights q^a [b]/[a+b] and [a]/[a+b] times L, and they sum to L since
+    u^a B_b + v^b B_a = B_(a+b).
+    """
+    br = _brackets(n, u, v)
+    scale = lcm(*br[1:])
+    lw = [0] * ((n + 1) * (n + 2))
+    rw = [0] * ((n + 1) * (n + 2))
+    for a in range(1, n):
+        for b in range(1, n - a + 1):
+            unit = scale // br[a + b]
+            lw[a * (n + 1) + b] = u**a * br[b] * unit
+            rw[a * (n + 1) + b] = v**b * br[a] * unit
+    return scale, lw, rw
+
+
+def _drop(
+    dist: dict[int, int], s: int, n: int, weights: tuple[int, list[int], list[int]]
+) -> dict[int, int]:
+    """Drop one ball at site s onto every occupancy mask in dist.
+
+    Mass is an integer: each drop multiplies the total by the scale of the
+    weights, and a branch that would land off the line is lost mass.
+    """
+    scale, lw, rw = weights
+    tab = _bounce_table(n)
+    bit = 1 << (s - 1)
+    out: dict[int, int] = {}
+    for mask, w in dist.items():
+        if not mask & bit:
+            out[mask | bit] = out.get(mask | bit, 0) + w * scale
+            continue
+        lt, rt, pair = tab[mask * n + s - 1]
+        if lt >= 0:
+            wl = w * lw[pair]
+            if wl:
+                out[lt] = out.get(lt, 0) + wl
+        if rt >= 0:
+            out[rt] = out.get(rt, 0) + w * rw[pair]
     return out
 
 
-def _success_for_order(n: int, order: tuple[int, ...], q0: Fraction) -> Fraction:
-    """Probability that dropping balls at the given sites fills [1, n]."""
-    br = [Fraction(sum(q0**k for k in range(i))) for i in range(n + 1)]
-    qp = [q0**k for k in range(n + 1)]
-    full = (1 << n) - 1
-    dist: dict[int, Fraction] = {0: Fraction(1)}
+def _success_for_order(n: int, order: tuple[int, ...], q0: QRat) -> tuple[int, int]:
+    """Chance that dropping balls at the given sites fills [1, n].
+
+    Returned unreduced, as the integer mass of the full state over L**n.
+    """
+    q0 = Fraction(q0)
+    if q0 < 0:
+        raise ValueError("q must be nonnegative")
+    weights = _weights(n, q0.numerator, q0.denominator)
+    dist = {0: 1}
     for s in order:
-        bit = 1 << (s - 1)
-        ndist: dict[int, Fraction] = {}
-        for mask, w in dist.items():
-            if not mask & bit:
-                key = mask | bit
-                ndist[key] = ndist.get(key, 0) + w
-                continue
-            a = 1
-            while s - a >= 1 and mask & (1 << (s - a - 1)):
-                a += 1
-            b = 1
-            while s + b <= n and mask & (1 << (s + b - 1)):
-                b += 1
-            den = br[a + b]
-            if s - a >= 1:
-                wv = w * qp[a] * br[b] / den
-                if wv:
-                    key = mask | (1 << (s - a - 1))
-                    ndist[key] = ndist.get(key, 0) + wv
-            if s + b <= n:
-                key = mask | (1 << (s + b - 1))
-                ndist[key] = ndist.get(key, 0) + w * br[a] / den
-        dist = ndist
-    return Fraction(dist.get(full, 0))
+        dist = _drop(dist, s, n, weights)
+    return dist.get((1 << n) - 1, 0), weights[0] ** n
+
+
+def _integer_value(factv: int, mass: int, scale_n: int, q0: int) -> int:
+    """[n]!(q0) times the success chance mass / scale_n, an integer at integer q0."""
+    num = factv * mass
+    if num % scale_n:
+        raise NonIntegerCoefficients(f"non-integer value at q={q0}")
+    return num // scale_n
 
 
 def success_probability(c: Configuration, q0: QRat) -> QRat:
@@ -113,10 +148,7 @@ def success_probability(c: Configuration, q0: QRat) -> QRat:
     >>> success_probability(Configuration((2, 0)), Fraction(1))
     Fraction(1, 2)
     """
-    q0 = Fraction(q0)
-    if q0 < 0:
-        raise ValueError("q must be nonnegative")
-    return _success_for_order(c.n, left_to_right_order(c), q0)
+    return Fraction(*_success_for_order(c.n, left_to_right_order(c), q0))
 
 
 def remixed_exact(c: Configuration) -> QPoly:
@@ -127,14 +159,12 @@ def remixed_exact(c: Configuration) -> QPoly:
     integer coefficients; anything else is an internal defect.
     """
     n = c.n
-    big_d = n * (n - 1) // 2
-    fact = q_factorial(n)
     order = left_to_right_order(c)
-    pts = []
-    for q0 in range(big_d + 1):
-        x = Fraction(q0)
-        pts.append((x, fact.evaluate(x) * _success_for_order(n, order, x)))
-    poly = interpolate(pts)
+    vals = []
+    for q0 in range(n * (n - 1) // 2 + 1):
+        mass, scale_n = _success_for_order(n, order, q0)
+        vals.append(_integer_value(prod(_brackets(n, q0)[1:]), mass, scale_n, q0))
+    poly = interpolate(vals)
     assert all(co >= 0 for co in poly.coeffs), f"negative coefficient for {c.c}"
     return poly
 
@@ -147,10 +177,7 @@ def drop_order_check(c: Configuration, order: tuple[int, ...], q0: QRat) -> QRat
     order = tuple(order)
     if tuple(sorted(order)) != left_to_right_order(c):
         raise BadContent(f"order {order} does not have content {c.c}")
-    q0 = Fraction(q0)
-    if q0 < 0:
-        raise ValueError("q must be nonnegative")
-    return _success_for_order(c.n, order, q0)
+    return Fraction(*_success_for_order(c.n, order, q0))
 
 
 def _wt(n: int, j: int, u: int) -> QPoly:
@@ -194,108 +221,33 @@ def remixed_induction(c: Configuration) -> QPoly:
     return _induction(c.c)
 
 
-def _interp_consecutive(vals: list[int]) -> QPoly:
-    """Integer interpolation through the points (i, vals[i]), i = 0.. ."""
-    big_d = len(vals) - 1
-    deltas = [vals[0]]
-    row = list(vals)
-    for _ in range(big_d):
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        deltas.append(row[0])
-    den = factorial(big_d)
-    acc = [0] * (big_d + 1)
-    ff = [1]
-    for j in range(big_d + 1):
-        m = deltas[j] * (den // factorial(j))
-        if m:
-            for i, co in enumerate(ff):
-                acc[i] += m * co
-        if j < big_d:
-            nxt = [0] * (len(ff) + 1)
-            for i, co in enumerate(ff):
-                nxt[i] -= j * co
-                nxt[i + 1] += co
-            ff = nxt
-    out = []
-    for co in acc:
-        if co % den:
-            raise NonIntegerCoefficients(f"coefficient {co}/{den} is not an integer")
-        out.append(co // den)
-    return QPoly(tuple(out))
-
-
 def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     """remixed_exact for every configuration on n sites, as one table.
 
-    Configurations sharing a prefix of their left to right order share DP
-    work, which makes the exhaustive sweep itself feasible.  Weights are
-    kept as scaled integers: each drop multiplies total mass by L, the
-    lcm of the bracket values, so the final probability is weight / L**n.
+    The drop step of remixed_exact runs along every left to right order
+    at once: configurations sharing a prefix of that order share the drops
+    of the prefix, which makes the exhaustive sweep itself feasible.  At
+    each q0 = 0..n(n-1)/2 mass is an integer over L**n, with L the common
+    scale of the bounce weights at q0 (see _weights).
     """
     if n < 1:
         raise ValueError("need at least one site")
     big_d = n * (n - 1) // 2
     values = {cfg.c: [0] * (big_d + 1) for cfg in all_configurations(n)}
     full = (1 << n) - 1
-
-    # Per mask and site: either the settle target or the bounce geometry.
-    tab: list[tuple[int, int, int, int, int]] = [(0, 0, 0, 0, 0)] * ((full + 1) * n)
-    for mask in range(full + 1):
-        for s in range(1, n + 1):
-            bit = 1 << (s - 1)
-            if not mask & bit:
-                tab[mask * n + s - 1] = (mask | bit, -1, -1, 0, 0)
-            else:
-                a = 1
-                while s - a >= 1 and mask & (1 << (s - a - 1)):
-                    a += 1
-                b = 1
-                while s + b <= n and mask & (1 << (s + b - 1)):
-                    b += 1
-                lt = mask | (1 << (s - a - 1)) if s - a >= 1 else -1
-                rt = mask | (1 << (s + b - 1)) if s + b <= n else -1
-                tab[mask * n + s - 1] = (-1, lt, rt, a, b)
-
     counts = [0] * (n + 1)
     for q0 in range(big_d + 1):
-        br = [sum(q0**k for k in range(i)) for i in range(n + 1)]
-        scale = lcm(*br[1:])
-        scale_n = scale**n
-        factv = 1
-        for i in range(1, n + 1):
-            factv *= br[i]
-        qp = [q0**k for k in range(n + 1)]
-        lw = {}
-        rw = {}
-        for a in range(1, n):
-            for b in range(1, n - a + 1):
-                unit = scale // br[a + b]
-                lw[(a, b)] = qp[a] * br[b] * unit
-                rw[(a, b)] = br[a] * unit
+        weights = _weights(n, q0, 1)
+        scale_n = weights[0] ** n
+        factv = prod(_brackets(n, q0)[1:])
 
         def rec(min_site: int, k: int, dist: dict[int, int]) -> None:
             if k == n:
-                w = dist.get(full)
-                if w is not None:
-                    num = factv * w
-                    if num % scale_n:
-                        raise NonIntegerCoefficients(f"non-integer value at q={q0}")
-                    values[tuple(counts[1:])][q0] = num // scale_n
+                if full in dist:
+                    values[tuple(counts[1:])][q0] = _integer_value(factv, dist[full], scale_n, q0)
                 return
             for s in range(min_site, n + 1):
-                base = s - 1
-                nd: dict[int, int] = {}
-                for mask, w in dist.items():
-                    free, lt, rt, a, b = tab[mask * n + base]
-                    if free >= 0:
-                        nd[free] = nd.get(free, 0) + w * scale
-                        continue
-                    if lt >= 0:
-                        wv = w * lw[(a, b)]
-                        if wv:
-                            nd[lt] = nd.get(lt, 0) + wv
-                    if rt >= 0:
-                        nd[rt] = nd.get(rt, 0) + w * rw[(a, b)]
+                nd = _drop(dist, s, n, weights)
                 if nd:
                     counts[s] += 1
                     rec(s, k + 1, nd)
@@ -305,7 +257,7 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
 
     out = {}
     for ct, vals in values.items():
-        poly = _interp_consecutive(vals)
+        poly = interpolate(vals)
         assert all(co >= 0 for co in poly.coeffs), f"negative coefficient for {ct}"
         out[ct] = poly
     return out

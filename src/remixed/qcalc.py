@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 QRat = Fraction
@@ -212,18 +214,6 @@ def q_binomial(n: int, k: int) -> QPoly:
     return out
 
 
-def poly_add(a: QPoly, b: QPoly) -> QPoly:
-    return a + b
-
-
-def poly_sub(a: QPoly, b: QPoly) -> QPoly:
-    return a - b
-
-
-def poly_mul(a: QPoly, b: QPoly) -> QPoly:
-    return a * b
-
-
 def poly_divexact(a: QPoly, b: QPoly) -> QPoly:
     """Quotient a / b when it is exact over the integers.
 
@@ -257,11 +247,6 @@ def poly_divexact(a: QPoly, b: QPoly) -> QPoly:
     return QPoly(tuple(quot))
 
 
-def poly_eval(a: QPoly, q0: QRat) -> QRat:
-    """Exact evaluation at a rational point."""
-    return a.evaluate(Fraction(q0))
-
-
 def poly_reverse(a: QPoly, d: int) -> QPoly:
     """Coefficient reversal in a window of degree d.
 
@@ -279,45 +264,50 @@ def poly_reverse(a: QPoly, d: int) -> QPoly:
     return QPoly(tuple(out))
 
 
-def interpolate(points: Sequence[tuple[QRat, QRat]]) -> QPoly:
-    """Unique interpolating polynomial through the given points.
+@lru_cache(maxsize=None)
+def _falling_basis(big_d: int) -> tuple[tuple[int, ...], ...]:
+    """(D!/j!) x(x-1)...(x-j+1) for j = 0..D, coefficients lowest first."""
+    out = []
+    ff = [1]
+    for j in range(big_d + 1):
+        m = factorial(big_d) // factorial(j)
+        out.append(tuple(m * co for co in ff))
+        nxt = [0] * (len(ff) + 1)
+        for i, co in enumerate(ff):
+            nxt[i] -= j * co
+            nxt[i + 1] += co
+        ff = nxt
+    return tuple(out)
 
-    Newton's divided differences over exact rationals.  The abscissae must
-    be pairwise distinct.  Raises NonIntegerCoefficients when the result
-    does not have integer coefficients.
 
-    >>> interpolate([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(3)),
-    ...              (Fraction(2), Fraction(7))]).coeffs
+def interpolate(vals: Sequence[int]) -> QPoly:
+    """The polynomial of degree at most D through (i, vals[i]), i = 0..D.
+
+    Newton forward differences on the falling factorial basis, scaled by
+    D! so that all arithmetic stays in the integers; the basis is built
+    once per D.  Raises NonIntegerCoefficients when the result does not
+    have integer coefficients.
+
+    >>> interpolate([1, 3, 7]).coeffs
     (1, 1, 1)
     """
-    if not points:
+    if not vals:
         raise ValueError("no interpolation points")
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae")
-    n = len(xs)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    out: list[Fraction] = [Fraction(0)] * n
-    basis: list[Fraction] = [Fraction(1)]
-    for i in range(n):
-        for j, b in enumerate(basis):
-            out[j] += coef[i] * b
-        if i < n - 1:
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for j, b in enumerate(basis):
-                nxt[j] -= xs[i] * b
-                nxt[j + 1] += b
-            basis = nxt
-    ints = []
-    for c in out:
-        if c.denominator != 1:
-            raise NonIntegerCoefficients(f"coefficient {c} is not an integer")
-        ints.append(int(c))
-    return QPoly(tuple(ints))
+    big_d = len(vals) - 1
+    den = factorial(big_d)
+    acc = [0] * (big_d + 1)
+    row = list(vals)
+    for ff in _falling_basis(big_d):
+        if row[0]:
+            for i, co in enumerate(ff):
+                acc[i] += row[0] * co
+        row = [y - x for x, y in zip(row, row[1:])]
+    out = []
+    for co in acc:
+        if co % den:
+            raise NonIntegerCoefficients(f"coefficient {co}/{den} is not an integer")
+        out.append(co // den)
+    return QPoly(tuple(out))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,13 +7,9 @@ from remixed.config import (
     BadSum,
     Configuration,
     Empty,
-    EmptySite,
-    LoadedConfiguration,
     Negative,
     NotOneHole,
     NoWeaklyShift,
-    PartialConfiguration,
-    add_ball,
     all_configurations,
     classify,
     core,
@@ -20,7 +18,6 @@ from remixed.config import (
     max_weakly_shift,
     one_hole_decompose,
     parse_config,
-    remove_ball,
     reverse,
     shifted_config,
     weak_order_ok,
@@ -38,6 +35,12 @@ def test_parse_examples():
         parse_config("")
     with pytest.raises(ValueError):
         parse_config("1,a")
+
+
+def test_rejects_non_int_entries():
+    for ct in [(1.0,), (2.0, 0), (Fraction(1),)]:
+        with pytest.raises(TypeError):
+            Configuration(ct)
 
 
 def test_heights_examples():
@@ -66,19 +69,6 @@ def test_reverse_involution(n, data):
     cfgs = list(all_configurations(n))
     c = data.draw(st.sampled_from(cfgs))
     assert reverse(reverse(c)) == c
-
-
-def test_ball_moves():
-    loaded = add_ball(Configuration((0, 3, 0, 2, 0)), 3)
-    assert isinstance(loaded, LoadedConfiguration)
-    assert loaded.c == (0, 3, 1, 2, 0)
-    part = remove_ball(Configuration((0, 3, 0, 2, 0)), 2)
-    assert isinstance(part, PartialConfiguration)
-    assert part.c == (0, 2, 0, 2, 0)
-    with pytest.raises(EmptySite):
-        remove_ball(Configuration((0, 3, 0, 2, 0)), 3)
-    with pytest.raises(ValueError):
-        add_ball(Configuration((1,)), 2)
 
 
 def test_classify_examples():

@@ -6,10 +6,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from remixed import engine
 from remixed.config import Configuration, all_configurations, left_to_right_order, reverse
 from remixed.engine import (
     BadContent,
-    big_step_weights,
     drop_order_check,
     exact_sweep,
     remixed_exact,
@@ -19,30 +19,42 @@ from remixed.engine import (
 from remixed.qcalc import poly_reverse, q_factorial
 
 
-def test_big_step_examples():
+def _landing(occupied, s, n):
+    """Bounce table entry for a ball at site s over the occupied sites, with (a, b) decoded."""
+    mask = sum(1 << (j - 1) for j in occupied)
+    entry = engine._bounce_table(n)[mask * n + s - 1]
+    if entry is None:
+        return None
+    lt, rt, pair = entry
+    return lt, rt, divmod(pair, n + 1)
+
+
+def test_bounce_table_examples():
     # a ball bounced off a lone occupied site 1 can only go right
-    (w,) = big_step_weights(frozenset({1}), 1, 2)
-    assert (w.landing_site, w.a, w.b) == (2, 1, 1)
-    assert (w.numerator.coeffs, w.denominator.coeffs) == ((1,), (1, 1))
-    # free site: weight one, stays put
-    (w,) = big_step_weights(frozenset(), 3, 5)
-    assert (w.landing_site, w.numerator.coeffs, w.denominator.coeffs) == (3, (1,), (1,))
-    # both branches live
-    left, right = sorted(big_step_weights(frozenset({2, 3}), 3, 4), key=lambda x: x.landing_site)
-    assert (left.landing_site, left.a, left.b) == (1, 2, 1)
-    assert (right.landing_site, right.a, right.b) == (4, 2, 1)
-    assert left.numerator.coeffs == (0, 0, 1)          # q^2 [1]
-    assert right.numerator.coeffs == (1, 1)            # [2]
-    assert left.denominator == right.denominator
-    assert left.denominator.coeffs == (1, 1, 1)
+    assert _landing({1}, 1, 2) == (-1, 0b11, (1, 1))
+    # free site: no entry, the drop step settles the ball there with the full scale
+    assert _landing(set(), 3, 5) is None
+    weights = engine._weights(5, 2, 1)
+    assert engine._drop({0: 1}, 3, 5, weights) == {0b00100: weights[0]}
+    # both branches live, into the holes at sites 1 and 4
+    assert _landing({2, 3}, 3, 4) == (0b0111, 0b1110, (2, 1))
+    # at q = 2: left q^2 [1] / [3] = 4/7, right [2] / [3] = 3/7
+    weights = engine._weights(4, 2, 1)
+    scale = weights[0]
+    assert engine._drop({0b0110: 1}, 3, 4, weights) == {0b0111: 4 * scale // 7, 0b1110: 3 * scale // 7}
 
 
-def test_big_step_weights_sum_to_bracket():
-    # q^a [b] + [a] == [a+b] whenever both branches exist
-    for occ, j, n in [({2, 3}, 3, 4), ({1, 2, 3}, 2, 4), ({2, 3, 4}, 3, 6)]:
-        ws = big_step_weights(frozenset(occ), j, n)
-        if len(ws) == 2:
-            assert ws[0].numerator + ws[1].numerator == ws[0].denominator
+def test_bounce_weights_conserve_mass():
+    # q^a [b] + [a] == [a+b]: a bounce loses no mass while both holes are on the line
+    for q0 in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2)):
+        for n in range(1, 8):
+            scale, lw, rw = engine._weights(n, q0.numerator, q0.denominator)
+            for a in range(1, n):
+                for b in range(1, n - a + 1):
+                    pair = a * (n + 1) + b
+                    assert lw[pair] + rw[pair] == scale
+                    left = q0**a * sum(q0**i for i in range(b)) / sum(q0**i for i in range(a + b))
+                    assert Fraction(lw[pair], scale) == left
 
 
 def test_success_probability_examples():
@@ -146,6 +158,8 @@ def test_drop_order_examples():
         assert drop_order_check(c, left_to_right_order(c), q0) == success_probability(c, q0)
     with pytest.raises(BadContent):
         drop_order_check(Configuration((2, 0)), (1, 2), Fraction(1))
+    with pytest.raises(ValueError):
+        drop_order_check(c, (2, 4, 4, 2, 2), Fraction(-1, 2))
 
 
 @given(st.integers(2, 6), st.data())

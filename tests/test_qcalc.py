@@ -133,18 +133,21 @@ def test_poly_reverse_involution(a, d):
 
 
 def test_interpolate_examples():
-    assert interpolate([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))]) == QPoly((1, 1))
-    pts = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(3)), (Fraction(2), Fraction(7))]
-    assert interpolate(pts) == QPoly((1, 1, 1))
+    assert interpolate([1, 2]) == QPoly((1, 1))
+    assert interpolate([1, 3, 7]) == QPoly((1, 1, 1))
+    assert interpolate([0]) == ZERO
+    # x/2 + x^2/2 takes integer values at 0, 1, 2 without integer coefficients
     with pytest.raises(NonIntegerCoefficients):
-        interpolate([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(3, 2))])
+        interpolate([0, 1, 3])
+    with pytest.raises(ValueError):
+        interpolate([])
 
 
-@given(small_polys)
-def test_interpolate_round_trip(p):
+@given(small_polys, st.integers(0, 3))
+def test_interpolate_round_trip(p, extra):
     deg = p.degree()
-    pts = [(Fraction(x), p.evaluate(Fraction(x))) for x in range((deg or 0) + 1)]
-    assert interpolate(pts) == p
+    vals = [int(p.evaluate(x)) for x in range((deg or 0) + 1 + extra)]
+    assert interpolate(vals) == p
 
 
 def test_pochhammer_examples():
