@@ -17,6 +17,7 @@ from .qcalc import (
     DegreeTooHigh,
     NonIntegerCoefficients,
     TruncationTooShort,
+    InvariantViolation,
     q_int,
     q_factorial,
     q_binomial,
@@ -68,6 +69,7 @@ __all__ = [
     "DegreeTooHigh",
     "NonIntegerCoefficients",
     "TruncationTooShort",
+    "InvariantViolation",
     "q_int",
     "q_factorial",
     "q_binomial",

@@ -3,8 +3,9 @@
 Every successful JSON invocation prints exactly one envelope object with
 the command, the echoed inputs, the result payload and the tool version.
 Exit codes: 0 success, 2 usage or parse error, 3 cross check mismatch,
-4 verification failure.  The verification drivers live here as plain
-functions so the test suite can run them in process.
+4 verification failure, 5 internal invariant violated (a defect in the
+package, reported without a traceback).  The verification drivers live
+here as plain functions so the test suite can run them in process.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .engine import (
 from .formulas import (
     CSParams,
     HitIndex,
-    _one_hole_prefactor,
     a_almost_lukasiewicz,
     a_connected,
     a_lukasiewicz,
@@ -50,9 +50,10 @@ from .formulas import (
     corrective_series,
     dispatch,
     mset,
+    one_hole_prefactor,
     q_hit,
 )
-from .qcalc import ONE, TSeries, ZERO, q_int, series_equal_mod
+from .qcalc import InvariantViolation, TSeries, ZERO, bracket_product, series_equal_mod
 from .simulate import estimate_success
 
 
@@ -314,13 +315,10 @@ def verify_corrective(nmax: int, tables: dict[int, dict] | None = None) -> dict:
                     if not ok:
                         failures.append({"alpha": list(alpha), "beta": list(beta), "n": n, "law": "definition"})
                     checks += 1
-                    exp, brackets = _one_hole_prefactor(alpha, beta)
-                    pref = ONE
-                    for a in brackets:
-                        pref = pref * q_int(a)
+                    exp, brackets = one_hole_prefactor(alpha, beta)
                     ell = len(alpha)
                     ok = all(
-                        series.tcoeffs[t].shift(-exp) == base.tcoeffs[t + ell - 1] * pref
+                        series.tcoeffs[t].shift(-exp) == bracket_product(brackets, base.tcoeffs[t + ell - 1])
                         if t + ell - 1 <= n
                         else series.tcoeffs[t] == ZERO
                         for t in range(n + 1)
@@ -440,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvariantViolation as exc:
+        print(f"internal error: invariant violated: {exc}", file=sys.stderr)
+        return 5
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

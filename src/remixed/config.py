@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .qcalc import InvariantViolation
+
 
 class BadSum(ValueError):
     """Ball count does not match the number of sites."""
@@ -195,8 +197,10 @@ def classify(c: Configuration) -> ConfigFlags:
     defect: int | None = None
     if len(neg) == 1:
         j = neg[0]
-        assert hs[j - 1] == -1, "a lone dip below zero can only reach -1"
-        assert c.c[j - 1] == 0, "the defect site cannot hold a ball"
+        if hs[j - 1] != -1:
+            raise InvariantViolation("a lone dip below zero can only reach -1")
+        if c.c[j - 1] != 0:
+            raise InvariantViolation("the defect site cannot hold a ball")
         defect = j
     gamma = core(c).gamma
     holes = gamma.count(0)
@@ -247,7 +251,8 @@ def max_weakly_shift(gamma: tuple[int, ...], n: int) -> int:
     if not good:
         raise NoWeaklyShift(f"core {gamma} fails the weak condition at every shift")
     best = max(good)
-    assert good == list(range(best + 1)), "good shifts must form a prefix"
+    if good != list(range(best + 1)):
+        raise InvariantViolation("good shifts must form a prefix")
     return best
 
 

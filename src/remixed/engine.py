@@ -26,9 +26,10 @@ from .qcalc import (
     QRat,
     ZERO,
     NonIntegerCoefficients,
+    bracket_product,
     interpolate,
     q_binomial,
-    q_int,
+    require_nonnegative,
 )
 
 
@@ -164,9 +165,7 @@ def remixed_exact(c: Configuration) -> QPoly:
     for q0 in range(n * (n - 1) // 2 + 1):
         mass, scale_n = _success_for_order(n, order, q0)
         vals.append(_integer_value(prod(_brackets(n, q0)[1:]), mass, scale_n, q0))
-    poly = interpolate(vals)
-    assert all(co >= 0 for co in poly.coeffs), f"negative coefficient for {c.c}"
-    return poly
+    return require_nonnegative(interpolate(vals), c.c)
 
 
 def drop_order_check(c: Configuration, order: tuple[int, ...], q0: QRat) -> QRat:
@@ -183,8 +182,8 @@ def drop_order_check(c: Configuration, order: tuple[int, ...], q0: QRat) -> QRat
 def _wt(n: int, j: int, u: int) -> QPoly:
     """Weight of the last ball, from start site u to landing site j."""
     if j >= u:
-        return q_binomial(n, j) * q_int(u)
-    return (q_binomial(n, j - 1) * q_int(n + 1 - u)).shift(u - j)
+        return bracket_product((u,), q_binomial(n, j))
+    return bracket_product((n + 1 - u,), q_binomial(n, j - 1)).shift(u - j)
 
 
 @lru_cache(maxsize=None)
@@ -255,9 +254,4 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
 
         rec(1, 0, {0: 1})
 
-    out = {}
-    for ct, vals in values.items():
-        poly = interpolate(vals)
-        assert all(co >= 0 for co in poly.coeffs), f"negative coefficient for {ct}"
-        out[ct] = poly
-    return out
+    return {ct: require_nonnegative(interpolate(vals), ct) for ct, vals in values.items()}

@@ -13,6 +13,7 @@ cheapest applicable method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 
 from .config import (
@@ -26,13 +27,15 @@ from .config import (
 )
 from .engine import remixed_exact, remixed_induction
 from .qcalc import (
+    InvariantViolation,
     ONE,
     QPoly,
     TSeries,
     ZERO,
+    bracket_product,
     q_binomial,
-    q_int,
     q_pochhammer,
+    require_nonnegative,
     series_mul,
 )
 
@@ -72,12 +75,8 @@ class _Term:
     binom: tuple[int, int] | None = None
 
     def poly(self) -> QPoly:
-        out = ONE
-        for a in self.brackets:
-            out = out * q_int(a)
-        if self.binom is not None:
-            out = out * q_binomial(*self.binom)
-        out = out.shift(self.qexp)
+        base = ONE if self.binom is None else q_binomial(*self.binom)
+        out = bracket_product(self.brackets, base).shift(self.qexp)
         return out if self.sign > 0 else -out
 
     def render(self) -> str:
@@ -154,8 +153,7 @@ def a_almost_lukasiewicz(c: Configuration) -> QPoly:
     if j is None:
         raise WrongFamily(f"{c.c} does not have exactly one negative height")
     poly, _ = _assemble(_almost_terms(c, j))
-    assert all(co >= 0 for co in poly.coeffs), f"negative coefficient for {c.c}"
-    return poly
+    return require_nonnegative(poly, c.c)
 
 
 def _check_connected_core(gamma: tuple[int, ...], n: int) -> None:
@@ -191,8 +189,7 @@ def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
     if i < 0 or i > n - len(gamma):
         raise ShiftOutOfRange(f"shift {i} outside [0, {n - len(gamma)}]")
     poly, _ = _assemble(_shifted_sum_terms(gamma, i, n))
-    assert all(co >= 0 for co in poly.coeffs), f"negative coefficient for {gamma} at {i}"
-    return poly
+    return require_nonnegative(poly, f"{gamma} at {i}")
 
 
 def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
@@ -203,13 +200,7 @@ def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
     are all measured against.
     """
     ms = mset(tuple(gamma))
-    rhs_coeffs = []
-    for j in range(trunc):
-        p = ONE
-        for a in ms:
-            p = p * q_int(j + a)
-        rhs_coeffs.append(p)
-    rhs = TSeries.of(rhs_coeffs, trunc)
+    rhs = TSeries(trunc, tuple(bracket_product([j + a for a in ms]) for j in range(trunc)))
     return series_mul(q_pochhammer(n + 1, trunc), rhs)
 
 
@@ -244,11 +235,10 @@ def a_weakly_lukasiewicz(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
     if i > k:
         raise ShiftBeyondWeaklyBound(f"shift {i} exceeds the bound {k} for {gamma}")
     poly, _ = _assemble(_shifted_sum_terms(gamma, i, n))
-    assert all(co >= 0 for co in poly.coeffs), f"negative coefficient for {gamma} at {i}"
-    return poly
+    return require_nonnegative(poly, f"{gamma} at {i}")
 
 
-def _one_hole_prefactor(
+def one_hole_prefactor(
     alpha: tuple[int, ...], beta: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]]:
     """Shared prefactor of the one hole expressions.
@@ -282,14 +272,13 @@ def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> 
     ell, p, r = len(alpha), sum(alpha), sum(beta)
     if p + r != n:
         raise WrongFamily(f"blocks hold {p + r} balls, configuration needs {n}")
-    exp, brackets = _one_hole_prefactor(alpha, beta)
-    pref = ONE
-    for a in brackets:
-        pref = pref * q_int(a)
+    exp, brackets = one_hole_prefactor(alpha, beta)
+    pref = bracket_product(brackets)
     coeffs = [ZERO] * (n + 1)
     for i in range(r + 1):
         e = comb(p, 2) + p * i + comb(i + 1, 2) + exp
-        assert e >= 0, f"negative q exponent {e} for blocks {alpha}, {beta}"
+        if e < 0:
+            raise InvariantViolation(f"negative q exponent {e} for blocks {alpha}, {beta}")
         term = (pref * q_binomial(n + 1, r - i)).shift(e)
         if i % 2:
             term = -term
@@ -303,11 +292,12 @@ def _one_hole_terms(c: Configuration) -> list[_Term]:
     i, n = dec.left_zeros, c.n
     terms = _shifted_sum_terms(dec.gamma, i, n)
     if i >= shape.p - shape.ell:
-        exp, brackets = _one_hole_prefactor(shape.alpha, shape.beta)
+        exp, brackets = one_hole_prefactor(shape.alpha, shape.beta)
         # same exponent as the matching corrective series coefficient
         k = i + shape.ell - shape.p
         e = comb(shape.p, 2) + shape.p * k + comb(k + 1, 2) + exp
-        assert e >= 0, f"negative q exponent {e} for {c.c}"
+        if e < 0:
+            raise InvariantViolation(f"negative q exponent {e} for {c.c}")
         sign = 1 if (i + shape.p + shape.ell + 1) % 2 == 0 else -1
         terms.append(_Term(sign, e, brackets, (n + 1, i + shape.ell + 1)))
     return terms
@@ -322,8 +312,7 @@ def a_one_hole(c: Configuration) -> QPoly:
     if not classify(c).is_one_hole:
         raise WrongFamily(f"core of {c.c} does not have exactly one hole")
     poly, _ = _assemble(_one_hole_terms(c))
-    assert all(co >= 0 for co in poly.coeffs), f"negative coefficient for {c.c}"
-    return poly
+    return require_nonnegative(poly, c.c)
 
 
 @dataclass(frozen=True)
@@ -368,15 +357,11 @@ def q_hit(h: HitIndex, trunc_guard: int | None = None) -> QPoly:
     n = h.n
     trunc = n + 1 if trunc_guard is None else max(n + 1, trunc_guard)
     offsets = h.factor_offsets()
-    rhs_coeffs = []
-    for j in range(trunc):
-        p = ONE
-        for e in offsets:
-            p = p * q_int(j + e)
-        rhs_coeffs.append(p)
-    num = series_mul(q_pochhammer(n + 1, trunc), TSeries.of(rhs_coeffs, trunc))
+    rhs = TSeries(trunc, tuple(bracket_product([j + e for e in offsets]) for j in range(trunc)))
+    num = series_mul(q_pochhammer(n + 1, trunc), rhs)
     for k in range(n + 1, trunc):
-        assert num.tcoeff(k).is_zero(), f"nonzero t^{k} coefficient for {h.lam}"
+        if num.tcoeff(k):
+            raise InvariantViolation(f"nonzero t^{k} coefficient for {h.lam}")
     return num.tcoeff(h.i)
 
 
@@ -437,13 +422,12 @@ def carlitz_scoville_q(p: CSParams) -> QPoly:
     rs = p.r + p.s
     for j in range(p.r + 1):
         term = q_binomial(j + p.x + p.y - 1, j) * q_binomial(rs + p.x + p.y, p.r - j)
-        term = term * (q_int(j + p.y) ** rs)
+        term = bracket_product(repeat(j + p.y, rs), term)
         term = term.shift(comb(p.r - j, 2))
         if (p.r + j) % 2:
             term = -term
         total = total + term
-    assert all(co >= 0 for co in total.coeffs), f"negative coefficient for {p}"
-    return total
+    return require_nonnegative(total, p)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,34 @@ Polynomials in q have integer coefficients stored densely, lowest degree
 first.  Truncated power series in t carry polynomial-in-q coefficients and
 an explicit truncation order.  Rational scalars are exact fractions; no
 floating point enters any computation here.
+
+Two product kernels carry nearly all of the package's arithmetic:
+
+* bracket_product multiplies by q-integers [a] = 1 + q + ... + q**(a-1).
+  Multiplying by [a] sums each window of a consecutive coefficients, so
+  one prefix-sum pass and one subtraction pass do it in O(len p + a),
+  on plain lists, with one QPoly built at the end.
+* General products use Kronecker substitution: each signed operand is
+  packed into one Python int at a bit stride k with 2**(k-1) above every
+  product coefficient, the two ints are multiplied once, and the product's
+  digits are read back with a bias that keeps them nonnegative.  Packing
+  and unpacking go through machine-word arrays, so both are linear and run
+  at C speed.  Below a fixed length the shorter factor is multiplied row by
+  row instead.  series_mul packs every t-coefficient once at one stride,
+  so each t-coefficient of a product is a sum of int products.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from operator import add, mul, neg, sub
+from typing import Iterable, Sequence
 
 QRat = Fraction
 
@@ -33,6 +52,20 @@ class TruncationTooShort(ValueError):
     """Raised when a series comparison asks for more terms than are known."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: a defect in the package, not bad input.
+
+    Raised in place of assert statements, so python -O keeps the checks.
+    """
+
+
+def require_nonnegative(p: QPoly, what: object) -> QPoly:
+    """p itself; raises InvariantViolation if a coefficient is negative."""
+    if min(p.coeffs, default=0) < 0:
+        raise InvariantViolation(f"negative coefficient for {what}")
+    return p
+
+
 @dataclass(frozen=True)
 class QPoly:
     """Dense integer polynomial in q, coefficients lowest degree first.
@@ -51,10 +84,13 @@ class QPoly:
 
     def __post_init__(self) -> None:
         cs = tuple(self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        if any(not isinstance(c, int) for c in cs):
+        if not all(map(isinstance, cs, repeat(int))):
             raise TypeError("coefficients must be int")
+        if cs and not cs[-1]:
+            end = len(cs) - 1
+            while end and not cs[end - 1]:
+                end -= 1
+            cs = cs[:end]
         object.__setattr__(self, "coeffs", cs)
 
     def degree(self) -> int | None:
@@ -67,32 +103,32 @@ class QPoly:
         return bool(self.coeffs)
 
     def __add__(self, other: QPoly) -> QPoly:
+        if not isinstance(other, QPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(tuple(out))
+        return QPoly((*map(add, a, b), *a[len(b) :]))
 
     def __neg__(self) -> QPoly:
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly(tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other: QPoly) -> QPoly:
-        return self + (-other)
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) >= len(b):
+            return QPoly((*map(sub, a, b), *a[len(b) :]))
+        return QPoly((*map(sub, a, b), *map(neg, b[len(a) :])))
 
     def __mul__(self, other: QPoly | int) -> QPoly:
+        if isinstance(other, QPoly):
+            if not self.coeffs or not other.coeffs:
+                return ZERO
+            return QPoly(tuple(_convolve(self.coeffs, other.coeffs)))
         if isinstance(other, int):
-            return QPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPoly(tuple(out))
+            return QPoly(tuple(map(mul, self.coeffs, repeat(other))))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -154,6 +190,118 @@ class QPoly:
 ZERO = QPoly()
 ONE = QPoly((1,))
 
+# Below this length of the shorter factor, adding one scaled row of the
+# longer factor per coefficient beats one packed product.  Measured on a
+# 2-core x86-64 VM under CPython 3.11: at 8 by 8 coefficients both take
+# about 11 us; at 4 by 4 rows take 4 us against 6 to 9 us; at 16 by 16
+# the packed product takes 16 us against 30 to 37 us.
+_KRONECKER_CUTOFF = 8
+
+# unsigned machine-word typecodes by byte width, to pack and unpack digits
+_WORDS = {array(code).itemsize: code for code in "BHIQ"}
+_WORD_WIDTHS = sorted(_WORDS)
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two nonempty coefficient sequences.
+
+    The result has len(a) + len(b) - 1 entries; zeros are kept anywhere.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) >= _KRONECKER_CUTOFF:
+        return _kronecker(a, b)
+    la = len(a)
+    out = [0] * (la + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            row = a if cb == 1 else map(mul, a, repeat(cb))
+            out[j : j + la] = map(add, out[j : j + la], row)
+    return out
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """_convolve by one bigint product of a and b packed at a byte stride."""
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    # the operands themselves must fit the stride too, also when one is all zeros
+    width = _stride(max(top_a * top_b * min(len(a), len(b)), top_a, top_b))
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
+
+
+def _stride(bound: int) -> int:
+    """Bytes per digit that hold any signed coefficient of magnitude <= bound.
+
+    At a stride of w bytes with 2**(8w - 1) > bound, the digits c + 2**(8w - 1)
+    of a biased product lie in [1, 2**(8w) - 1] and read back exactly.
+    Strides up to 8 bytes are rounded up to a machine word.
+    """
+    width = (bound.bit_length() + 8) // 8
+    return next((w for w in _WORD_WIDTHS if w >= width), width)
+
+
+def _pack(cs: Sequence[int], width: int) -> int:
+    """sum of cs[i] * 2**(8*width*i), for signed cs of magnitude below 2**(8*width - 1)."""
+    if min(cs) >= 0:
+        return _pack_unsigned(cs, width)
+    pos = _pack_unsigned(map(max, cs, repeat(0)), width)
+    return pos - _pack_unsigned(map(max, map(neg, cs), repeat(0)), width)
+
+
+def _pack_unsigned(cs: Iterable[int], width: int) -> int:
+    code = _WORDS.get(width)
+    if code is None:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+    words = array(code, cs)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unpack(packed: int, width: int, n: int) -> list[int]:
+    """The n signed digits of packed at a stride of width bytes (see _stride)."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    raw = (packed + bias).to_bytes(width * n, "little")
+    code = _WORDS.get(width)
+    if code is None:
+        words = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    else:
+        words = array(code, raw)
+        if _BIG_ENDIAN:
+            words.byteswap()
+    return list(map(sub, words, repeat(half)))
+
+
+def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:
+    """p times the product of the brackets [a] for a in sizes.
+
+    Coefficient k of cs * [a] is the window sum cs[k-a+1] + ... + cs[k],
+    a difference of two prefix sums, so each bracket costs O(len p + a).
+    Raises ValueError for a negative size, as q_int does.
+
+    >>> bracket_product((2, 3)).coeffs
+    (1, 2, 2, 1)
+    >>> bracket_product((2,), QPoly((1, -1))).coeffs
+    (1, 0, -1)
+    """
+    cs = list(p.coeffs)
+    for a in sizes:
+        if a < 0:
+            raise ValueError("bracket of a negative integer")
+        if a == 1 or not cs:
+            continue
+        if a == 0:
+            cs = []
+            continue
+        pre = list(accumulate(cs, initial=0))
+        hi = pre[1:]
+        hi += repeat(pre[-1], a - 1)
+        lo = [0] * (a - 1)
+        lo += pre
+        cs = list(map(sub, hi, lo))
+    return QPoly(tuple(cs))
+
 
 def q_monomial(k: int, c: int = 1) -> QPoly:
     """The polynomial c * q**k."""
@@ -179,10 +327,7 @@ def q_factorial(n: int) -> QPoly:
     """
     if n < 0:
         raise ValueError("factorial of a negative integer")
-    out = ONE
-    for i in range(1, n + 1):
-        out = out * q_int(i)
-    return out
+    return bracket_product(range(1, n + 1))
 
 
 _QBIN_CACHE: dict[tuple[int, int], QPoly] = {}
@@ -209,7 +354,7 @@ def q_binomial(n: int, k: int) -> QPoly:
         return got
     out = ONE
     for j in range(1, k + 1):
-        out = poly_divexact(out * q_int(n - j + 1), q_int(j))
+        out = poly_divexact(bracket_product((n - j + 1,), out), q_int(j))
     _QBIN_CACHE[key] = out
     return out
 
@@ -361,17 +506,28 @@ class TSeries:
 
 
 def series_mul(a: TSeries, b: TSeries) -> TSeries:
-    """Product truncated to the shorter of the two truncations."""
+    """Product truncated to the shorter of the two truncations.
+
+    Every t-coefficient of both operands is packed once at one common
+    stride (see _kronecker); each t-coefficient of the product is then a
+    sum of bigint products, unpacked once.
+    """
     k = min(a.trunc, b.trunc)
-    out = [ZERO] * k
-    for i in range(k):
-        ai = a.tcoeffs[i]
-        if ai.is_zero():
-            continue
-        for j in range(k - i):
-            bj = b.tcoeffs[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
+    ra = [c.coeffs for c in a.tcoeffs[:k]]
+    rb = [c.coeffs for c in b.tcoeffs[:k]]
+    la = max(map(len, ra), default=0)
+    lb = max(map(len, rb), default=0)
+    if not la or not lb:
+        return TSeries(k, (ZERO,) * k)
+    top_a = max(max(map(abs, cs)) for cs in ra if cs)
+    top_b = max(max(map(abs, cs)) for cs in rb if cs)
+    width = _stride(top_a * top_b * min(la, lb) * k)
+    pa = [_pack(cs, width) if cs else 0 for cs in ra]
+    pb = [_pack(cs, width) if cs else 0 for cs in rb]
+    out = []
+    for m in range(k):
+        packed = sum(map(mul, pa[: m + 1], pb[m::-1]))
+        out.append(QPoly(tuple(_unpack(packed, width, la + lb - 1))) if packed else ZERO)
     return TSeries(k, tuple(out))
 
 
@@ -385,8 +541,12 @@ def series_equal_mod(a: TSeries, b: TSeries, k: int) -> bool:
     return all(a.tcoeffs[i] == b.tcoeffs[i] for i in range(k))
 
 
+@lru_cache(maxsize=None)
 def q_pochhammer(n: int, trunc: int) -> TSeries:
     """Product of (1 - t q**i) for i in [0, n), modulo t**trunc.
+
+    Memoised: a TSeries is immutable, and the identity suites ask for the
+    same few series many times.
 
     >>> [c.coeffs for c in q_pochhammer(2, 3).tcoeffs]
     [(1,), (-1, -1), (0, 1)]

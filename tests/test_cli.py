@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +225,41 @@ def test_in_process_drivers_share_tables(oracle):
         assert report["passed"], report["failures"]
     report = cli.verify_abelian(4, tables)
     assert report["passed"]
+
+
+# Each script breaks one route from inside, then runs the CLI on it.
+BROKEN_ROUTES = {
+    "formula": (
+        "from remixed import formulas\n"
+        "formulas._assemble = lambda terms: (QPoly((1, -1)), '')\n"
+        "argv = ['table', 'connected', '--gamma', '1,2,2', '--n', '5']\n"
+    ),
+    "oracle": (
+        "from remixed import engine\n"
+        "engine.interpolate = lambda vals: QPoly((1, -1))\n"
+        "argv = ['eval', '2,0', '--method', 'exact']\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
+def test_invariant_violation_survives_optimize(route):
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from remixed import cli\n"
+        "from remixed.qcalc import QPoly\n"
+        + BROKEN_ROUTES[route]
+        + "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "sys.exit(cli.main(argv))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stdout == ""
+    assert "invariant violated: negative coefficient" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -4,15 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from remixed import qcalc
 from remixed.qcalc import (
     ONE,
     ZERO,
     DegreeTooHigh,
+    InvariantViolation,
     NonIntegerCoefficients,
     NotDivisible,
     QPoly,
     TSeries,
     TruncationTooShort,
+    bracket_product,
     interpolate,
     poly_divexact,
     poly_reverse,
@@ -21,6 +24,7 @@ from remixed.qcalc import (
     q_int,
     q_monomial,
     q_pochhammer,
+    require_nonnegative,
     series_equal_mod,
     series_mul,
 )
@@ -214,3 +218,134 @@ def test_q_specializations_at_one(n):
     assert q_int(n).evaluate(1) == n
     if n <= 10:
         assert q_factorial(n).evaluate(1) == math.factorial(n)
+
+
+def schoolbook(a, b):
+    """Reference product of two coefficient sequences, one term at a time."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def series_mul_reference(a, b):
+    """The per-term series product, each term by schoolbook."""
+    k = min(a.trunc, b.trunc)
+    out = [ZERO] * k
+    for i in range(k):
+        for j in range(k - i):
+            out[i + j] = out[i + j] + QPoly(schoolbook(a.tcoeffs[i].coeffs, b.tcoeffs[j].coeffs))
+    return TSeries(k, tuple(out))
+
+
+# signed entries, many zeros, and entries beyond 64 bits
+coefficients = st.one_of(
+    st.just(0), st.integers(-50, 50), st.integers(-(2**40), 2**40), st.integers(-(2**90), 2**90)
+)
+# lengths on both sides of the cutoff between row products and packed products
+lengths = st.integers(0, 3 * qcalc._KRONECKER_CUTOFF)
+
+
+def coeff_lists(min_size=0):
+    return lengths.flatmap(
+        lambda n: st.lists(coefficients, min_size=max(n, min_size), max_size=max(n, min_size))
+    )
+
+
+@given(coeff_lists(), coeff_lists())
+def test_mul_matches_schoolbook(a, b):
+    assert (QPoly(tuple(a)) * QPoly(tuple(b))).coeffs == QPoly(schoolbook(a, b)).coeffs
+
+
+@given(coeff_lists(min_size=1), coeff_lists(min_size=1))
+def test_both_product_kernels_match_schoolbook(a, b):
+    want = list(schoolbook(a, b))
+    assert qcalc._convolve(a, b) == want
+    assert qcalc._kronecker(a, b) == want
+
+
+def test_mul_examples_across_word_sizes():
+    big = 2**64 + 1
+    assert QPoly((big, -1)) * QPoly((big, 1)) == QPoly((big * big, 0, -1))
+    for top in (1, 2**7, 2**15, 2**31, 2**63, 2**64, 2**200):
+        a = (top, 0, -top, 3) * 4
+        b = (-1, top, 0) * 5
+        assert (QPoly(a) * QPoly(b)).coeffs == QPoly(schoolbook(a, b)).coeffs
+        assert qcalc._kronecker(a, b) == list(schoolbook(a, b))
+
+
+@given(st.lists(st.integers(0, 12), max_size=8), small_polys)
+def test_bracket_product_matches_repeated_brackets(sizes, p):
+    want = p
+    for a in sizes:
+        want = QPoly(schoolbook(want.coeffs, q_int(a).coeffs))
+    assert bracket_product(sizes, p) == want
+    assert bracket_product(sizes) == bracket_product(sizes, ONE)
+
+
+def test_bracket_product_edge_sizes():
+    p = QPoly((3, -1, 0, 2))
+    assert bracket_product((1,), p) == p
+    assert bracket_product((0,), p) == ZERO
+    assert bracket_product((), p) == p
+    assert bracket_product((2, 0, 5)) == ZERO
+    with pytest.raises(ValueError):
+        bracket_product((3, -1))
+    with pytest.raises(ValueError):
+        bracket_product((0, -1))
+
+
+series = st.integers(0, 6).flatmap(
+    lambda k: st.lists(coeff_lists(), min_size=k, max_size=k).map(
+        lambda rows: TSeries(k, tuple(QPoly(tuple(r)) for r in rows))
+    )
+)
+
+
+@given(series, series)
+def test_series_mul_matches_per_term_product(a, b):
+    assert series_mul(a, b) == series_mul_reference(a, b)
+
+
+@given(st.integers(0, 9), st.integers(0, 10))
+def test_memoised_pochhammer_equals_fresh(n, trunc):
+    fresh = TSeries.of([ONE], trunc)
+    for i in range(n):
+        fresh = series_mul_reference(fresh, TSeries.of([ONE, q_monomial(i, -1)], trunc))
+    assert q_pochhammer(n, trunc) == fresh
+    assert q_pochhammer(n, trunc) == q_pochhammer.__wrapped__(n, trunc)
+    assert q_pochhammer(n, trunc) is q_pochhammer(n, trunc)
+
+
+def test_normalization_keeps_interior_zeros():
+    assert QPoly((0, 1, 0, 0, 2, 0, 0)).coeffs == (0, 1, 0, 0, 2)
+    assert QPoly([0] * 5) == ZERO
+    with pytest.raises(TypeError):
+        QPoly((1, 0.5, 0))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: QPoly((1, 1)) * Fraction(1, 2),
+        lambda: Fraction(1, 2) * QPoly((1, 1)),
+        lambda: QPoly((1,)) + 1,
+        lambda: 1 + QPoly((1,)),
+        lambda: QPoly((1,)) - 1,
+        lambda: QPoly((1,)) * 1.5,
+    ],
+)
+def test_foreign_operands_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_require_nonnegative():
+    p = QPoly((0, 2, 1))
+    assert require_nonnegative(p, "p") is p
+    assert require_nonnegative(ZERO, "zero") is ZERO
+    with pytest.raises(InvariantViolation, match="negative coefficient for p"):
+        require_nonnegative(QPoly((1, -1)), "p")
