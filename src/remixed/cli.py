@@ -31,6 +31,7 @@ from .config import (
     shifted_config,
 )
 from .engine import (
+    SWEEP_MAX_N,
     drop_order_check,
     exact_sweep,
     remixed_exact,
@@ -358,8 +359,8 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.nmax < 1:
-        raise ValueError("nmax must be at least 1")
+    if not 1 <= args.nmax <= SWEEP_MAX_N:
+        raise ValueError(f"nmax must be between 1 and {SWEEP_MAX_N}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     tables = {n: exact_sweep(n) for n in range(1, args.nmax + 1)}
     suites = [_SUITES[name](args.nmax, tables) for name in names]
@@ -422,7 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run exhaustive identity suites")
     p.add_argument("suite", choices=["families", "congruence", "corrective", "abelian", "all"])
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument(
+        "--nmax",
+        type=int,
+        default=6,
+        help=f"check every configuration with n <= NMAX, at most {SWEEP_MAX_N} (default 6)",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the drop dynamics")

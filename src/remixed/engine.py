@@ -11,26 +11,47 @@ a power of that scale.  The polynomial is lifted from its integer values
 at q = 0..n(n-1)/2 by qcalc.interpolate.  The second evaluator runs the
 final ball recursion with memoization and never touches probabilities.
 Agreement of the two is the backbone of the test suite.
+
+The bulk sweep over all configurations on n sites reads the same bounce
+table but works modulo two primes p1, p2 below 2**31, with numpy int64
+vectors of one lane per prime and per point q0 = 0..n(n-1)/2.  A residue
+is below 2**31, so a product of two is below 2**62 and a sum of two below
+2**63.  The coefficients of a configuration polynomial are nonnegative and
+sum to at most n! < p1 * p2, so the Chinese remainder theorem recovers
+them exactly, and a lifted coefficient or row sum above n! is reported as
+an InvariantViolation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import comb, factorial, lcm, prod
 
-from .config import Configuration, all_configurations, left_to_right_order
+import numpy as np
+
+from .config import Configuration, left_to_right_order
 from .qcalc import (
     ONE,
+    InvariantViolation,
     QPoly,
     QRat,
     ZERO,
     NonIntegerCoefficients,
+    _falling_basis,
     bracket_product,
     interpolate,
     q_binomial,
     require_nonnegative,
 )
+
+# exact_sweep works modulo these two primes below 2**31: 2**31 - 1 and 2**31 - 19.
+_PRIMES = (2147483647, 2147483629)
+
+# Largest number of sites exact_sweep accepts.  Its leaves take
+# C(2n - 1, n) * 2(D + 1) int64 values, D = n(n-1)/2: 14 MB at n = 9,
+# 68 MB at n = 10 and 316 MB at n = 11.
+SWEEP_MAX_N = 10
 
 
 class BadContent(ValueError):
@@ -139,7 +160,7 @@ def _integer_value(factv: int, mass: int, scale_n: int, q0: int) -> int:
     """[n]!(q0) times the success chance mass / scale_n, an integer at integer q0."""
     num = factv * mass
     if num % scale_n:
-        raise NonIntegerCoefficients(f"non-integer value at q={q0}")
+        raise InvariantViolation(f"non-integer value at q={q0}")
     return num // scale_n
 
 
@@ -165,7 +186,11 @@ def remixed_exact(c: Configuration) -> QPoly:
     for q0 in range(n * (n - 1) // 2 + 1):
         mass, scale_n = _success_for_order(n, order, q0)
         vals.append(_integer_value(prod(_brackets(n, q0)[1:]), mass, scale_n, q0))
-    return require_nonnegative(interpolate(vals), c.c)
+    try:
+        poly = interpolate(vals)
+    except NonIntegerCoefficients as exc:
+        raise InvariantViolation(f"{exc} for {c.c}") from exc
+    return require_nonnegative(poly, c.c)
 
 
 def drop_order_check(c: Configuration, order: tuple[int, ...], q0: QRat) -> QRat:
@@ -220,38 +245,176 @@ def remixed_induction(c: Configuration) -> QPoly:
     return _induction(c.c)
 
 
+def _lane_weights(n: int) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Bounce weights and [n]! at every lane of the sweep, as residues.
+
+    Lane i * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
+    _PRIMES[i].  Returns the left and right weights q0^a [b]/[a+b] and
+    [a]/[a+b] by pair number (see _bounce_table), [n]!(q0), and the modulus
+    of each lane.  The weights are the fractions themselves mod p, so they
+    sum to 1 and need no common scale.
+    """
+    big_d = n * (n - 1) // 2
+    lanes = [(p, q0) for p in _PRIMES for q0 in range(big_d + 1)]
+    lw = np.zeros(((n + 1) * (n + 2), len(lanes)), np.int64)
+    rw = np.zeros_like(lw)
+    fact = np.empty(len(lanes), np.int64)
+    for i, (p, q0) in enumerate(lanes):
+        br = [x % p for x in _brackets(n, q0)]
+        fact[i] = prod(br[1:]) % p
+        for a in range(1, n):
+            for b in range(1, n - a + 1):
+                inv = pow(br[a + b], -1, p)
+                lw[a * (n + 1) + b, i] = pow(q0, a, p) * br[b] * inv % p
+                rw[a * (n + 1) + b, i] = br[a] * inv % p
+    return list(lw), list(rw), fact, np.repeat(np.array(_PRIMES, np.int64), big_d + 1)
+
+
+def _drop_lanes(
+    dist: dict[int, np.ndarray], s: int, n: int, lw: list, rw: list, mod: np.ndarray
+) -> dict[int, np.ndarray]:
+    """_drop on vectors of residues, one entry per lane.
+
+    Every vector stays reduced mod its lane's prime: a product of two
+    residues is below 2**62 and is reduced before it is added, so a sum of
+    two is below 2**32.
+    """
+    tab = _bounce_table(n)
+    bit = 1 << (s - 1)
+    out: dict[int, np.ndarray] = {}
+
+    def put(mask: int, vec: np.ndarray) -> None:
+        got = out.get(mask)
+        out[mask] = vec if got is None else (got + vec) % mod
+
+    for mask, vec in dist.items():
+        if not mask & bit:
+            put(mask | bit, vec)
+            continue
+        lt, rt, pair = tab[mask * n + s - 1]
+        if lt >= 0:
+            put(lt, vec * lw[pair] % mod)
+        if rt >= 0:
+            put(rt, vec * rw[pair] % mod)
+    return out
+
+
+def _sweep_residues(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """[n]!(q0) times the success chance, mod p, for every configuration and lane.
+
+    One walk of the tree of left to right drop orders: a configuration's
+    order extends the order of every configuration it contains at its
+    lowest sites, so those share the drops of the common prefix.  Returns
+    the configurations and an int64 array of shape (count, 2, D + 1),
+    indexed by configuration, prime and q0.
+    """
+    lw, rw, fact, mod = _lane_weights(n)
+    keys: list[tuple[int, ...]] = []
+    leaves = np.empty((comb(2 * n - 1, n), mod.size), np.int64)
+    full = (1 << n) - 1
+    counts = [0] * (n + 1)
+
+    def rec(min_site: int, k: int, dist: dict[int, np.ndarray]) -> None:
+        if k == n:
+            if full in dist:
+                leaves[len(keys)] = dist[full]
+                keys.append(tuple(counts[1:]))
+            return
+        for s in range(min_site, n + 1):
+            nd = _drop_lanes(dist, s, n, lw, rw, mod)
+            if nd:
+                counts[s] += 1
+                rec(s, k + 1, nd)
+                counts[s] -= 1
+
+    rec(1, 0, {0: np.ones(mod.size, np.int64)})
+    # every configuration has a positive success chance at q = 1
+    if len(keys) != len(leaves):
+        raise InvariantViolation(f"{len(leaves) - len(keys)} configurations never filled the line")
+    leaves *= fact
+    leaves %= mod
+    return keys, leaves.reshape(len(keys), len(_PRIMES), -1)
+
+
+@lru_cache(maxsize=None)
+def _interp_matrix(big_d: int) -> np.ndarray:
+    """The linear map from values at q = 0..D to coefficients, mod each prime.
+
+    Entry [k, q0, i] is what a unit value at q0 adds to the coefficient of
+    q**i, mod _PRIMES[k].  It is qcalc.interpolate written as a matrix:
+    the forward difference of order j at 0 takes (-1)**(j - q0) C(j, q0)
+    of the value at q0 and weights row j of the falling factorial basis,
+    scaled by D!, which the inverse of D! mod p then removes.
+    """
+    basis = _falling_basis(big_d)
+    inverses = [pow(factorial(big_d), -1, p) for p in _PRIMES]
+    out = np.zeros((len(_PRIMES), big_d + 1, big_d + 1), np.int64)
+    for q0 in range(big_d + 1):
+        for i in range(big_d + 1):
+            co = sum(
+                (-1) ** (j - q0) * comb(j, q0) * basis[j][i] for j in range(max(q0, i), big_d + 1)
+            )
+            out[:, q0, i] = [co * inv % p for inv, p in zip(inverses, _PRIMES)]
+    out.setflags(write=False)
+    return out
+
+
+def _interpolate_mod(vals: np.ndarray) -> np.ndarray:
+    """Coefficient residues of the polynomials through vals[..., q0] at q = q0.
+
+    vals has shape (rows, 2, D + 1), residues mod _PRIMES along the middle
+    axis.  The map of _interp_matrix is split into 16-bit halves, so each
+    product in a matrix product is below 2**47 and each sum of D + 1 <= 46
+    of them below 2**53.
+    """
+    out = np.empty_like(vals)
+    for k, (p, m) in enumerate(zip(_PRIMES, _interp_matrix(vals.shape[-1] - 1))):
+        y = vals[:, k]
+        out[:, k] = (((y @ (m >> 16)) % p << 16) + y @ (m & 0xFFFF)) % p
+    return out
+
+
+def _crt(res: np.ndarray) -> np.ndarray:
+    """The integers in [0, p1 * p2) with residues res[:, 0] mod p1 and res[:, 1] mod p2."""
+    p1, p2 = _PRIMES
+    c1, c2 = res[:, 0], res[:, 1]
+    return c1 + p1 * ((c2 - c1) % p2 * pow(p1, -1, p2) % p2)
+
+
 def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     """remixed_exact for every configuration on n sites, as one table.
 
     The drop step of remixed_exact runs along every left to right order
-    at once: configurations sharing a prefix of that order share the drops
-    of the prefix, which makes the exhaustive sweep itself feasible.  At
-    each q0 = 0..n(n-1)/2 mass is an integer over L**n, with L the common
-    scale of the bounce weights at q0 (see _weights).
+    at once, and at every evaluation point at once.  Configurations sharing
+    a prefix of that order share the drops of the prefix (_sweep_residues),
+    and each reachable occupancy mask carries one int64 vector with a lane
+    per prime p in _PRIMES and per q0 = 0..D, D = n(n-1)/2, holding its
+    probability mass at q0 mod p.  Residues are below 2**31, so every
+    product of two is below 2**62 and every sum of two below 2**63.  The
+    leaves are interpolated mod each prime (_interpolate_mod) and lifted
+    by the Chinese remainder theorem into [0, p1 * p2).
+
+    The true coefficients are nonnegative and sum to n! * P(success at
+    q = 1) <= n! < p1 * p2, so the lift is exact.  A lifted coefficient or
+    row sum above n! means the residues disagree with the theory and
+    raises InvariantViolation; a wrong residue slips through only by
+    landing in [0, n!], a chance of about n! / (p1 * p2) per coefficient.
+
+    Raises ValueError for n above SWEEP_MAX_N: the leaves alone take
+    C(2n - 1, n) * 2(D + 1) int64 values, 68 MB at n = 10.
     """
     if n < 1:
         raise ValueError("need at least one site")
-    big_d = n * (n - 1) // 2
-    values = {cfg.c: [0] * (big_d + 1) for cfg in all_configurations(n)}
-    full = (1 << n) - 1
-    counts = [0] * (n + 1)
-    for q0 in range(big_d + 1):
-        weights = _weights(n, q0, 1)
-        scale_n = weights[0] ** n
-        factv = prod(_brackets(n, q0)[1:])
-
-        def rec(min_site: int, k: int, dist: dict[int, int]) -> None:
-            if k == n:
-                if full in dist:
-                    values[tuple(counts[1:])][q0] = _integer_value(factv, dist[full], scale_n, q0)
-                return
-            for s in range(min_site, n + 1):
-                nd = _drop(dist, s, n, weights)
-                if nd:
-                    counts[s] += 1
-                    rec(s, k + 1, nd)
-                    counts[s] -= 1
-
-        rec(1, 0, {0: 1})
-
-    return {ct: require_nonnegative(interpolate(vals), ct) for ct, vals in values.items()}
+    if n > SWEEP_MAX_N:
+        raise ValueError(f"exact_sweep takes at most {SWEEP_MAX_N} sites, got {n}")
+    keys, res = _sweep_residues(n)
+    coeffs = _crt(_interpolate_mod(res))
+    bound = factorial(n)
+    # a row sum can wrap around only when some coefficient is already out of range
+    bad = (coeffs.max(axis=1) > bound) | (coeffs.sum(axis=1) > bound)
+    if bad.any():
+        ct = keys[int(bad.argmax())]
+        raise InvariantViolation(f"coefficients of {ct} outside [0, {bound}]")
+    return {
+        ct: require_nonnegative(QPoly(tuple(row.tolist())), ct) for ct, row in zip(keys, coeffs)
+    }

@@ -101,16 +101,22 @@ class _Term:
         return " ".join(pieces) if pieces else "1"
 
 
-def _assemble(terms: list[_Term]) -> tuple[QPoly, str]:
+def _assemble(terms: list[_Term]) -> QPoly:
     total = ZERO
-    out = []
     for t in terms:
         total = total + t.poly()
+    return total
+
+
+def _render(terms: list[_Term]) -> str:
+    """The factored form of a sum of terms, as dispatch reports it."""
+    out = []
+    for t in terms:
         if not out:
             out.append(t.render() if t.sign > 0 else "-" + t.render())
         else:
             out.append(("+ " if t.sign > 0 else "- ") + t.render())
-    return total, " ".join(out)
+    return " ".join(out)
 
 
 def _luka_terms(c: Configuration) -> list[_Term]:
@@ -128,8 +134,7 @@ def a_lukasiewicz(c: Configuration) -> QPoly:
     """
     if not classify(c).is_lukasiewicz:
         raise WrongFamily(f"{c.c} has a negative height")
-    poly, _ = _assemble(_luka_terms(c))
-    return poly
+    return _assemble(_luka_terms(c))
 
 
 def _almost_terms(c: Configuration, j: int) -> list[_Term]:
@@ -152,8 +157,7 @@ def a_almost_lukasiewicz(c: Configuration) -> QPoly:
     j = classify(c).almost_defect
     if j is None:
         raise WrongFamily(f"{c.c} does not have exactly one negative height")
-    poly, _ = _assemble(_almost_terms(c, j))
-    return require_nonnegative(poly, c.c)
+    return require_nonnegative(_assemble(_almost_terms(c, j)), c.c)
 
 
 def _check_connected_core(gamma: tuple[int, ...], n: int) -> None:
@@ -188,8 +192,7 @@ def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
     _check_connected_core(gamma, n)
     if i < 0 or i > n - len(gamma):
         raise ShiftOutOfRange(f"shift {i} outside [0, {n - len(gamma)}]")
-    poly, _ = _assemble(_shifted_sum_terms(gamma, i, n))
-    return require_nonnegative(poly, f"{gamma} at {i}")
+    return require_nonnegative(_assemble(_shifted_sum_terms(gamma, i, n)), f"{gamma} at {i}")
 
 
 def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
@@ -234,8 +237,7 @@ def a_weakly_lukasiewicz(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
         raise ShiftBeyondWeaklyBound(f"core {gamma} is nowhere weakly placed") from exc
     if i > k:
         raise ShiftBeyondWeaklyBound(f"shift {i} exceeds the bound {k} for {gamma}")
-    poly, _ = _assemble(_shifted_sum_terms(gamma, i, n))
-    return require_nonnegative(poly, f"{gamma} at {i}")
+    return require_nonnegative(_assemble(_shifted_sum_terms(gamma, i, n)), f"{gamma} at {i}")
 
 
 def one_hole_prefactor(
@@ -311,8 +313,7 @@ def a_one_hole(c: Configuration) -> QPoly:
     """
     if not classify(c).is_one_hole:
         raise WrongFamily(f"core of {c.c} does not have exactly one hole")
-    poly, _ = _assemble(_one_hole_terms(c))
-    return require_nonnegative(poly, c.c)
+    return require_nonnegative(_assemble(_one_hole_terms(c)), c.c)
 
 
 @dataclass(frozen=True)
@@ -460,25 +461,29 @@ def dispatch(c: Configuration, crosscheck: bool = False) -> EvalReport:
     the drop dynamics oracle.
     """
     flags = classify(c)
-    pretty: str | None
+    terms: list[_Term] | None
     if flags.is_lukasiewicz:
         method = "lukasiewicz"
-        poly, pretty = _assemble(_luka_terms(c))
+        terms = _luka_terms(c)
     elif flags.almost_defect is not None:
         method = "almost_lukasiewicz"
-        poly, pretty = _assemble(_almost_terms(c, flags.almost_defect))
+        terms = _almost_terms(c, flags.almost_defect)
     elif flags.is_connected:
         method = "connected"
-        poly, pretty = _assemble(_shifted_sum_terms(core(c).gamma, core(c).left_zeros, c.n))
+        terms = _shifted_sum_terms(core(c).gamma, core(c).left_zeros, c.n)
     elif flags.is_one_hole:
         method = "one_hole"
-        poly, pretty = _assemble(_one_hole_terms(c))
+        terms = _one_hole_terms(c)
     elif flags.is_weakly_lukasiewicz:
         method = "weakly_lukasiewicz"
-        poly, pretty = _assemble(_shifted_sum_terms(core(c).gamma, core(c).left_zeros, c.n))
+        terms = _shifted_sum_terms(core(c).gamma, core(c).left_zeros, c.n)
     else:
         method = "induction"
+        terms = None
+    if terms is None:
         poly, pretty = remixed_induction(c), None
+    else:
+        poly, pretty = _assemble(terms), _render(terms)
     check = "skip"
     if crosscheck:
         check = "pass" if remixed_exact(c) == poly else "fail"

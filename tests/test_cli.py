@@ -8,6 +8,7 @@ import pytest
 
 import remixed.cli as cli
 from remixed import __version__
+from remixed.engine import SWEEP_MAX_N
 from remixed.formulas import HitIndex, q_hit
 from remixed.qcalc import QPoly
 
@@ -173,9 +174,12 @@ def test_verify_single_suite(capsys):
     assert [s["name"] for s in env["result"]["suites"]] == ["congruence"]
 
 
-def test_verify_bad_nmax(capsys):
-    rc, _, err = run(capsys, "verify", "all", "--nmax", "0")
-    assert rc == 2 and err.startswith("error:")
+def test_verify_bad_nmax(capsys, monkeypatch):
+    # rejected before any table is built, so a value above the cap returns at once
+    monkeypatch.setattr(cli, "exact_sweep", lambda n: pytest.fail(f"built the table for n={n}"))
+    for nmax in (0, SWEEP_MAX_N + 1):
+        rc, _, err = run(capsys, "verify", "all", "--nmax", str(nmax))
+        assert rc == 2 and err.startswith("error:")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -227,17 +231,28 @@ def test_in_process_drivers_share_tables(oracle):
     assert report["passed"]
 
 
-# Each script breaks one route from inside, then runs the CLI on it.
+# Each script breaks one route from inside, then runs the CLI on it; the
+# second entry is the message the violated invariant must report.
 BROKEN_ROUTES = {
     "formula": (
         "from remixed import formulas\n"
-        "formulas._assemble = lambda terms: (QPoly((1, -1)), '')\n"
-        "argv = ['table', 'connected', '--gamma', '1,2,2', '--n', '5']\n"
+        "formulas._assemble = lambda terms: QPoly((1, -1))\n"
+        "argv = ['table', 'connected', '--gamma', '1,2,2', '--n', '5']\n",
+        "invariant violated: negative coefficient",
     ),
     "oracle": (
         "from remixed import engine\n"
         "engine.interpolate = lambda vals: QPoly((1, -1))\n"
-        "argv = ['eval', '2,0', '--method', 'exact']\n"
+        "argv = ['eval', '2,0', '--method', 'exact']\n",
+        "invariant violated: negative coefficient",
+    ),
+    # a common scale one too large leaves every value a non-integer
+    "oracle_weights": (
+        "from remixed import engine\n"
+        "real = engine._weights\n"
+        "engine._weights = lambda n, u, v: (real(n, u, v)[0] + 1, *real(n, u, v)[1:])\n"
+        "argv = ['eval', '2,0', '--method', 'exact']\n",
+        "invariant violated: non-integer value at q=0",
     ),
 }
 
@@ -249,7 +264,7 @@ def test_invariant_violation_survives_optimize(route):
         "import sys\n"
         "from remixed import cli\n"
         "from remixed.qcalc import QPoly\n"
-        + BROKEN_ROUTES[route]
+        + BROKEN_ROUTES[route][0]
         + "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
         "sys.exit(cli.main(argv))\n"
@@ -261,5 +276,5 @@ def test_invariant_violation_survives_optimize(route):
     )
     assert proc.returncode == 5, proc.stderr
     assert proc.stdout == ""
-    assert "invariant violated: negative coefficient" in proc.stderr
+    assert BROKEN_ROUTES[route][1] in proc.stderr
     assert "Traceback" not in proc.stderr

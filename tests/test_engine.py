@@ -16,7 +16,7 @@ from remixed.engine import (
     remixed_induction,
     success_probability,
 )
-from remixed.qcalc import poly_reverse, q_factorial
+from remixed.qcalc import InvariantViolation, poly_reverse, q_factorial
 
 
 def _landing(occupied, s, n):
@@ -114,16 +114,48 @@ def test_oracle_agreement_sampled_large():
 
 
 def test_exact_sweep_matches_per_config_evaluator(oracle):
-    for n in range(1, 6):
+    for n in range(1, 7):
         table = oracle.table(n)
         assert set(table) == {c.c for c in all_configurations(n)}
         for ct, want in table.items():
             assert remixed_exact(Configuration(ct)) == want
     rng = random.Random(5)
-    for n in (6, 7):
+    for n in (7, 8):
         table = oracle.table(n)
         for ct in rng.sample(sorted(table), 12):
             assert remixed_exact(Configuration(ct)) == table[ct]
+
+
+def test_sweep_primes_fit_every_allowed_n():
+    p1, p2 = engine._PRIMES
+    for n in range(1, engine.SWEEP_MAX_N + 1):
+        assert factorial(n) < p1 * p2
+        for q0 in range(n * (n - 1) // 2 + 1):
+            for bracket in engine._brackets(n, q0)[1:]:
+                assert bracket % p1 and bracket % p2, (n, q0)
+
+
+def test_exact_sweep_rejects_n_above_cap(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the bounce table was built")
+
+    monkeypatch.setattr(engine, "_bounce_table", refuse)
+    with pytest.raises(ValueError, match=f"at most {engine.SWEEP_MAX_N} sites"):
+        exact_sweep(engine.SWEEP_MAX_N + 1)
+
+
+def test_corrupt_residue_fails_range_check(monkeypatch):
+    real = engine._sweep_residues
+
+    def corrupt(n):
+        keys, res = real(n)
+        # one lane: the value mod the first prime at q = 2 of one configuration
+        res[7, 0, 2] = (res[7, 0, 2] + 1) % engine._PRIMES[0]
+        return keys, res
+
+    monkeypatch.setattr(engine, "_sweep_residues", corrupt)
+    with pytest.raises(InvariantViolation, match=r"outside \[0, 120\]"):
+        exact_sweep(5)
 
 
 def test_palindromic_via_reverse(oracle):
