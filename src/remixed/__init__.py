@@ -47,7 +47,6 @@ from .engine import (
 from .formulas import (
     a_lukasiewicz,
     a_connected,
-    connected_series,
     core_series,
     a_almost_lukasiewicz,
     a_weakly_lukasiewicz,
@@ -93,7 +92,6 @@ __all__ = [
     "exact_sweep",
     "a_lukasiewicz",
     "a_connected",
-    "connected_series",
     "core_series",
     "a_almost_lukasiewicz",
     "a_weakly_lukasiewicz",

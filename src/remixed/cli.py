@@ -39,20 +39,19 @@ from .engine import (
     success_probability,
 )
 from .formulas import (
+    ROUTES,
     CSParams,
     HitIndex,
-    a_almost_lukasiewicz,
     a_connected,
-    a_lukasiewicz,
     a_one_hole,
     a_weakly_lukasiewicz,
     carlitz_scoville_q,
     core_series,
     corrective_series,
     dispatch,
-    mset,
     one_hole_prefactor,
     q_hit,
+    sum_terms,
 )
 from .qcalc import InvariantViolation, TSeries, ZERO, bracket_product, series_equal_mod
 from .simulate import estimate_success
@@ -203,24 +202,18 @@ def _compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _tables(nmax: int, tables: dict[int, dict] | None) -> dict[int, dict]:
-    if tables is None:
-        return {n: exact_sweep(n) for n in range(1, nmax + 1)}
-    return tables
+# check names of the families suite that differ from the route names
+_FAMILY_CHECKS = {"almost_lukasiewicz": "almost", "weakly_lukasiewicz": "weakly"}
 
 
-def verify_families(nmax: int, tables: dict[int, dict] | None = None) -> dict:
-    """Closed formulas and the recursion against the oracle, exhaustively."""
-    tables = _tables(nmax, tables)
-    checks = {
-        "induction": 0,
-        "lukasiewicz": 0,
-        "almost": 0,
-        "connected": 0,
-        "one_hole": 0,
-        "weakly": 0,
-        "dispatch": 0,
-    }
+def verify_families(nmax: int, tables: dict[int, dict]) -> dict:
+    """Closed formulas and the recursion against the oracle, exhaustively.
+
+    Every route of formulas.ROUTES whose family contains a configuration
+    is checked on it, not only the one dispatch picks.
+    """
+    families = [(_FAMILY_CHECKS.get(name, name), applies, build) for name, applies, build in ROUTES]
+    checks = {"induction": 0, **{family: 0 for family, _, _ in families}, "dispatch": 0}
     failures: list[dict] = []
 
     def fail(ct, family):
@@ -230,34 +223,18 @@ def verify_families(nmax: int, tables: dict[int, dict] | None = None) -> dict:
         for ct in sorted(tables[n]):
             oracle = tables[n][ct]
             c = Configuration(ct)
-            flags = classify(c)
             if remixed_induction(c) != oracle:
                 fail(ct, "induction")
             checks["induction"] += 1
-            if dispatch(c).poly != oracle:
+            rep = dispatch(c)
+            if rep.poly != oracle:
                 fail(ct, "dispatch")
             checks["dispatch"] += 1
-            dec = core(c)
-            if flags.is_lukasiewicz:
-                if a_lukasiewicz(c) != oracle:
-                    fail(ct, "lukasiewicz")
-                checks["lukasiewicz"] += 1
-            if flags.almost_defect is not None:
-                if a_almost_lukasiewicz(c) != oracle:
-                    fail(ct, "almost")
-                checks["almost"] += 1
-            if flags.is_connected:
-                if a_connected(dec.gamma, dec.left_zeros, n) != oracle:
-                    fail(ct, "connected")
-                checks["connected"] += 1
-            if flags.is_one_hole:
-                if a_one_hole(c) != oracle:
-                    fail(ct, "one_hole")
-                checks["one_hole"] += 1
-            if flags.is_weakly_lukasiewicz:
-                if a_weakly_lukasiewicz(dec.gamma, dec.left_zeros, n) != oracle:
-                    fail(ct, "weakly")
-                checks["weakly"] += 1
+            for family, applies, build in families:
+                if applies(rep.flags):
+                    if sum_terms(build(c, rep.flags), ct) != oracle:
+                        fail(ct, family)
+                    checks[family] += 1
     return {
         "name": "families",
         "passed": not failures,
@@ -266,9 +243,8 @@ def verify_families(nmax: int, tables: dict[int, dict] | None = None) -> dict:
     }
 
 
-def verify_congruence(nmax: int, tables: dict[int, dict] | None = None) -> dict:
+def verify_congruence(nmax: int, tables: dict[int, dict]) -> dict:
     """The truncated series identity at the maximal weakly shift."""
-    tables = _tables(nmax, tables)
     checks = 0
     failures: list[dict] = []
     for n in range(1, nmax + 1):
@@ -290,9 +266,8 @@ def verify_congruence(nmax: int, tables: dict[int, dict] | None = None) -> dict:
     return {"name": "congruence", "passed": not failures, "checks": checks, "failures": failures[:20]}
 
 
-def verify_corrective(nmax: int, tables: dict[int, dict] | None = None) -> dict:
+def verify_corrective(nmax: int, tables: dict[int, dict]) -> dict:
     """Corrective series against its definition, plus the two block factorization."""
-    tables = _tables(nmax, tables)
     checks = 0
     failures: list[dict] = []
     for n in range(2, nmax + 1):
@@ -330,7 +305,7 @@ def verify_corrective(nmax: int, tables: dict[int, dict] | None = None) -> dict:
     return {"name": "corrective", "passed": not failures, "checks": checks, "failures": failures[:20]}
 
 
-def verify_abelian(nmax: int, tables: dict[int, dict] | None = None) -> dict:
+def verify_abelian(nmax: int, tables: dict[int, dict]) -> dict:
     """Drop order invariance of the success probability, spot checked."""
     rng = random.Random(97)
     qs = [Fraction(1, 3), Fraction(1), Fraction(2)]

@@ -55,13 +55,6 @@ class Configuration:
     def n(self) -> int:
         return len(self.c)
 
-    def to_json(self) -> dict:
-        return {"c": list(self.c)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> Configuration:
-        return cls(tuple(int(x) for x in data["c"]))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.c) + ")"
 

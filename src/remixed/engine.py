@@ -12,14 +12,15 @@ at q = 0..n(n-1)/2 by qcalc.interpolate.  The second evaluator runs the
 final ball recursion with memoization and never touches probabilities.
 Agreement of the two is the backbone of the test suite.
 
-The bulk sweep over all configurations on n sites reads the same bounce
-table but works modulo two primes p1, p2 below 2**31, with numpy int64
-vectors of one lane per prime and per point q0 = 0..n(n-1)/2.  A residue
-is below 2**31, so a product of two is below 2**62 and a sum of two below
-2**63.  The coefficients of a configuration polynomial are nonnegative and
-sum to at most n! < p1 * p2, so the Chinese remainder theorem recovers
-them exactly, and a lifted coefficient or row sum above n! is reported as
-an InvariantViolation.
+The bulk sweep over all configurations on n sites is the same computation
+reduced modulo two primes p1, p2 below 2**31: the bounce table, the integer
+weights divided by their scale, and qcalc.interpolate as a matrix, all mod
+p, on numpy int64 vectors of one lane per prime and per point
+q0 = 0..n(n-1)/2.  A residue is below 2**31, so a product of two is below
+2**62 and a sum of two below 2**63.  The coefficients of a configuration
+polynomial are nonnegative and sum to at most n! < p1 * p2, so the Chinese
+remainder theorem recovers them exactly, and a lifted coefficient or row
+sum above n! is reported as an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .qcalc import (
     QRat,
     ZERO,
     NonIntegerCoefficients,
-    _falling_basis,
     bracket_product,
     interpolate,
     q_binomial,
@@ -248,25 +248,25 @@ def remixed_induction(c: Configuration) -> QPoly:
 def _lane_weights(n: int) -> tuple[list, list, np.ndarray, np.ndarray]:
     """Bounce weights and [n]! at every lane of the sweep, as residues.
 
-    Lane i * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
-    _PRIMES[i].  Returns the left and right weights q0^a [b]/[a+b] and
-    [a]/[a+b] by pair number (see _bounce_table), [n]!(q0), and the modulus
-    of each lane.  The weights are the fractions themselves mod p, so they
-    sum to 1 and need no common scale.
+    Lane k * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
+    _PRIMES[k].  Returns the left and right weights by pair number (see
+    _bounce_table), [n]!(q0), and the modulus of each lane.  The weights are
+    those of _weights(n, q0, 1) times the inverse of their scale mod p, so
+    they are q0^a [b]/[a+b] and [a]/[a+b] mod p and need no common scale.
     """
     big_d = n * (n - 1) // 2
-    lanes = [(p, q0) for p in _PRIMES for q0 in range(big_d + 1)]
-    lw = np.zeros(((n + 1) * (n + 2), len(lanes)), np.int64)
-    rw = np.zeros_like(lw)
-    fact = np.empty(len(lanes), np.int64)
-    for i, (p, q0) in enumerate(lanes):
-        br = [x % p for x in _brackets(n, q0)]
-        fact[i] = prod(br[1:]) % p
-        for a in range(1, n):
-            for b in range(1, n - a + 1):
-                inv = pow(br[a + b], -1, p)
-                lw[a * (n + 1) + b, i] = pow(q0, a, p) * br[b] * inv % p
-                rw[a * (n + 1) + b, i] = br[a] * inv % p
+    lw = np.empty(((n + 1) * (n + 2), len(_PRIMES) * (big_d + 1)), np.int64)
+    rw = np.empty_like(lw)
+    fact = np.empty(lw.shape[1], np.int64)
+    for q0 in range(big_d + 1):
+        scale, left, right = _weights(n, q0, 1)
+        factv = prod(_brackets(n, q0)[1:])
+        for k, p in enumerate(_PRIMES):
+            inv = pow(scale, -1, p)
+            i = k * (big_d + 1) + q0
+            lw[:, i] = [w * inv % p for w in left]
+            rw[:, i] = [w * inv % p for w in right]
+            fact[i] = factv % p
     return list(lw), list(rw), fact, np.repeat(np.array(_PRIMES, np.int64), big_d + 1)
 
 
@@ -341,20 +341,18 @@ def _interp_matrix(big_d: int) -> np.ndarray:
     """The linear map from values at q = 0..D to coefficients, mod each prime.
 
     Entry [k, q0, i] is what a unit value at q0 adds to the coefficient of
-    q**i, mod _PRIMES[k].  It is qcalc.interpolate written as a matrix:
-    the forward difference of order j at 0 takes (-1)**(j - q0) C(j, q0)
-    of the value at q0 and weights row j of the falling factorial basis,
-    scaled by D!, which the inverse of D! mod p then removes.
+    q**i, mod _PRIMES[k]: qcalc.interpolate of D! times the unit vector at
+    q0, which has integer coefficients, times the inverse of D! mod p.
     """
-    basis = _falling_basis(big_d)
-    inverses = [pow(factorial(big_d), -1, p) for p in _PRIMES]
-    out = np.zeros((len(_PRIMES), big_d + 1, big_d + 1), np.int64)
+    scaled = factorial(big_d)
+    out = np.empty((len(_PRIMES), big_d + 1, big_d + 1), np.int64)
     for q0 in range(big_d + 1):
-        for i in range(big_d + 1):
-            co = sum(
-                (-1) ** (j - q0) * comb(j, q0) * basis[j][i] for j in range(max(q0, i), big_d + 1)
-            )
-            out[:, q0, i] = [co * inv % p for inv, p in zip(inverses, _PRIMES)]
+        unit = [0] * (big_d + 1)
+        unit[q0] = scaled
+        poly = interpolate(unit)
+        for k, p in enumerate(_PRIMES):
+            inv = pow(scaled, -1, p)
+            out[k, q0] = [poly.coeff(i) * inv % p for i in range(big_d + 1)]
     out.setflags(write=False)
     return out
 

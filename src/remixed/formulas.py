@@ -8,6 +8,11 @@ theorem with its corrective series.  The module also computes q-hit
 numbers, matches them to connected configurations, evaluates a q-analog
 of the two sided Eulerian triangle, and dispatches a configuration to the
 cheapest applicable method.
+
+Which family formula applies to a configuration is said once, in ROUTES:
+dispatch takes the first route whose family test its flags pass, and the
+families suite of the CLI checks every route that applies.  Both sum the
+terms of a route through sum_terms, which rejects a negative coefficient.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .config import (
     one_hole_decompose,
     NoWeaklyShift,
 )
-from .engine import remixed_exact, remixed_induction
+from .engine import remixed_induction
 from .qcalc import (
     InvariantViolation,
     ONE,
@@ -108,6 +113,11 @@ def _assemble(terms: list[_Term]) -> QPoly:
     return total
 
 
+def sum_terms(terms: list[_Term], what: object) -> QPoly:
+    """The polynomial of a formula; raises InvariantViolation if a coefficient is negative."""
+    return require_nonnegative(_assemble(terms), what)
+
+
 def _render(terms: list[_Term]) -> str:
     """The factored form of a sum of terms, as dispatch reports it."""
     out = []
@@ -134,7 +144,7 @@ def a_lukasiewicz(c: Configuration) -> QPoly:
     """
     if not classify(c).is_lukasiewicz:
         raise WrongFamily(f"{c.c} has a negative height")
-    return _assemble(_luka_terms(c))
+    return sum_terms(_luka_terms(c), c.c)
 
 
 def _almost_terms(c: Configuration, j: int) -> list[_Term]:
@@ -157,16 +167,7 @@ def a_almost_lukasiewicz(c: Configuration) -> QPoly:
     j = classify(c).almost_defect
     if j is None:
         raise WrongFamily(f"{c.c} does not have exactly one negative height")
-    return require_nonnegative(_assemble(_almost_terms(c, j)), c.c)
-
-
-def _check_connected_core(gamma: tuple[int, ...], n: int) -> None:
-    if not gamma:
-        raise WrongFamily("empty core")
-    if any(x < 1 for x in gamma):
-        raise WrongFamily(f"core {gamma} has a hole or a negative entry")
-    if sum(gamma) != n:
-        raise WrongFamily(f"core {gamma} holds {sum(gamma)} balls, not {n}")
+    return sum_terms(_almost_terms(c, j), c.c)
 
 
 def _shifted_sum_terms(gamma: tuple[int, ...], i: int, n: int) -> list[_Term]:
@@ -189,10 +190,15 @@ def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
     (0, 0, 1, 5, 12, 18, 18, 12, 5, 1)
     """
     gamma = tuple(gamma)
-    _check_connected_core(gamma, n)
+    if not gamma:
+        raise WrongFamily("empty core")
+    if any(x < 1 for x in gamma):
+        raise WrongFamily(f"core {gamma} has a hole or a negative entry")
+    if sum(gamma) != n:
+        raise WrongFamily(f"core {gamma} holds {sum(gamma)} balls, not {n}")
     if i < 0 or i > n - len(gamma):
         raise ShiftOutOfRange(f"shift {i} outside [0, {n - len(gamma)}]")
-    return require_nonnegative(_assemble(_shifted_sum_terms(gamma, i, n)), f"{gamma} at {i}")
+    return sum_terms(_shifted_sum_terms(gamma, i, n), f"{gamma} at {i}")
 
 
 def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
@@ -205,18 +211,6 @@ def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
     ms = mset(tuple(gamma))
     rhs = TSeries(trunc, tuple(bracket_product([j + a for a in ms]) for j in range(trunc)))
     return series_mul(q_pochhammer(n + 1, trunc), rhs)
-
-
-def connected_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
-    """Generating series in t of the shifted polynomials of a core.
-
-    Returns the pochhammer factor times sum of t**j prod [j+a], truncated;
-    its t coefficients in [0, n-m] are the shifted polynomials and the
-    higher ones vanish.
-    """
-    gamma = tuple(gamma)
-    _check_connected_core(gamma, n)
-    return core_series(gamma, n, trunc)
 
 
 def a_weakly_lukasiewicz(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
@@ -237,7 +231,7 @@ def a_weakly_lukasiewicz(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
         raise ShiftBeyondWeaklyBound(f"core {gamma} is nowhere weakly placed") from exc
     if i > k:
         raise ShiftBeyondWeaklyBound(f"shift {i} exceeds the bound {k} for {gamma}")
-    return require_nonnegative(_assemble(_shifted_sum_terms(gamma, i, n)), f"{gamma} at {i}")
+    return sum_terms(_shifted_sum_terms(gamma, i, n), f"{gamma} at {i}")
 
 
 def one_hole_prefactor(
@@ -313,7 +307,7 @@ def a_one_hole(c: Configuration) -> QPoly:
     """
     if not classify(c).is_one_hole:
         raise WrongFamily(f"core of {c.c} does not have exactly one hole")
-    return require_nonnegative(_assemble(_one_hole_terms(c)), c.c)
+    return sum_terms(_one_hole_terms(c), c.c)
 
 
 @dataclass(frozen=True)
@@ -431,6 +425,27 @@ def carlitz_scoville_q(p: CSParams) -> QPoly:
     return require_nonnegative(total, p)
 
 
+def _core_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
+    dec = core(c)
+    return _shifted_sum_terms(dec.gamma, dec.left_zeros, c.n)
+
+
+# The closed formula routes by expected term count, fewest first.  Each is
+# (method name, family test on the flags of classify, terms of the formula
+# for a configuration in the family and its flags).
+ROUTES = (
+    ("lukasiewicz", lambda f: f.is_lukasiewicz, lambda c, f: _luka_terms(c)),
+    (
+        "almost_lukasiewicz",
+        lambda f: f.almost_defect is not None,
+        lambda c, f: _almost_terms(c, f.almost_defect),
+    ),
+    ("connected", lambda f: f.is_connected, _core_terms),
+    ("one_hole", lambda f: f.is_one_hole, lambda c, f: _one_hole_terms(c)),
+    ("weakly_lukasiewicz", lambda f: f.is_weakly_lukasiewicz, _core_terms),
+)
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Outcome of evaluating one configuration by the best method."""
@@ -439,52 +454,18 @@ class EvalReport:
     method: str
     poly: QPoly
     flags: ConfigFlags
-    crosscheck: str
     pretty: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "config": list(self.config.c),
-            "method": self.method,
-            "poly": self.poly.to_json(),
-            "flags": self.flags.to_json(),
-            "crosscheck": self.crosscheck,
-        }
 
+def dispatch(c: Configuration) -> EvalReport:
+    """Pick the first route of ROUTES that applies, fall back to recursion.
 
-def dispatch(c: Configuration, crosscheck: bool = False) -> EvalReport:
-    """Pick the most specific applicable formula, fall back to recursion.
-
-    Preference follows expected term count: the plain product, then the
-    two term difference, then the alternating sums, then the memoized
-    recursion.  With crosscheck enabled the result is compared against
-    the drop dynamics oracle.
+    Only the chosen route builds its terms; a configuration outside every
+    family goes to the memoized recursion, which has no factored form.
     """
     flags = classify(c)
-    terms: list[_Term] | None
-    if flags.is_lukasiewicz:
-        method = "lukasiewicz"
-        terms = _luka_terms(c)
-    elif flags.almost_defect is not None:
-        method = "almost_lukasiewicz"
-        terms = _almost_terms(c, flags.almost_defect)
-    elif flags.is_connected:
-        method = "connected"
-        terms = _shifted_sum_terms(core(c).gamma, core(c).left_zeros, c.n)
-    elif flags.is_one_hole:
-        method = "one_hole"
-        terms = _one_hole_terms(c)
-    elif flags.is_weakly_lukasiewicz:
-        method = "weakly_lukasiewicz"
-        terms = _shifted_sum_terms(core(c).gamma, core(c).left_zeros, c.n)
-    else:
-        method = "induction"
-        terms = None
-    if terms is None:
-        poly, pretty = remixed_induction(c), None
-    else:
-        poly, pretty = _assemble(terms), _render(terms)
-    check = "skip"
-    if crosscheck:
-        check = "pass" if remixed_exact(c) == poly else "fail"
-    return EvalReport(c, method, poly, flags, check, pretty)
+    for method, applies, build in ROUTES:
+        if applies(flags):
+            terms = build(c, flags)
+            return EvalReport(c, method, sum_terms(terms, c.c), flags, _render(terms))
+    return EvalReport(c, "induction", remixed_induction(c), flags)

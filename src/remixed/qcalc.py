@@ -164,28 +164,6 @@ class QPoly:
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> QPoly:
-        return cls(tuple(int(c) for c in data["coeffs"]))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                var = "q" if i == 1 else f"q^{i}"
-                if c > 0:
-                    parts.append(f"+ {mag}{var}" if parts else f"{mag}{var}")
-                else:
-                    parts.append(f"- {mag}{var}" if parts else f"-{mag}{var}")
-        return " ".join(parts)
-
 
 ZERO = QPoly()
 ONE = QPoly((1,))
@@ -478,31 +456,6 @@ class TSeries:
         if i >= self.trunc:
             raise TruncationTooShort(f"coefficient {i} beyond trunc {self.trunc}")
         return self.tcoeffs[i]
-
-    def __add__(self, other: TSeries) -> TSeries:
-        k = min(self.trunc, other.trunc)
-        return TSeries(k, tuple(self.tcoeffs[i] + other.tcoeffs[i] for i in range(k)))
-
-    def __sub__(self, other: TSeries) -> TSeries:
-        k = min(self.trunc, other.trunc)
-        return TSeries(k, tuple(self.tcoeffs[i] - other.tcoeffs[i] for i in range(k)))
-
-    def scale(self, p: QPoly) -> TSeries:
-        return TSeries(self.trunc, tuple(c * p for c in self.tcoeffs))
-
-    def t_shift(self, k: int) -> TSeries:
-        """Multiply by t**k, keeping the same truncation."""
-        if k < 0:
-            raise ValueError("negative shift")
-        cs = (ZERO,) * k + self.tcoeffs
-        return TSeries(self.trunc, cs[: self.trunc])
-
-    def to_json(self) -> dict:
-        return {"trunc": self.trunc, "tcoeffs": [c.to_json() for c in self.tcoeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> TSeries:
-        return cls(int(data["trunc"]), tuple(QPoly.from_json(c) for c in data["tcoeffs"]))
 
 
 def series_mul(a: TSeries, b: TSeries) -> TSeries:

@@ -240,6 +240,13 @@ BROKEN_ROUTES = {
         "argv = ['table', 'connected', '--gamma', '1,2,2', '--n', '5']\n",
         "invariant violated: negative coefficient",
     ),
+    # the connected route of eval, chosen by dispatch
+    "dispatch": (
+        "from remixed import formulas\n"
+        "formulas._assemble = lambda terms: QPoly((1, -1))\n"
+        "argv = ['eval', '0,1,2,2,0']\n",
+        "invariant violated: negative coefficient",
+    ),
     "oracle": (
         "from remixed import engine\n"
         "engine.interpolate = lambda vals: QPoly((1, -1))\n"

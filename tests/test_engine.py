@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +134,21 @@ def test_sweep_primes_fit_every_allowed_n():
         for q0 in range(n * (n - 1) // 2 + 1):
             for bracket in engine._brackets(n, q0)[1:]:
                 assert bracket % p1 and bracket % p2, (n, q0)
+
+
+def test_modular_interpolation_every_allowed_degree():
+    # every D the sweep uses; at D = 45 the matrix products come nearest 2**53
+    rng = random.Random(53)
+    for n in range(1, engine.SWEEP_MAX_N + 1):
+        big_d, bound = n * (n - 1) // 2, factorial(n)
+        polys = [[rng.randint(0, bound) for _ in range(big_d + 1)] for _ in range(6)]
+        values = [[sum(c * q0**i for i, c in enumerate(cs)) for q0 in range(big_d + 1)] for cs in polys]
+        vals = np.array([[[v % p for v in row] for p in engine._PRIMES] for row in values], np.int64)
+        assert engine._crt(engine._interpolate_mod(vals)).tolist() == polys
+        # the largest residue at every point is the constant polynomial p - 1
+        top = np.array([[[p - 1] * (big_d + 1) for p in engine._PRIMES]], np.int64)
+        want = [[p - 1] + [0] * big_d for p in engine._PRIMES]
+        assert engine._interpolate_mod(top)[0].tolist() == want
 
 
 def test_exact_sweep_rejects_n_above_cap(monkeypatch):

@@ -20,7 +20,6 @@ from remixed.formulas import (
     a_one_hole,
     a_weakly_lukasiewicz,
     carlitz_scoville_q,
-    connected_series,
     core_series,
     corrective_series,
     cs_configuration,
@@ -99,7 +98,7 @@ def test_connected_vs_oracle(oracle):
 
 def test_connected_series_matches_termwise():
     gamma, n = (1, 2, 2), 5
-    ser = connected_series(gamma, n, 8)
+    ser = core_series(gamma, n, 8)
     for j in range(3):
         assert ser.tcoeff(j) == a_connected(gamma, j, n)
     for j in range(3, 8):
@@ -374,19 +373,14 @@ def test_dispatch_method_selection():
         (1, 0, 2, 0, 2): "induction",
     }
     for ct, method in cases.items():
-        rep = dispatch(Configuration(ct), crosscheck=True)
+        rep = dispatch(Configuration(ct))
         assert rep.method == method
-        assert rep.crosscheck == "pass"
+        assert rep.poly == remixed_exact(Configuration(ct))
         if method == "induction":
             assert rep.pretty is None
         else:
             assert rep.pretty
-
-
-def test_dispatch_crosscheck_default_skip():
-    rep = dispatch(Configuration((2, 0)))
-    assert rep.crosscheck == "skip"
-    assert rep.poly == ONE
+    assert dispatch(Configuration((2, 0))).poly == ONE
 
 
 def test_dispatch_pretty_strings():
@@ -398,14 +392,6 @@ def test_dispatch_pretty_strings():
         dispatch(Configuration((0, 2, 1, 0, 3, 0))).pretty
         == "[2]^2 [3] [5]^3 - [7] [2] [4]^3 - q qbin(7,3) [2]^2"
     )
-
-
-def test_dispatch_report_json():
-    rep = dispatch(Configuration((0, 2, 1)), crosscheck=True)
-    data = rep.to_json()
-    assert set(data) == {"config", "method", "poly", "flags", "crosscheck"}
-    assert data["config"] == [0, 2, 1]
-    assert data["crosscheck"] == "pass"
 
 
 @given(st.integers(1, 6), st.data())

@@ -1,7 +1,8 @@
 """The three evaluation routes stay independent of each other.
 
 The drop-dynamics oracle must not import the closed formulas it checks,
-and the simulator must not import the exact engine it checks.
+the simulator must not import the exact engine it checks, and the closed
+formulas take from the engine only the recursion they fall back on.
 """
 
 import ast
@@ -12,30 +13,38 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "remixed"
 
 
-def imported_modules(path: Path) -> set[str]:
-    """Package modules a source file imports, by their name inside the package."""
-    found = set()
+def imports(path: Path) -> dict[str, set[str]]:
+    """Package modules a source file imports, by their name inside the package.
+
+    Each maps to the names imported from it; "*" stands for the whole module.
+    """
+    found: dict[str, set[str]] = {}
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
                 if parts[0] == "remixed" and len(parts) > 1:
-                    found.add(parts[1])
+                    found.setdefault(parts[1], set()).add("*")
         elif isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".")
             if node.level == 0 and parts[0] != "remixed":
                 continue
             inner = parts[1:] if node.level == 0 else [p for p in parts if p]
             if inner:
-                found.add(inner[0])
+                found.setdefault(inner[0], set()).update(alias.name for alias in node.names)
             else:
-                found.update(alias.name for alias in node.names)
+                for alias in node.names:
+                    found.setdefault(alias.name, set()).add("*")
     return found
 
 
 @pytest.mark.parametrize("module, forbidden", [("engine", "formulas"), ("simulate", "engine")])
 def test_route_does_not_import_what_it_checks(module, forbidden):
-    assert forbidden not in imported_modules(PACKAGE / f"{module}.py")
+    assert forbidden not in imports(PACKAGE / f"{module}.py")
+
+
+def test_formulas_take_only_the_recursion_from_the_engine():
+    assert imports(PACKAGE / "formulas.py")["engine"] == {"remixed_induction"}
 
 
 def test_import_reader_sees_every_form(tmp_path):
@@ -44,7 +53,13 @@ def test_import_reader_sees_every_form(tmp_path):
         "import remixed.formulas\n"
         "from remixed.engine import exact_sweep\n"
         "from . import simulate\n"
-        "from .qcalc import QPoly\n"
+        "from .qcalc import QPoly, ONE\n"
+        "from .engine import remixed_exact\n"
         "import math\n"
     )
-    assert imported_modules(src) == {"formulas", "engine", "simulate", "qcalc"}
+    assert imports(src) == {
+        "formulas": {"*"},
+        "engine": {"exact_sweep", "remixed_exact"},
+        "simulate": {"*"},
+        "qcalc": {"QPoly", "ONE"},
+    }
