@@ -95,9 +95,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         method, poly, pretty, flags = "induction", remixed_induction(c), None, classify(c)
     else:
         rep = dispatch(c)
-        method, poly, pretty, flags = rep.method, rep.poly, rep.pretty, rep.flags
+        method, poly, flags = rep.method, rep.poly, rep.flags
         if args.method == "formula" and method == "induction":
             raise ValueError(f"no closed formula applies to {c}")
+        pretty = rep.pretty if args.pretty else None
     check = "skip"
     oracle = None
     if args.crosscheck:
@@ -138,12 +139,19 @@ def _require(value, name: str):
     return value
 
 
+def _shifts(gamma: tuple[int, ...], n: int) -> range:
+    """Every shift of the core on n sites; ValueError when there is none."""
+    if n - len(gamma) < 0:
+        raise ValueError(f"core {gamma} spans more than {n} sites")
+    return range(n - len(gamma) + 1)
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     rows: list[tuple[str, object]] = []
     if args.kind == "connected":
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
         n = _require(args.n, "n")
-        for i in range(n - len(gamma) + 1):
+        for i in _shifts(gamma, n):
             rows.append((str(i), a_connected(gamma, i, n)))
     elif args.kind == "weakly":
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
@@ -153,13 +161,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     elif args.kind == "one-hole":
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
         n = _require(args.n, "n")
-        if n - len(gamma) < 0:
-            raise ValueError(f"core {gamma} spans more than {n} sites")
-        for i in range(n - len(gamma) + 1):
+        for i in _shifts(gamma, n):
             rows.append((str(i), a_one_hole(shifted_config(gamma, i, n))))
     elif args.kind == "cs":
         x, y = _require(args.x, "x"), _require(args.y, "y")
         rsmax = _require(args.rsmax, "rsmax")
+        if rsmax < 0:
+            raise ValueError("rsmax must be nonnegative")
         for total in range(rsmax + 1):
             for r in range(total + 1):
                 p = carlitz_scoville_q(CSParams(r, total - r, x, y))
@@ -210,9 +218,12 @@ def verify_families(nmax: int, tables: dict[int, dict]) -> dict:
     """Closed formulas and the recursion against the oracle, exhaustively.
 
     Every route of formulas.ROUTES whose family contains a configuration
-    is checked on it, not only the one dispatch picks.
+    is checked on it, not only the one dispatch picks.  Each builder of
+    terms is summed once per configuration: the route dispatch chose
+    reuses its polynomial, and routes that share a builder share its sum.
     """
     families = [(_FAMILY_CHECKS.get(name, name), applies, build) for name, applies, build in ROUTES]
+    builders = {name: build for name, _, build in ROUTES}
     checks = {"induction": 0, **{family: 0 for family, _, _ in families}, "dispatch": 0}
     failures: list[dict] = []
 
@@ -230,9 +241,14 @@ def verify_families(nmax: int, tables: dict[int, dict]) -> dict:
             if rep.poly != oracle:
                 fail(ct, "dispatch")
             checks["dispatch"] += 1
+            # polynomial by builder, for this configuration
+            sums = {builders[rep.method]: rep.poly} if rep.method in builders else {}
             for family, applies, build in families:
                 if applies(rep.flags):
-                    if sum_terms(build(c, rep.flags), ct) != oracle:
+                    poly = sums.get(build)
+                    if poly is None:
+                        poly = sums[build] = sum_terms(build(c, rep.flags), ct)
+                    if poly != oracle:
                         fail(ct, family)
                     checks[family] += 1
     return {

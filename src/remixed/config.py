@@ -9,6 +9,7 @@ with closed formulas, and the shape decompositions those formulas need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .qcalc import InvariantViolation
 
@@ -43,9 +44,9 @@ class Configuration:
         c = tuple(self.c)
         if not c:
             raise Empty("a configuration needs at least one site")
-        if any(not isinstance(x, int) for x in c):
+        if not all(map(isinstance, c, repeat(int))):
             raise TypeError(f"entries must be int, got {c}")
-        if any(x < 0 for x in c):
+        if min(c) < 0:
             raise Negative(f"negative entry in {c}")
         if sum(c) != len(c):
             raise BadSum(f"{sum(c)} balls on {len(c)} sites")

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, lcm, prod
+from operator import add
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .qcalc import (
     QRat,
     ZERO,
     NonIntegerCoefficients,
+    _convolve,
     bracket_product,
     interpolate,
     q_binomial,
@@ -204,8 +207,13 @@ def drop_order_check(c: Configuration, order: tuple[int, ...], q0: QRat) -> QRat
     return Fraction(*_success_for_order(c.n, order, q0))
 
 
+@lru_cache(maxsize=None)
 def _wt(n: int, j: int, u: int) -> QPoly:
-    """Weight of the last ball, from start site u to landing site j."""
+    """Weight of the last ball, from start site u to landing site j.
+
+    Memoised: there are at most n**3 distinct arguments for n sites, and the
+    recursion asks for each of them many times.
+    """
     if j >= u:
         return bracket_product((u,), q_binomial(n, j))
     return bracket_product((n + 1 - u,), q_binomial(n, j - 1)).shift(u - j)
@@ -221,16 +229,20 @@ def _induction(ct: tuple[int, ...]) -> QPoly:
     u = max(i for i, x in enumerate(ct, start=1) if x > 0)
     d = list(ct)
     d[u - 1] -= 1
-    total = ZERO
+    # the sum of the split products, grown to the length of each product
+    total: list[int] = []
     pref = 0
     for j in range(1, n + 1):
         if d[j - 1] == 0 and pref == j - 1:
             left = _induction(tuple(d[: j - 1]))
             right = _induction(tuple(d[j:]))
             if left and right:
-                total = total + _wt(n, j, u) * left * right
+                term = _convolve(_convolve(_wt(n, j, u).coeffs, left.coeffs), right.coeffs)
+                if len(total) < len(term):
+                    total += repeat(0, len(term) - len(total))
+                total[: len(term)] = map(add, total, term)
         pref += d[j - 1]
-    return total
+    return QPoly(tuple(total))
 
 
 def remixed_induction(c: Configuration) -> QPoly:

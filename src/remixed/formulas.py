@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
+from operator import add, sub
+from typing import Sequence
 
 from .config import (
     ConfigFlags,
@@ -79,11 +81,6 @@ class _Term:
     brackets: tuple[int, ...]
     binom: tuple[int, int] | None = None
 
-    def poly(self) -> QPoly:
-        base = ONE if self.binom is None else q_binomial(*self.binom)
-        out = bracket_product(self.brackets, base).shift(self.qexp)
-        return out if self.sign > 0 else -out
-
     def render(self) -> str:
         pieces = []
         if self.qexp == 1:
@@ -106,19 +103,27 @@ class _Term:
         return " ".join(pieces) if pieces else "1"
 
 
-def _assemble(terms: list[_Term]) -> QPoly:
-    total = ZERO
+def _assemble(terms: Sequence[_Term]) -> QPoly:
+    """The sum of the terms, added coefficient by coefficient into one list."""
+    total: list[int] = []
     for t in terms:
-        total = total + t.poly()
-    return total
+        if t.qexp < 0:
+            raise InvariantViolation(f"negative q exponent {t.qexp} in a formula term")
+        base = ONE if t.binom is None else q_binomial(*t.binom)
+        cs = bracket_product(t.brackets, base).coeffs
+        end = t.qexp + len(cs)
+        if len(total) < end:
+            total += repeat(0, end - len(total))
+        total[t.qexp : end] = map(add if t.sign > 0 else sub, total[t.qexp : end], cs)
+    return QPoly(tuple(total))
 
 
-def sum_terms(terms: list[_Term], what: object) -> QPoly:
+def sum_terms(terms: Sequence[_Term], what: object) -> QPoly:
     """The polynomial of a formula; raises InvariantViolation if a coefficient is negative."""
     return require_nonnegative(_assemble(terms), what)
 
 
-def _render(terms: list[_Term]) -> str:
+def _render(terms: Sequence[_Term]) -> str:
     """The factored form of a sum of terms, as dispatch reports it."""
     out = []
     for t in terms:
@@ -454,7 +459,12 @@ class EvalReport:
     method: str
     poly: QPoly
     flags: ConfigFlags
-    pretty: str | None = None
+    terms: tuple[_Term, ...] | None = None
+
+    @property
+    def pretty(self) -> str | None:
+        """The factored form of the formula, rendered when read; None for the recursion."""
+        return None if self.terms is None else _render(self.terms)
 
 
 def dispatch(c: Configuration) -> EvalReport:
@@ -466,6 +476,6 @@ def dispatch(c: Configuration) -> EvalReport:
     flags = classify(c)
     for method, applies, build in ROUTES:
         if applies(flags):
-            terms = build(c, flags)
-            return EvalReport(c, method, sum_terms(terms, c.c), flags, _render(terms))
+            terms = tuple(build(c, flags))
+            return EvalReport(c, method, sum_terms(terms, c.c), flags, terms)
     return EvalReport(c, "induction", remixed_induction(c), flags)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import remixed.cli as cli
-from remixed import __version__
+from remixed import __version__, formulas
+from remixed.config import Configuration, classify
 from remixed.engine import SWEEP_MAX_N
 from remixed.formulas import HitIndex, q_hit
 from remixed.qcalc import QPoly
@@ -148,6 +150,17 @@ def test_table_one_hole(capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_table_impossible_sizes(capsys):
+    # an empty range of shifts or sizes is a usage error, not an empty table
+    for argv in (
+        ("connected", "--gamma", "1,2", "--n", "1"),
+        ("connected", "--gamma", "1,2", "--n", "0"),
+        ("cs", "--x", "1", "--y", "1", "--rsmax", "-1"),
+    ):
+        rc, out, err = run(capsys, "table", *argv)
+        assert rc == 2 and out == "" and err.startswith("error:"), argv
+
+
 def test_invocations_byte_identical(capsys):
     _, first, _ = run(capsys, "eval", "0,2,1,0,3,0", "--crosscheck", "--pretty")
     _, second, _ = run(capsys, "eval", "0,2,1,0,3,0", "--crosscheck", "--pretty")
@@ -165,6 +178,19 @@ def test_verify_all_small(capsys):
     fam = suites[0]["checks"]
     assert fam["induction"] == 1 + 3 + 10
     assert fam["dispatch"] == fam["induction"]
+
+
+def test_verify_output_digest(capsys):
+    # Pins every check count and failure record of verify all --nmax 6, so a
+    # speed-up that changes any output byte fails here.  The digest covers
+    # the whole envelope, the version field included: a version bump must
+    # re-pin it.
+    rc, out, _ = run(capsys, "verify", "all", "--nmax", "6")
+    assert rc == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "e2fd0ce274e3b479da79fec2db0f6a2e52f7352c3344a5d570c846786595c6f9"
+    )
 
 
 def test_verify_single_suite(capsys):
@@ -229,6 +255,38 @@ def test_in_process_drivers_share_tables(oracle):
         assert report["passed"], report["failures"]
     report = cli.verify_abelian(4, tables)
     assert report["passed"]
+
+
+def test_broken_route_fails_every_check_it_feeds(oracle, monkeypatch):
+    # The families suite sums each builder of terms once per configuration
+    # and reuses what dispatch computed; a defect in the shared terms must
+    # still fail every check that reads them, with unchanged check counts.
+    tables = oracle.tables(5)
+    clean = cli.verify_families(5, tables)
+    real = formulas._shifted_sum_terms
+    # one extra term adds 1 to every connected, weakly and one hole sum
+    monkeypatch.setattr(
+        formulas, "_shifted_sum_terms", lambda *a: real(*a) + [formulas._Term(1, 0, ())]
+    )
+    broken = cli.verify_families(5, tables)
+    failed = {f["family"] for f in broken["failures"]}
+    assert {"dispatch", "connected", "weakly", "one_hole"} <= failed
+    assert "induction" not in failed
+    assert not broken["passed"]
+    assert broken["checks"] == clean["checks"]
+    # exactly the checks that read the broken terms fail, in suite order
+    patched = {"connected", "one_hole", "weakly_lukasiewicz"}
+    want = []
+    for n in range(1, 6):
+        for ct in sorted(tables[n]):
+            flags = classify(Configuration(ct))
+            routes = [name for name, applies, _ in formulas.ROUTES if applies(flags)]
+            if routes and routes[0] in patched:
+                want.append({"config": list(ct), "family": "dispatch"})
+            for name in routes:
+                if name in patched:
+                    want.append({"config": list(ct), "family": cli._FAMILY_CHECKS.get(name, name)})
+    assert broken["failures"] == want[:20]
 
 
 # Each script breaks one route from inside, then runs the CLI on it; the

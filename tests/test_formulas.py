@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from remixed import formulas
 from remixed.config import Configuration, all_configurations, classify, core
 from remixed.engine import remixed_exact, remixed_induction
 from remixed.formulas import (
@@ -32,6 +33,7 @@ from remixed.qcalc import (
     TSeries,
     ZERO,
     QPoly,
+    bracket_product,
     poly_divexact,
     q_binomial,
     q_factorial,
@@ -392,6 +394,46 @@ def test_dispatch_pretty_strings():
         dispatch(Configuration((0, 2, 1, 0, 3, 0))).pretty
         == "[2]^2 [3] [5]^3 - [7] [2] [4]^3 - q qbin(7,3) [2]^2"
     )
+
+
+_terms = st.lists(
+    st.builds(
+        formulas._Term,
+        st.sampled_from([1, -1]),
+        st.integers(0, 6),
+        st.lists(st.integers(0, 5), max_size=4).map(tuple),
+        st.none() | st.tuples(st.integers(0, 7), st.integers(-1, 8)),
+    ),
+    max_size=6,
+)
+
+
+@given(_terms)
+@settings(max_examples=200, deadline=None)
+def test_assemble_matches_term_by_term_sum(terms):
+    # the reference: each term as a QPoly, shifted, signed and added
+    want = ZERO
+    for t in terms:
+        base = ONE if t.binom is None else q_binomial(*t.binom)
+        p = bracket_product(t.brackets, base).shift(t.qexp)
+        want = want + (p if t.sign > 0 else -p)
+    assert formulas._assemble(terms) == want
+
+
+def test_dispatch_renders_lazily(monkeypatch):
+    def refuse(terms):
+        raise RuntimeError("rendered")
+
+    monkeypatch.setattr(formulas, "_render", refuse)
+    methods = set()
+    routes = [(3, 0, 0, 2, 0), (0, 3, 0, 2, 0), (0, 1, 2, 2, 0), (0, 2, 1, 0, 3, 0), (0, 0, 5, 0, 0, 1)]
+    for ct in routes:
+        rep = dispatch(Configuration(ct))
+        methods.add(rep.method)
+        assert rep.poly == remixed_induction(Configuration(ct))
+        with pytest.raises(RuntimeError, match="rendered"):
+            rep.pretty
+    assert methods == {name for name, _, _ in formulas.ROUTES}
 
 
 @given(st.integers(1, 6), st.data())
