@@ -5,12 +5,16 @@ and a ball that lands on an occupied site jumps to the nearest hole at
 distance a on the left, with weight q^a [b]/[a+b], or at distance b on
 the right, with weight [a]/[a+b].  One drop step is the only place a ball
 moves.  It reads the bounce geometry from a table built once per number
-of sites, and the weights at q = u/v as integers over one common scale,
-so the success probability at a rational point is exact integer mass over
-a power of that scale.  The polynomial is lifted from its integer values
-at q = 0..n(n-1)/2 by qcalc.interpolate.  The second evaluator runs the
-final ball recursion with memoization and never touches probabilities.
-Agreement of the two is the backbone of the test suite.
+of sites, and each occupancy mask carries a lane of integer masses, one
+per evaluation point: the weights at q = u/v are integers over one scale
+per point, so the success probability at a rational point is exact
+integer mass over a power of that scale.  remixed_exact walks its drop
+order once for all the points q = 0..n(n-1)/2 and lifts the polynomial
+from its integer values there by qcalc.interpolate.  A walk meets few of
+the bounce pairs, so the weights of a pair are built when it is first
+met.  The second evaluator runs the final ball recursion with memoization
+and never touches probabilities.  Agreement of the two is the backbone of
+the test suite.
 
 The bulk sweep over all configurations on n sites is the same computation
 reduced modulo two primes p1, p2 below 2**31: the bounce table, the integer
@@ -25,11 +29,12 @@ sum above n! is reported as an InvariantViolation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial, lcm, prod
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -94,69 +99,98 @@ def _brackets(n: int, u: int, v: int = 1) -> list[int]:
     """B_k = sum of u^i v^(k-1-i) over i < k, for k = 0..n.
 
     B_k is v^(k-1) [k] at q = u/v; at v = 1 it is the bracket [k](u).
+    Built by B_(k+1) = u B_k + v^k.
     """
-    return [sum(u**i * v ** (k - 1 - i) for i in range(k)) for k in range(n + 1)]
-
-
-def _weights(n: int, u: int, v: int) -> tuple[int, list[int], list[int]]:
-    """Bounce weights at q = u/v as integers over one scale L.
-
-    Returns L = lcm(B_1..B_n) and the left and right weights by pair
-    number: u^a B_b L / B_(a+b) and v^b B_a L / B_(a+b).  They are the
-    weights q^a [b]/[a+b] and [a]/[a+b] times L, and they sum to L since
-    u^a B_b + v^b B_a = B_(a+b).
-    """
-    br = _brackets(n, u, v)
-    scale = lcm(*br[1:])
-    lw = [0] * ((n + 1) * (n + 2))
-    rw = [0] * ((n + 1) * (n + 2))
-    for a in range(1, n):
-        for b in range(1, n - a + 1):
-            unit = scale // br[a + b]
-            lw[a * (n + 1) + b] = u**a * br[b] * unit
-            rw[a * (n + 1) + b] = v**b * br[a] * unit
-    return scale, lw, rw
-
-
-def _drop(
-    dist: dict[int, int], s: int, n: int, weights: tuple[int, list[int], list[int]]
-) -> dict[int, int]:
-    """Drop one ball at site s onto every occupancy mask in dist.
-
-    Mass is an integer: each drop multiplies the total by the scale of the
-    weights, and a branch that would land off the line is lost mass.
-    """
-    scale, lw, rw = weights
-    tab = _bounce_table(n)
-    bit = 1 << (s - 1)
-    out: dict[int, int] = {}
-    for mask, w in dist.items():
-        if not mask & bit:
-            out[mask | bit] = out.get(mask | bit, 0) + w * scale
-            continue
-        lt, rt, pair = tab[mask * n + s - 1]
-        if lt >= 0:
-            wl = w * lw[pair]
-            if wl:
-                out[lt] = out.get(lt, 0) + wl
-        if rt >= 0:
-            out[rt] = out.get(rt, 0) + w * rw[pair]
+    out = [0]
+    vk = 1
+    for _ in range(n):
+        out.append(u * out[-1] + vk)
+        vk *= v
     return out
 
 
-def _success_for_order(n: int, order: tuple[int, ...], q0: QRat) -> tuple[int, int]:
-    """Chance that dropping balls at the given sites fills [1, n].
+class _Weights(dict):
+    """Bounce weights on n sites at the points q = u/v, as integers.
 
-    Returned unreduced, as the integer mass of the full state over L**n.
+    Lane i holds the values at the i-th point, over that point's scale
+    L_i = lcm(B_1..B_n).  The brackets, the scales and [n]! at every point
+    are built up front.  The weights themselves are built by pair number
+    (see _bounce_table) on first lookup, because one walk meets few of the
+    pairs: self[pair] is the left lane u^a B_b L / B_(a+b) and the right
+    lane v^b B_a L / B_(a+b).  They are the weights q^a [b]/[a+b] and
+    [a]/[a+b] times L, and they sum to L since u^a B_b + v^b B_a = B_(a+b).
     """
-    q0 = Fraction(q0)
-    if q0 < 0:
-        raise ValueError("q must be nonnegative")
-    weights = _weights(n, q0.numerator, q0.denominator)
-    dist = {0: 1}
+
+    def __init__(self, n: int, points: Iterable[QRat]) -> None:
+        super().__init__()
+        self.n = n
+        fracs = [Fraction(q0) for q0 in points]
+        if any(q0 < 0 for q0 in fracs):
+            raise ValueError("q must be nonnegative")
+        self.points = [(q0.numerator, q0.denominator) for q0 in fracs]
+        self.brackets = [_brackets(n, u, v) for u, v in self.points]
+        self.scale = [lcm(*br[1:]) for br in self.brackets]
+        # the product B_1 ... B_n is [n]!(q0) at an integer point q0
+        self.fact = [prod(br[1:]) for br in self.brackets]
+
+    def __missing__(self, pair: int) -> tuple[list[int], list[int]]:
+        a, b = divmod(pair, self.n + 1)
+        left, right = [], []
+        for (u, v), br, scale in zip(self.points, self.brackets, self.scale):
+            unit = scale // br[a + b]
+            left.append(u**a * br[b] * unit)
+            right.append(v**b * br[a] * unit)
+        self[pair] = left, right
+        return left, right
+
+
+def _drop(dist: dict[int, list[int]], s: int, n: int, weights: _Weights) -> dict[int, list[int]]:
+    """Drop one ball at site s onto every occupancy mask in dist.
+
+    Each mask carries a list of integer masses, one lane per point of the
+    weights.  Each drop multiplies a lane's total by its scale, and a
+    branch that would land off the line is lost mass.
+    """
+    tab = _bounce_table(n)
+    scale = weights.scale
+    bit = 1 << (s - 1)
+    out: dict[int, list[int]] = {}
+
+    def put(mask: int, lane) -> None:
+        got = out.get(mask)
+        out[mask] = list(lane) if got is None else list(map(add, got, lane))
+
+    for mask, w in dist.items():
+        if not mask & bit:
+            put(mask | bit, map(mul, w, scale))
+            continue
+        lt, rt, pair = tab[mask * n + s - 1]
+        lw, rw = weights[pair]
+        # every left weight is 0 when q = 0 at every point
+        if lt >= 0 and any(lw):
+            put(lt, map(mul, w, lw))
+        if rt >= 0:
+            put(rt, map(mul, w, rw))
+    return out
+
+
+def _success_for_order(n: int, order: tuple[int, ...], weights: _Weights) -> list[int]:
+    """Chance that dropping balls at the given sites fills [1, n], at every point.
+
+    One walk carries all points of the weights.  Returned unreduced, as the
+    integer mass of the full state in each lane, over L_i**n in lane i.
+    """
+    dist = {0: [1] * len(weights.scale)}
     for s in order:
         dist = _drop(dist, s, n, weights)
-    return dist.get((1 << n) - 1, 0), weights[0] ** n
+    return dist.get((1 << n) - 1, [0] * len(weights.scale))
+
+
+def _probability(n: int, order: tuple[int, ...], q0: QRat) -> QRat:
+    """_success_for_order at the single point q0, as a fraction."""
+    weights = _Weights(n, (q0,))
+    (mass,) = _success_for_order(n, order, weights)
+    return Fraction(mass, weights.scale[0] ** n)
 
 
 def _integer_value(factv: int, mass: int, scale_n: int, q0: int) -> int:
@@ -173,7 +207,7 @@ def success_probability(c: Configuration, q0: QRat) -> QRat:
     >>> success_probability(Configuration((2, 0)), Fraction(1))
     Fraction(1, 2)
     """
-    return Fraction(*_success_for_order(c.n, left_to_right_order(c), q0))
+    return _probability(c.n, left_to_right_order(c), q0)
 
 
 def remixed_exact(c: Configuration) -> QPoly:
@@ -184,11 +218,12 @@ def remixed_exact(c: Configuration) -> QPoly:
     integer coefficients; anything else is an internal defect.
     """
     n = c.n
-    order = left_to_right_order(c)
-    vals = []
-    for q0 in range(n * (n - 1) // 2 + 1):
-        mass, scale_n = _success_for_order(n, order, q0)
-        vals.append(_integer_value(prod(_brackets(n, q0)[1:]), mass, scale_n, q0))
+    weights = _Weights(n, range(n * (n - 1) // 2 + 1))
+    masses = _success_for_order(n, left_to_right_order(c), weights)
+    vals = [
+        _integer_value(factv, mass, scale**n, q0)
+        for q0, (factv, mass, scale) in enumerate(zip(weights.fact, masses, weights.scale))
+    ]
     try:
         poly = interpolate(vals)
     except NonIntegerCoefficients as exc:
@@ -204,7 +239,7 @@ def drop_order_check(c: Configuration, order: tuple[int, ...], q0: QRat) -> QRat
     order = tuple(order)
     if tuple(sorted(order)) != left_to_right_order(c):
         raise BadContent(f"order {order} does not have content {c.c}")
-    return Fraction(*_success_for_order(c.n, order, q0))
+    return _probability(c.n, order, q0)
 
 
 @lru_cache(maxsize=None)
@@ -263,22 +298,23 @@ def _lane_weights(n: int) -> tuple[list, list, np.ndarray, np.ndarray]:
     Lane k * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
     _PRIMES[k].  Returns the left and right weights by pair number (see
     _bounce_table), [n]!(q0), and the modulus of each lane.  The weights are
-    those of _weights(n, q0, 1) times the inverse of their scale mod p, so
-    they are q0^a [b]/[a+b] and [a]/[a+b] mod p and need no common scale.
+    those of _Weights(n, range(D + 1)) times the inverse of their scale mod
+    p, so they are q0^a [b]/[a+b] and [a]/[a+b] mod p and need no common
+    scale.
     """
     big_d = n * (n - 1) // 2
-    lw = np.empty(((n + 1) * (n + 2), len(_PRIMES) * (big_d + 1)), np.int64)
-    rw = np.empty_like(lw)
-    fact = np.empty(lw.shape[1], np.int64)
-    for q0 in range(big_d + 1):
-        scale, left, right = _weights(n, q0, 1)
-        factv = prod(_brackets(n, q0)[1:])
-        for k, p in enumerate(_PRIMES):
-            inv = pow(scale, -1, p)
-            i = k * (big_d + 1) + q0
-            lw[:, i] = [w * inv % p for w in left]
-            rw[:, i] = [w * inv % p for w in right]
-            fact[i] = factv % p
+    weights = _Weights(n, range(big_d + 1))
+    # (p, inverse of the scale mod p) of every lane, in lane order
+    lanes = [(p, pow(scale, -1, p)) for p in _PRIMES for scale in weights.scale]
+    lw = np.zeros(((n + 1) * (n + 2), len(lanes)), np.int64)
+    rw = np.zeros_like(lw)
+    for a in range(1, n):
+        for b in range(1, n - a + 1):
+            pair = a * (n + 1) + b
+            left, right = weights[pair]
+            lw[pair] = [w * inv % p for (p, inv), w in zip(lanes, left * len(_PRIMES))]
+            rw[pair] = [w * inv % p for (p, inv), w in zip(lanes, right * len(_PRIMES))]
+    fact = np.array([f % p for (p, _), f in zip(lanes, weights.fact * len(_PRIMES))], np.int64)
     return list(lw), list(rw), fact, np.repeat(np.array(_PRIMES, np.int64), big_d + 1)
 
 

@@ -311,11 +311,18 @@ BROKEN_ROUTES = {
         "argv = ['eval', '2,0', '--method', 'exact']\n",
         "invariant violated: negative coefficient",
     ),
-    # a common scale one too large leaves every value a non-integer
+    # a free-site scale one too large, over pair weights built with the true
+    # scale, leaves every value a non-integer
     "oracle_weights": (
         "from remixed import engine\n"
-        "real = engine._weights\n"
-        "engine._weights = lambda n, u, v: (real(n, u, v)[0] + 1, *real(n, u, v)[1:])\n"
+        "class Bumped(engine._Weights):\n"
+        "    def __init__(self, n, points):\n"
+        "        super().__init__(n, points)\n"
+        "        for a in range(1, n):\n"
+        "            for b in range(1, n - a + 1):\n"
+        "                self[a * (n + 1) + b]\n"
+        "        self.scale = [scale + 1 for scale in self.scale]\n"
+        "engine._Weights = Bumped\n"
         "argv = ['eval', '2,0', '--method', 'exact']\n",
         "invariant violated: non-integer value at q=0",
     ),

@@ -35,27 +35,55 @@ def test_bounce_table_examples():
     assert _landing({1}, 1, 2) == (-1, 0b11, (1, 1))
     # free site: no entry, the drop step settles the ball there with the full scale
     assert _landing(set(), 3, 5) is None
-    weights = engine._weights(5, 2, 1)
-    assert engine._drop({0: 1}, 3, 5, weights) == {0b00100: weights[0]}
+    weights = engine._Weights(5, (2,))
+    assert engine._drop({0: [1]}, 3, 5, weights) == {0b00100: weights.scale}
     # both branches live, into the holes at sites 1 and 4
     assert _landing({2, 3}, 3, 4) == (0b0111, 0b1110, (2, 1))
     # at q = 2: left q^2 [1] / [3] = 4/7, right [2] / [3] = 3/7
-    weights = engine._weights(4, 2, 1)
-    scale = weights[0]
-    assert engine._drop({0b0110: 1}, 3, 4, weights) == {0b0111: 4 * scale // 7, 0b1110: 3 * scale // 7}
+    weights = engine._Weights(4, (2,))
+    (scale,) = weights.scale
+    assert engine._drop({0b0110: [1]}, 3, 4, weights) == {0b0111: [4 * scale // 7], 0b1110: [3 * scale // 7]}
 
 
 def test_bounce_weights_conserve_mass():
     # q^a [b] + [a] == [a+b]: a bounce loses no mass while both holes are on the line
-    for q0 in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2)):
-        for n in range(1, 8):
-            scale, lw, rw = engine._weights(n, q0.numerator, q0.denominator)
-            for a in range(1, n):
-                for b in range(1, n - a + 1):
-                    pair = a * (n + 1) + b
-                    assert lw[pair] + rw[pair] == scale
+    points = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2))
+    for n in range(1, 8):
+        weights = engine._Weights(n, points)
+        for a in range(1, n):
+            for b in range(1, n - a + 1):
+                lw, rw = weights[a * (n + 1) + b]
+                for q0, scale, wl, wr in zip(points, weights.scale, lw, rw):
+                    assert wl + wr == scale
                     left = q0**a * sum(q0**i for i in range(b)) / sum(q0**i for i in range(a + b))
-                    assert Fraction(lw[pair], scale) == left
+                    assert Fraction(wl, scale) == left
+
+
+@given(st.integers(0, 12), st.integers(0, 6), st.integers(0, 6))
+def test_brackets_match_defining_sum(n, u, v):
+    want = [sum(u**i * v ** (k - 1 - i) for i in range(k)) for k in range(n + 1)]
+    assert engine._brackets(n, u, v) == want
+
+
+def test_drop_lanes_do_not_interact():
+    # v != 1 at 1/3 and 5/2; every left weight is 0 at q = 0
+    points = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2))
+    rng = random.Random(29)
+    for n in range(1, 8):
+        cfgs = list(all_configurations(n))
+        for c in rng.sample(cfgs, min(6, len(cfgs))):
+            order = list(left_to_right_order(c))
+            shuffled = order[:]
+            rng.shuffle(shuffled)
+            for walk in (tuple(order), tuple(shuffled)):
+                together = engine._success_for_order(n, walk, engine._Weights(n, points))
+                alone = [engine._success_for_order(n, walk, engine._Weights(n, (q0,))) for q0 in points]
+                assert together == [mass for (mass,) in alone], (c.c, walk)
+        # a ball per site never bounces, so its walk builds no pair lanes
+        weights = engine._Weights(n, points)
+        masses = engine._success_for_order(n, tuple(range(1, n + 1)), weights)
+        assert masses == [scale**n for scale in weights.scale]
+        assert len(weights) == 0
 
 
 def test_success_probability_examples():
