@@ -6,6 +6,12 @@ the exact engine it checks.  All randomness comes from splitmix64, a
 small counter based 64-bit generator with published constants, which
 gives bit identical runs on every platform.  Each trial owns a derived
 stream, so batches can be cut anywhere without changing outcomes.
+
+simulate_batch cuts them into chunks of _CHUNK trials and advances each
+chunk in lockstep on a padded board of shape (rows, n + 2), whose columns
+0 and n + 1 catch a ball that leaves the line.  A chunk holds at most
+_CHUNK * (n + 2) site counts, so memory does not grow with the number of
+trials.
 """
 
 from __future__ import annotations
@@ -116,6 +122,10 @@ class SimResult:
         }
 
 
+# Trials advanced together; a chunk's board holds _CHUNK * (n + 2) counts.
+_CHUNK = 1 << 15
+
+
 def _mix_np(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX1)
@@ -127,51 +137,70 @@ def _mix_np(z: np.ndarray) -> np.ndarray:
 def simulate_batch(
     c: Configuration, q0: QRat, trials: int, seed: int, pick: str = "leftmost"
 ) -> np.ndarray:
-    """Per-trial success flags, all trials advanced in lockstep.
+    """Per-trial success flags, trials advanced in lockstep chunks.
 
     Each trial runs the same dynamics as run_once on its derived stream.
     A trial stops as soon as a ball leaves [1, n]: occupied sites never
     empty again, so the final support can no longer be [1, n].  The pick
     rule chooses which overloaded site moves; any rule gives the same
     distribution, and the alternative is kept for exactly that test.
+
+    Trials run in chunks of _CHUNK on a padded board of shape
+    (rows, n + 2): columns 0 and n + 1 catch a ball that leaves the line,
+    so a move is two flat-index updates with no bounds check.  A chunk
+    holds at most _CHUNK * (n + 2) counts, so memory does not grow with
+    trials, and since a trial's stream depends only on (seed, index) the
+    flags do not depend on the chunk size.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if pick not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown pick rule {pick!r}")
     n = c.n
+    width = n + 2
     thr = np.uint64(left_threshold(q0))
-    idx = np.arange(1, trials + 1, dtype=np.uint64)
-    states = _mix_np(np.uint64(seed & _MASK) + np.uint64(_GOLD) * idx)
-    counts = np.tile(np.array(c.c, dtype=np.int16), (trials, 1))
-    orig = np.arange(trials)
+    seed_u = np.uint64(seed & _MASK)
+    # a site never holds more than the n balls
+    row = np.zeros(width, dtype=np.min_scalar_type(n))
+    row[1 : n + 1] = c.c
     success = np.zeros(trials, dtype=bool)
-    while counts.shape[0]:
-        over = counts >= 2
-        active = over.any(axis=1)
-        if not active.all():
-            success[orig[~active]] = True
-            counts = counts[active]
-            states = states[active]
-            orig = orig[active]
-            if not counts.shape[0]:
-                break
-            over = over[active]
-        if pick == "leftmost":
-            col = np.argmax(over, axis=1)
-        else:
-            col = n - 1 - np.argmax(over[:, ::-1], axis=1)
-        states = states + np.uint64(_GOLD)
-        draw = _mix_np(states)
-        dest = np.where(draw < thr, col - 1, col + 1)
-        stay = (dest >= 0) & (dest < n)
-        rows = np.flatnonzero(stay)
-        counts[rows, col[rows]] -= 1
-        counts[rows, dest[rows]] += 1
-        if not stay.all():
-            counts = counts[stay]
-            states = states[stay]
-            orig = orig[stay]
+    for start in range(0, trials, _CHUNK):
+        stop = min(start + _CHUNK, trials)
+        idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        states = _mix_np(seed_u + np.uint64(_GOLD) * idx)
+        board = np.tile(row, (stop - start, 1))
+        orig = np.arange(start, stop)
+        bases = np.arange(0, board.size, width)
+        gone = np.zeros(stop - start, dtype=bool)
+        while True:
+            over = board >= 2
+            if pick == "leftmost":
+                col = np.argmax(over, axis=1)
+            else:
+                col = (width - 1) - np.argmax(over[:, ::-1], axis=1)
+            # a row with no overloaded site picks padding column 0 or n + 1,
+            # which never holds two balls
+            live = over.reshape(-1).take(bases[: col.size] + col)
+            keep = live & ~gone
+            if not keep.all():
+                # settled rows succeeded unless their last move left the line
+                success[orig[~(live | gone)]] = True
+                kept = np.flatnonzero(keep)
+                if not kept.size:
+                    break
+                board = board.take(kept, axis=0)
+                states = states.take(kept)
+                orig = orig.take(kept)
+                col = col.take(kept)
+            states += np.uint64(_GOLD)
+            step = np.where(_mix_np(states) < thr, -1, 1)
+            src = bases[: col.size] + col
+            flat = board.reshape(-1)
+            flat[src] -= 1
+            flat[src + step] += 1
+            col += step
+            # a ball that left the line fails its row at the next compaction
+            gone = (col == 0) | (col == width - 1)
     return success
 
 

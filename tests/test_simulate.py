@@ -1,9 +1,13 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import remixed.simulate
 from remixed.config import Configuration
 from remixed.engine import success_probability
 from remixed.simulate import (
@@ -67,15 +71,86 @@ def test_run_once_forced_direction():
     assert run_once(Configuration((0, 2)), Fraction(0), SplitMix64(3)) == frozenset({2, 3})
 
 
-def test_batch_matches_scalar_replay():
-    c = Configuration((0, 3, 0))
-    q0 = Fraction(1, 2)
-    seed, trials = 123, 50
-    flags = simulate_batch(c, q0, trials, seed)
+def from_bars(n, bars):
+    """Stars and bars: the configuration whose n - 1 bars take these of 2n - 1 slots."""
+    edges = [-1, *sorted(bars), 2 * n - 1]
+    return Configuration(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+
+
+@st.composite
+def configurations(draw, nmax=7):
+    n = draw(st.integers(1, nmax))
+    return from_bars(n, draw(st.lists(st.integers(0, 2 * n - 2), min_size=n - 1, max_size=n - 1, unique=True)))
+
+
+def replay(c, q0, trials, seed):
+    """Success of each trial by the scalar reference on its derived stream."""
     full = frozenset(range(1, c.n + 1))
-    for i in range(trials):
-        scalar = run_once(c, q0, SplitMix64(subseed(seed, i))) == full
-        assert bool(flags[i]) == scalar
+    return [run_once(c, q0, SplitMix64(subseed(seed, i))) == full for i in range(trials)]
+
+
+@given(
+    configurations(),
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2)]),
+    st.integers(1, 200),
+    st.integers(0, 2**64 - 1),
+)
+@example(Configuration((0, 3, 0)), Fraction(1, 2), 50, 123)
+@settings(max_examples=60, deadline=None)
+def test_batch_matches_scalar_replay(c, q0, trials, seed):
+    flags = simulate_batch(c, q0, trials, seed)
+    assert flags.tolist() == replay(c, q0, trials, seed)
+
+
+# success count and sha256 of np.packbits(flags), measured on the
+# unchunked lockstep loop that preceded the padded-board kernel
+PINNED = [
+    ((0, 3, 0, 2, 0), Fraction(1, 3), 100000, 7, 48752,
+     "dc86ebcb9c2b47e725273a2769897cae758f8431f7e03a7ed689a017638e59a6"),
+    ((1, 0, 0, 0, 1, 0, 5, 1, 1, 1), Fraction(1), 100000, 11, 10224,
+     "56ba58d55ac671ee8cd10bd3d6cdd41642f1d74a867b1bc77386ce753b738564"),
+    ((0, 0, 6, 0, 0, 0), Fraction(2), 70001, 3, 3315,
+     "e552f24fa1bc500d4e825362d06f8f416438d33a6599a236ec131ca21fda9e61"),
+    ((2, 0, 1), Fraction(0), 65537, 5, 65537,
+     "4a2ded451f3c865cfa5be7befcf305399136c8ca73378a03d8e9dd76c15adf7d"),
+    ((1, 0, 1, 1, 1, 1, 1, 2), Fraction(5, 2), 100000, 2**64 - 1, 59870,
+     "e60849bb951def99094d791e9fa54db50f49c0acbdad4d51887eb8079893f1a8"),
+]
+
+
+@pytest.mark.parametrize("ct, q0, trials, seed, successes, digest", PINNED)
+def test_batch_flags_pinned(ct, q0, trials, seed, successes, digest):
+    flags = simulate_batch(Configuration(ct), q0, trials, seed)
+    assert int(flags.sum()) == successes
+    assert hashlib.sha256(np.packbits(flags).tobytes()).hexdigest() == digest
+
+
+def chunk_cases():
+    rng = random.Random("chunk cases")
+    cases = [((1,), Fraction(1), 5, 3, "leftmost"), ((1, 1, 1), Fraction(2), 70, 4, "leftmost")]
+    for n in (3, 5, 8):
+        ct = from_bars(n, rng.sample(range(2 * n - 1), n - 1)).c
+        for pick in ("leftmost", "rightmost"):
+            cases.append((ct, Fraction(1, 3) * n, 150, rng.getrandbits(64), pick))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("ct, q0, trials, seed, pick", chunk_cases())
+def test_flags_do_not_depend_on_chunk(monkeypatch, chunk, ct, q0, trials, seed, pick):
+    c = Configuration(ct)
+    default = simulate_batch(c, q0, trials, seed, pick=pick)
+    monkeypatch.setattr(remixed.simulate, "_CHUNK", chunk)
+    assert simulate_batch(c, q0, trials, seed, pick=pick).tolist() == default.tolist()
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 1000), Fraction(1000)])
+def test_batch_replays_a_site_beyond_int8(q0):
+    # 128 balls on one site do not fit int8; at q = 1/1000 every trial
+    # succeeds and at q = 1000 every one fails, so a count that wrapped
+    # shows either way
+    c = Configuration((128,) + (0,) * 127)
+    assert simulate_batch(c, q0, 8, 21).tolist() == replay(c, q0, 8, 21)
 
 
 def test_batch_argument_validation():
