@@ -58,7 +58,7 @@ from .formulas import (
     dispatch,
     EvalReport,
 )
-from .simulate import SplitMix64, run_once, estimate_success, SimResult
+from .simulate import estimate_success, SimResult
 
 __all__ = [
     "QPoly",
@@ -102,8 +102,6 @@ __all__ = [
     "carlitz_scoville_q",
     "dispatch",
     "EvalReport",
-    "SplitMix64",
-    "run_once",
     "estimate_success",
     "SimResult",
 ]

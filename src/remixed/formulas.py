@@ -206,6 +206,12 @@ def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
     return sum_terms(_shifted_sum_terms(gamma, i, n), f"{gamma} at {i}")
 
 
+def _bracket_series(sizes: Sequence[int], n: int, trunc: int) -> TSeries:
+    """(t;q)_{n+1} times the sum of t**j prod [j+a] over a in sizes, mod t**trunc."""
+    rhs = TSeries(trunc, tuple(bracket_product([j + a for a in sizes]) for j in range(trunc)))
+    return series_mul(q_pochhammer(n + 1, trunc), rhs)
+
+
 def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
     """Pochhammer factor times sum of t**j prod [j+a] over the core balls.
 
@@ -213,9 +219,7 @@ def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
     the connected identity, the weak congruence and the corrective series
     are all measured against.
     """
-    ms = mset(tuple(gamma))
-    rhs = TSeries(trunc, tuple(bracket_product([j + a for a in ms]) for j in range(trunc)))
-    return series_mul(q_pochhammer(n + 1, trunc), rhs)
+    return _bracket_series(mset(tuple(gamma)), n, trunc)
 
 
 def a_weakly_lukasiewicz(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
@@ -257,6 +261,19 @@ def one_hole_prefactor(
     return exp, tuple(brackets)
 
 
+def _corrective_term(p: int, r: int, k: int, prefactor: tuple[int, tuple[int, ...]]) -> _Term:
+    """The corrective series coefficient of t**(p - ell + k) as one term.
+
+    It is (-1)**k q**(comb(p, 2) + p k + comb(k + 1, 2) + exp) qbin(n + 1, r - k)
+    times the prefactor brackets, where n = p + r and (exp, brackets) is the
+    one_hole_prefactor of blocks holding p and r balls.  A negative exponent
+    is rejected when the term is assembled.
+    """
+    exp, brackets = prefactor
+    qexp = comb(p, 2) + p * k + comb(k + 1, 2) + exp
+    return _Term(-1 if k % 2 else 1, qexp, brackets, (p + r + 1, r - k))
+
+
 def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> TSeries:
     """The finite t series correcting the connected identity at one hole.
 
@@ -273,17 +290,10 @@ def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> 
     ell, p, r = len(alpha), sum(alpha), sum(beta)
     if p + r != n:
         raise WrongFamily(f"blocks hold {p + r} balls, configuration needs {n}")
-    exp, brackets = one_hole_prefactor(alpha, beta)
-    pref = bracket_product(brackets)
+    prefactor = one_hole_prefactor(alpha, beta)
     coeffs = [ZERO] * (n + 1)
-    for i in range(r + 1):
-        e = comb(p, 2) + p * i + comb(i + 1, 2) + exp
-        if e < 0:
-            raise InvariantViolation(f"negative q exponent {e} for blocks {alpha}, {beta}")
-        term = (pref * q_binomial(n + 1, r - i)).shift(e)
-        if i % 2:
-            term = -term
-        coeffs[p - ell + i] = term
+    for k in range(r + 1):
+        coeffs[p - ell + k] = _assemble([_corrective_term(p, r, k, prefactor)])
     return TSeries(n + 1, tuple(coeffs))
 
 
@@ -293,14 +303,10 @@ def _one_hole_terms(c: Configuration) -> list[_Term]:
     i, n = dec.left_zeros, c.n
     terms = _shifted_sum_terms(dec.gamma, i, n)
     if i >= shape.p - shape.ell:
-        exp, brackets = one_hole_prefactor(shape.alpha, shape.beta)
-        # same exponent as the matching corrective series coefficient
+        # minus the corrective series coefficient of t**i
         k = i + shape.ell - shape.p
-        e = comb(shape.p, 2) + shape.p * k + comb(k + 1, 2) + exp
-        if e < 0:
-            raise InvariantViolation(f"negative q exponent {e} for {c.c}")
-        sign = 1 if (i + shape.p + shape.ell + 1) % 2 == 0 else -1
-        terms.append(_Term(sign, e, brackets, (n + 1, i + shape.ell + 1)))
+        t = _corrective_term(shape.p, shape.r, k, one_hole_prefactor(shape.alpha, shape.beta))
+        terms.append(_Term(-t.sign, t.qexp, t.brackets, t.binom))
     return terms
 
 
@@ -347,22 +353,14 @@ class HitIndex:
         return [k - self.lam[self.n - k] for k in range(1, self.n + 1)]
 
 
-def q_hit(h: HitIndex, trunc_guard: int | None = None) -> QPoly:
+def q_hit(h: HitIndex) -> QPoly:
     """Coefficient extraction from the hit number generating identity.
 
-    The numerator series is a polynomial in t of degree at most n, so the
-    truncation n + 1 is exact.  A larger trunc_guard additionally checks
-    that the higher coefficients really vanish.
+    The identity is core_series over the factor offsets in place of the
+    core balls.  Its numerator series is a polynomial in t of degree at
+    most n, so the truncation n + 1 is exact.
     """
-    n = h.n
-    trunc = n + 1 if trunc_guard is None else max(n + 1, trunc_guard)
-    offsets = h.factor_offsets()
-    rhs = TSeries(trunc, tuple(bracket_product([j + e for e in offsets]) for j in range(trunc)))
-    num = series_mul(q_pochhammer(n + 1, trunc), rhs)
-    for k in range(n + 1, trunc):
-        if num.tcoeff(k):
-            raise InvariantViolation(f"nonzero t^{k} coefficient for {h.lam}")
-    return num.tcoeff(h.i)
+    return _bracket_series(h.factor_offsets(), h.n, h.n + 1).tcoeff(h.i)
 
 
 def hit_to_connected(h: HitIndex) -> tuple[tuple[int, ...], int, int]:

@@ -132,18 +132,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> QPoly:
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def shift(self, k: int) -> QPoly:
         """Multiply by q**k.  k must be nonnegative."""
         if k < 0:

@@ -1,13 +1,21 @@
 """Seeded Monte Carlo simulation of the single site drop dynamics.
 
-The simulator is deliberately primitive: it starts from the raw pile
-state and moves one ball one site at a time, so it shares no code with
-the exact engine it checks.  All randomness comes from splitmix64, a
-small counter based 64-bit generator with published constants, which
-gives bit identical runs on every platform.  Each trial owns a derived
-stream, so batches can be cut anywhere without changing outcomes.
+A trial starts from the raw pile state of the configuration and settles
+it one ball and one site at a time: it takes the leftmost site holding at
+least two balls and moves one of them left with probability q/(1+q),
+else right.  Sites outside [1, n] are ordinary sites, and the trial
+succeeds when the balls end on one site each of [1, n].  The simulator
+is deliberately primitive, so it shares no code with the exact engine it
+checks.
 
-simulate_batch cuts them into chunks of _CHUNK trials and advances each
+All randomness comes from splitmix64, a small counter based 64-bit
+generator with published constants, which gives bit identical runs on
+every platform.  Trial i (from 0) owns a stream whose state starts at
+output i + 1 of the master stream on seed, so batches can be cut
+anywhere without changing outcomes.  A move draws the next output of the
+trial's stream and steps left when it is below left_threshold(q).
+
+simulate_batch cuts the trials into chunks of _CHUNK and advances each
 chunk in lockstep on a padded board of shape (rows, n + 2), whose columns
 0 and n + 1 catch a ball that leaves the line.  A chunk holds at most
 _CHUNK * (n + 2) site counts, so memory does not grow with the number of
@@ -30,41 +38,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix(z: int) -> int:
-    """splitmix64 output function on a 64-bit state."""
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK
-    z ^= z >> 31
-    return z
-
-
-class SplitMix64:
-    """splitmix64: state advances by the golden gamma, output is mixed.
-
-    >>> g = SplitMix64(0)
-    >>> g.next_u64() == 0xE220A8397B1DCDAF
-    True
-    """
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLD) & _MASK
-        return _mix(self.state)
-
-
-def subseed(seed: int, index: int) -> int:
-    """Starting state of the derived stream for one trial.
-
-    The master seed is advanced index + 1 golden steps and mixed once,
-    which decorrelates neighbouring trial streams.
-    """
-    return _mix((seed + _GOLD * (index + 1)) & _MASK)
-
-
 def left_threshold(q0: QRat) -> int:
     """Uniform 64-bit draws below this value step left.
 
@@ -76,31 +49,6 @@ def left_threshold(q0: QRat) -> int:
         raise ValueError("q must be nonnegative")
     num, den = q0.numerator, q0.denominator
     return (num << 64) // (num + den)
-
-
-def run_once(c: Configuration, q0: QRat, rng: SplitMix64) -> frozenset[int]:
-    """Settle one pile state by single site moves; return the support.
-
-    Repeatedly takes the leftmost site holding at least two balls and
-    moves one of them left with probability q/(1+q), else right.  Sites
-    outside [1, n] are ordinary sites, so the support may extend beyond
-    the configuration.
-    """
-    thr = left_threshold(q0)
-    counts: dict[int, int] = {}
-    for i, x in enumerate(c.c, start=1):
-        if x:
-            counts[i] = x
-    while True:
-        over = [s for s, k in counts.items() if k >= 2]
-        if not over:
-            return frozenset(counts)
-        s = min(over)
-        dest = s - 1 if rng.next_u64() < thr else s + 1
-        counts[s] -= 1
-        if counts[s] == 0:
-            del counts[s]
-        counts[dest] = counts.get(dest, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -134,16 +82,13 @@ def _mix_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def simulate_batch(
-    c: Configuration, q0: QRat, trials: int, seed: int, pick: str = "leftmost"
-) -> np.ndarray:
+def simulate_batch(c: Configuration, q0: QRat, trials: int, seed: int) -> np.ndarray:
     """Per-trial success flags, trials advanced in lockstep chunks.
 
-    Each trial runs the same dynamics as run_once on its derived stream.
-    A trial stops as soon as a ball leaves [1, n]: occupied sites never
-    empty again, so the final support can no longer be [1, n].  The pick
-    rule chooses which overloaded site moves; any rule gives the same
-    distribution, and the alternative is kept for exactly that test.
+    Each trial runs the dynamics of the module docstring on its own
+    stream.  A trial stops as soon as a ball leaves [1, n]: occupied
+    sites never empty again, so the final support can no longer be
+    [1, n].
 
     Trials run in chunks of _CHUNK on a padded board of shape
     (rows, n + 2): columns 0 and n + 1 catch a ball that leaves the line,
@@ -154,8 +99,6 @@ def simulate_batch(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if pick not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown pick rule {pick!r}")
     n = c.n
     width = n + 2
     thr = np.uint64(left_threshold(q0))
@@ -174,12 +117,9 @@ def simulate_batch(
         gone = np.zeros(stop - start, dtype=bool)
         while True:
             over = board >= 2
-            if pick == "leftmost":
-                col = np.argmax(over, axis=1)
-            else:
-                col = (width - 1) - np.argmax(over[:, ::-1], axis=1)
-            # a row with no overloaded site picks padding column 0 or n + 1,
-            # which never holds two balls
+            col = np.argmax(over, axis=1)
+            # a row with no overloaded site picks padding column 0, which
+            # never holds two balls
             live = over.reshape(-1).take(bases[: col.size] + col)
             keep = live & ~gone
             if not keep.all():

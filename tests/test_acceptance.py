@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, sqrt
+from math import comb, factorial, prod, sqrt
 
 from remixed.cli import verify_abelian, verify_congruence, verify_corrective, verify_families
 from remixed.config import Configuration, all_configurations, core
@@ -51,8 +51,8 @@ def ok_line(ok: bool, label: str, detail: str = "") -> None:
 
 
 def test_criterion_1_worked_examples():
-    display_2332 = q_int(2) ** 3 * q_int(4) ** 2 - q_int(3) ** 2 * q_int(6)
-    display_almost = q_int(3) ** 3 * q_int(5) - poly_divexact(
+    display_2332 = prod(map(q_int, (2, 2, 2, 4, 4))) - prod(map(q_int, (3, 3, 6)))
+    display_almost = prod(map(q_int, (3, 3, 3, 5))) - poly_divexact(
         q_int(6) * q_int(5) * q_int(3), q_int(2)
     )
     cases = [
@@ -239,7 +239,7 @@ def test_criterion_6_corrective_algebra():
         for r in range(1, 5):
             ct = (0,) * (p - 2) + (p,) + (0,) + (1,) * (r - 1)
             lhs = remixed_induction(Configuration(ct))
-            body = q_factorial(r - 1) * (q_int(r + 1) ** p - q_binomial(p + r, r))
+            body = q_factorial(r - 1) * (prod([q_int(r + 1)] * p) - q_binomial(p + r, r))
             e = p * (p - 3) // 2
             rhs = body.shift(e) if e >= 0 else poly_divexact(body, ONE.shift(-e))
             lemma_ok = lemma_ok and lhs == rhs

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,9 +244,17 @@ def test_q_hit_examples():
     assert q_hit(HitIndex((), 0, 2)) == q_int(2)
     assert q_hit(HitIndex((1,), 0, 1)).is_zero()
     assert q_hit(HitIndex((1,), 1, 1)) == ONE
-    # a guard well past the degree changes nothing
+    # the generating series taken well past the degree changes nothing
     h = HitIndex((2, 1), 1, 3)
-    assert q_hit(h, trunc_guard=9) == q_hit(h)
+    long = hit_series(h, 9)
+    assert long.tcoeff(1) == q_hit(h)
+    assert all(long.tcoeff(k).is_zero() for k in range(4, 9))
+
+
+def hit_series(h, trunc):
+    """The hit number generating series mod t**trunc, its products built by repeated *."""
+    rhs = [prod((q_int(j + e) for e in h.factor_offsets()), start=ONE) for j in range(trunc)]
+    return series_mul(q_pochhammer(h.n + 1, trunc), TSeries.of(rhs, trunc))
 
 
 def _staircase_partitions(n):
@@ -268,6 +277,15 @@ def test_q_hit_counts_permutations_at_one():
                 counts[sum(1 for k in range(n) if sigma[k] <= lam[k])] += 1
             for i in range(n + 1):
                 assert q_hit(HitIndex(lam, i, n)).evaluate(1) == counts[i]
+
+
+def test_hit_series_stops_at_degree_n():
+    for n in range(1, 6):
+        for lam in _staircase_partitions(n):
+            long = hit_series(HitIndex(lam, 0, n), n + 3)
+            for i in range(n + 1):
+                assert long.tcoeff(i) == q_hit(HitIndex(lam, i, n))
+            assert long.tcoeff(n + 1).is_zero() and long.tcoeff(n + 2).is_zero()
 
 
 def test_hit_to_connected_examples():
@@ -353,7 +371,7 @@ def test_cs_generating_series():
                     trunc,
                 )
                 rhs_coeffs = [
-                    q_binomial(j + x + y - 1, j) * (q_int(j + y) ** total)
+                    q_binomial(j + x + y - 1, j) * prod([q_int(j + y)] * total, start=ONE)
                     for j in range(trunc)
                 ]
                 rhs = series_mul(

@@ -2,7 +2,9 @@
 
 The drop-dynamics oracle must not import the closed formulas it checks,
 the simulator must not import the exact engine it checks, and the closed
-formulas take from the engine only the recursion they fall back on.
+formulas take from the engine only the recursion they fall back on.  The
+scalar reference the tests check the simulator against imports nothing
+from the package.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "remixed"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "remixed"
 
 
 def imports(path: Path) -> dict[str, set[str]]:
@@ -45,6 +48,10 @@ def test_route_does_not_import_what_it_checks(module, forbidden):
 
 def test_formulas_take_only_the_recursion_from_the_engine():
     assert imports(PACKAGE / "formulas.py")["engine"] == {"remixed_induction"}
+
+
+def test_scalar_reference_imports_nothing_from_the_package():
+    assert imports(TESTS / "scalar_sim.py") == {}
 
 
 def test_import_reader_sees_every_form(tmp_path):

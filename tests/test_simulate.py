@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,15 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import remixed.simulate
 from remixed.config import Configuration
 from remixed.engine import success_probability
-from remixed.simulate import (
-    SimResult,
-    SplitMix64,
-    estimate_success,
-    left_threshold,
-    run_once,
-    simulate_batch,
-    subseed,
-)
+from remixed.simulate import SimResult, estimate_success, left_threshold, simulate_batch
+from scalar_sim import SplitMix64, replay, run_once, subseed
 
 
 def test_splitmix_known_output():
@@ -61,14 +53,14 @@ def test_left_threshold_monotone():
 def test_run_once_stable_configuration():
     # one ball per site: nothing moves, no randomness consumed
     g = SplitMix64(1)
-    assert run_once(Configuration((1, 1, 1)), Fraction(5), g) == frozenset({1, 2, 3})
+    assert run_once((1, 1, 1), Fraction(5), g) == frozenset({1, 2, 3})
     assert g.state == 1
 
 
 def test_run_once_forced_direction():
     # q = 0 never steps left
-    assert run_once(Configuration((2, 0)), Fraction(0), SplitMix64(3)) == frozenset({1, 2})
-    assert run_once(Configuration((0, 2)), Fraction(0), SplitMix64(3)) == frozenset({2, 3})
+    assert run_once((2, 0), Fraction(0), SplitMix64(3)) == frozenset({1, 2})
+    assert run_once((0, 2), Fraction(0), SplitMix64(3)) == frozenset({2, 3})
 
 
 def from_bars(n, bars):
@@ -83,12 +75,6 @@ def configurations(draw, nmax=7):
     return from_bars(n, draw(st.lists(st.integers(0, 2 * n - 2), min_size=n - 1, max_size=n - 1, unique=True)))
 
 
-def replay(c, q0, trials, seed):
-    """Success of each trial by the scalar reference on its derived stream."""
-    full = frozenset(range(1, c.n + 1))
-    return [run_once(c, q0, SplitMix64(subseed(seed, i))) == full for i in range(trials)]
-
-
 @given(
     configurations(),
     st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2)]),
@@ -99,7 +85,7 @@ def replay(c, q0, trials, seed):
 @settings(max_examples=60, deadline=None)
 def test_batch_matches_scalar_replay(c, q0, trials, seed):
     flags = simulate_batch(c, q0, trials, seed)
-    assert flags.tolist() == replay(c, q0, trials, seed)
+    assert flags.tolist() == replay(c.c, q0, trials, seed)
 
 
 # success count and sha256 of np.packbits(flags), measured on the
@@ -125,23 +111,34 @@ def test_batch_flags_pinned(ct, q0, trials, seed, successes, digest):
     assert hashlib.sha256(np.packbits(flags).tobytes()).hexdigest() == digest
 
 
-def chunk_cases():
-    rng = random.Random("chunk cases")
-    cases = [((1,), Fraction(1), 5, 3, "leftmost"), ((1, 1, 1), Fraction(2), 70, 4, "leftmost")]
-    for n in (3, 5, 8):
-        ct = from_bars(n, rng.sample(range(2 * n - 1), n - 1)).c
-        for pick in ("leftmost", "rightmost"):
-            cases.append((ct, Fraction(1, 3) * n, 150, rng.getrandbits(64), pick))
-    return cases
+# configurations of size 1, 3, 3, 5 and 8 under the leftmost pick rule; the
+# ids are fixed names, so a case keeps its name when cases are added
+CHUNK_CASES = [
+    pytest.param((1,), Fraction(1), 5, 3, id="ct0-q00-5-3-leftmost"),
+    pytest.param((1, 1, 1), Fraction(2), 70, 4, id="ct1-q01-70-4-leftmost"),
+    pytest.param(
+        (2, 0, 1), Fraction(1), 150, 10998879148792154828,
+        id="ct2-q02-150-10998879148792154828-leftmost",
+    ),
+    pytest.param(
+        (3, 1, 0, 1, 0), Fraction(5, 3), 150, 1309646843750787229,
+        id="ct4-q04-150-1309646843750787229-leftmost",
+    ),
+    pytest.param(
+        (4, 0, 2, 0, 0, 0, 0, 2), Fraction(8, 3), 150, 1349131656751904025,
+        id="ct6-q06-150-1349131656751904025-leftmost",
+    ),
+]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
-@pytest.mark.parametrize("ct, q0, trials, seed, pick", chunk_cases())
-def test_flags_do_not_depend_on_chunk(monkeypatch, chunk, ct, q0, trials, seed, pick):
+@pytest.mark.parametrize("ct, q0, trials, seed", CHUNK_CASES)
+def test_flags_do_not_depend_on_chunk(monkeypatch, chunk, ct, q0, trials, seed):
     c = Configuration(ct)
-    default = simulate_batch(c, q0, trials, seed, pick=pick)
+    default = simulate_batch(c, q0, trials, seed)
+    assert default.tolist() == replay(ct, q0, trials, seed)
     monkeypatch.setattr(remixed.simulate, "_CHUNK", chunk)
-    assert simulate_batch(c, q0, trials, seed, pick=pick).tolist() == default.tolist()
+    assert simulate_batch(c, q0, trials, seed).tolist() == default.tolist()
 
 
 @pytest.mark.parametrize("q0", [Fraction(1, 1000), Fraction(1000)])
@@ -150,15 +147,13 @@ def test_batch_replays_a_site_beyond_int8(q0):
     # succeeds and at q = 1000 every one fails, so a count that wrapped
     # shows either way
     c = Configuration((128,) + (0,) * 127)
-    assert simulate_batch(c, q0, 8, 21).tolist() == replay(c, q0, 8, 21)
+    assert simulate_batch(c, q0, 8, 21).tolist() == replay(c.c, q0, 8, 21)
 
 
 def test_batch_argument_validation():
     c = Configuration((2, 0))
     with pytest.raises(ValueError):
         simulate_batch(c, Fraction(1), 0, 1)
-    with pytest.raises(ValueError):
-        simulate_batch(c, Fraction(1), 10, 1, pick="middle")
     with pytest.raises(ValueError):
         simulate_batch(c, Fraction(-1), 10, 1)
 
@@ -187,14 +182,15 @@ def test_estimate_within_five_sigma():
 
 
 def test_pick_rules_equivalent_in_distribution():
+    # the scalar reference moves the leftmost or the rightmost overloaded
+    # site; either rule gives the success probability of the exact engine
     c = Configuration((0, 3, 0, 2, 0))
     q0 = Fraction(1)
     p = success_probability(c, q0)
     trials = 4000
     sigma = math.sqrt(float(p * (1 - p)) / trials)
-    for pick, seed in (("leftmost", 5), ("rightmost", 6)):
-        flags = simulate_batch(c, q0, trials, seed, pick=pick)
-        est = flags.sum() / trials
+    for pick, seed in ((min, 5), (max, 6)):
+        est = sum(replay(c.c, q0, trials, seed, pick)) / trials
         assert abs(est - float(p)) <= 5 * sigma
 
 
