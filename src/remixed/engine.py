@@ -4,27 +4,28 @@ The oracle follows the drop dynamics definition: balls fall one by one,
 and a ball that lands on an occupied site jumps to the nearest hole at
 distance a on the left, with weight q^a [b]/[a+b], or at distance b on
 the right, with weight [a]/[a+b].  One drop step is the only place a ball
-moves.  It reads the bounce geometry from a table built once per number
-of sites, and each occupancy mask carries a lane of integer masses, one
-per evaluation point: the weights at q = u/v are integers over one scale
-per point, so the success probability at a rational point is exact
-integer mass over a power of that scale.  remixed_exact walks its drop
-order once for all the points q = 0..n(n-1)/2 and lifts the polynomial
-from its integer values there by qcalc.interpolate.  A walk meets few of
-the bounce pairs, so the weights of a pair are built when it is first
-met.  The second evaluator runs the final ball recursion with memoization
-and never touches probabilities.  Agreement of the two is the backbone of
-the test suite.
+moves.  It reads the bounce geometry from one map per number of sites,
+and each occupancy mask carries a lane of integer masses, one per
+evaluation point: the weights at q = u/v are integers over one scale per
+point, so the success probability at a rational point is exact integer
+mass over a power of that scale.  remixed_exact walks its drop order once
+for all the points q = 0..n(n-1)/2 and lifts the polynomial from its
+integer values there by qcalc.interpolate.  A walk meets few of the
+(mask, site) states and bounce pairs, so the geometry of a state and the
+weights of a pair are built when they are first met.  The second
+evaluator runs the final ball recursion with memoization and never
+touches probabilities.  Agreement of the two is the backbone of the test
+suite.
 
 The bulk sweep over all configurations on n sites is the same computation
-reduced modulo two primes p1, p2 below 2**31: the bounce table, the integer
-weights divided by their scale, and qcalc.interpolate as a matrix, all mod
-p, on numpy int64 vectors of one lane per prime and per point
-q0 = 0..n(n-1)/2.  A residue is below 2**31, so a product of two is below
-2**62 and a sum of two below 2**63.  The coefficients of a configuration
-polynomial are nonnegative and sum to at most n! < p1 * p2, so the Chinese
-remainder theorem recovers them exactly, and a lifted coefficient or row
-sum above n! is reported as an InvariantViolation.
+reduced modulo two primes p1, p2 below 2**31: the same bounce geometry,
+the integer weights divided by their scale, and qcalc.interpolate as a
+matrix, all mod p, on numpy int64 vectors of one lane per prime and per
+point q0 = 0..n(n-1)/2.  A residue is below 2**31, so a product of two is
+below 2**62 and a sum of two below 2**63.  The coefficients of a
+configuration polynomial are nonnegative and sum to at most n! < p1 * p2,
+so the Chinese remainder theorem recovers them exactly, and a lifted
+coefficient or row sum above n! is reported as an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -66,33 +67,44 @@ class BadContent(ValueError):
     """A drop order whose multiset of sites does not match the configuration."""
 
 
-@lru_cache(maxsize=None)
-def _bounce_table(n: int) -> tuple[tuple[int, int, int] | None, ...]:
-    """Bounce geometry on n sites, indexed by mask * n + site - 1.
+class _Bounces(dict):
+    """Bounce geometry on n sites, keyed by mask * n + site - 1.
 
-    A free site has no entry: the ball settles there.  An occupied site
-    holds (left, right, pair): the masks after landing in the nearest hole
-    to the left and to the right, -1 where that hole is off the line, and
-    the pair number a * (n + 1) + b of the distances a, b to those holes.
-    The table has n * 2**n slots, the order of the states a sweep visits.
+    A free site reads None: the ball settles there.  An occupied site reads
+    (left, right, pair): the masks after landing in the nearest hole to the
+    left and to the right, -1 where that hole is off the line, and the pair
+    number a * (n + 1) + b of the distances a, b to those holes.  An entry
+    is built on first lookup, because a walk meets few of the n * 2**n
+    (mask, site) keys.
     """
-    tab: list[tuple[int, int, int] | None] = [None] * (n << n)
-    # one int object per landing mask, shared by every entry that lands there
-    ids = list(range(1 << n))
-    for mask in range(1 << n):
-        for s in range(1, n + 1):
-            if not mask >> (s - 1) & 1:
-                continue
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, key: int) -> tuple[int, int, int] | None:
+        n = self.n
+        # bit i of the mask is site i + 1
+        mask, i = divmod(key, n)
+        entry = None
+        if mask >> i & 1:
             a = 1
-            while s - a >= 1 and mask >> (s - a - 1) & 1:
+            while i - a >= 0 and mask >> (i - a) & 1:
                 a += 1
             b = 1
-            while s + b <= n and mask >> (s + b - 1) & 1:
+            while i + b < n and mask >> (i + b) & 1:
                 b += 1
-            lt = ids[mask | 1 << (s - a - 1)] if s - a >= 1 else -1
-            rt = ids[mask | 1 << (s + b - 1)] if s + b <= n else -1
-            tab[mask * n + s - 1] = (lt, rt, a * (n + 1) + b)
-    return tuple(tab)
+            lt = mask | 1 << (i - a) if i >= a else -1
+            rt = mask | 1 << (i + b) if i + b < n else -1
+            entry = (lt, rt, a * (n + 1) + b)
+        self[key] = entry
+        return entry
+
+
+@lru_cache(maxsize=None)
+def _bounce_table(n: int) -> _Bounces:
+    """The bounce geometry on n sites, one map per n for every walk."""
+    return _Bounces(n)
 
 
 def _brackets(n: int, u: int, v: int = 1) -> list[int]:
@@ -115,7 +127,7 @@ class _Weights(dict):
     Lane i holds the values at the i-th point, over that point's scale
     L_i = lcm(B_1..B_n).  The brackets, the scales and [n]! at every point
     are built up front.  The weights themselves are built by pair number
-    (see _bounce_table) on first lookup, because one walk meets few of the
+    (see _Bounces) on first lookup, because one walk meets few of the
     pairs: self[pair] is the left lane u^a B_b L / B_(a+b) and the right
     lane v^b B_a L / B_(a+b).  They are the weights q^a [b]/[a+b] and
     [a]/[a+b] times L, and they sum to L since u^a B_b + v^b B_a = B_(a+b).
@@ -297,7 +309,7 @@ def _lane_weights(n: int) -> tuple[list, list, np.ndarray, np.ndarray]:
 
     Lane k * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
     _PRIMES[k].  Returns the left and right weights by pair number (see
-    _bounce_table), [n]!(q0), and the modulus of each lane.  The weights are
+    _Bounces), [n]!(q0), and the modulus of each lane.  The weights are
     those of _Weights(n, range(D + 1)) times the inverse of their scale mod
     p, so they are q0^a [b]/[a+b] and [a]/[a+b] mod p and need no common
     scale.

@@ -39,11 +39,10 @@ from .qcalc import (
     QPoly,
     TSeries,
     ZERO,
+    _times_pochhammer,
     bracket_product,
     q_binomial,
-    q_pochhammer,
     require_nonnegative,
-    series_mul,
 )
 
 
@@ -208,8 +207,8 @@ def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
 
 def _bracket_series(sizes: Sequence[int], n: int, trunc: int) -> TSeries:
     """(t;q)_{n+1} times the sum of t**j prod [j+a] over a in sizes, mod t**trunc."""
-    rhs = TSeries(trunc, tuple(bracket_product([j + a for a in sizes]) for j in range(trunc)))
-    return series_mul(q_pochhammer(n + 1, trunc), rhs)
+    rows = [list(bracket_product([j + a for a in sizes]).coeffs) for j in range(trunc)]
+    return _times_pochhammer(rows, n + 1)
 
 
 def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:

@@ -17,8 +17,11 @@ Two product kernels carry nearly all of the package's arithmetic:
   digits are read back with a bias that keeps them nonnegative.  Packing
   and unpacking go through machine-word arrays, so both are linear and run
   at C speed.  Below a fixed length the shorter factor is multiplied row by
-  row instead.  series_mul packs every t-coefficient once at one stride,
-  so each t-coefficient of a product is a sum of int products.
+  row instead.
+
+Truncated t-series are multiplied by the Pochhammer product (t;q)_n one
+linear factor (1 - t q**i) at a time, in place on coefficient lists
+(_times_pochhammer); that is the only t-series product the package takes.
 """
 
 from __future__ import annotations
@@ -269,11 +272,6 @@ def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:
     return QPoly(tuple(cs))
 
 
-def q_monomial(k: int, c: int = 1) -> QPoly:
-    """The polynomial c * q**k."""
-    return QPoly((0,) * k + (c,))
-
-
 def q_int(i: int) -> QPoly:
     """Bracket of i: 1 + q + ... + q**(i-1).  Empty for i = 0.
 
@@ -434,67 +432,36 @@ class TSeries:
         if len(self.tcoeffs) != self.trunc:
             raise ValueError("coefficient count must equal trunc")
 
-    @classmethod
-    def of(cls, coeffs: Iterable[QPoly], trunc: int) -> TSeries:
-        cs = list(coeffs)[:trunc]
-        cs.extend([ZERO] * (trunc - len(cs)))
-        return cls(trunc, tuple(cs))
-
     def tcoeff(self, i: int) -> QPoly:
         if i >= self.trunc:
             raise TruncationTooShort(f"coefficient {i} beyond trunc {self.trunc}")
         return self.tcoeffs[i]
 
 
-def series_mul(a: TSeries, b: TSeries) -> TSeries:
-    """Product truncated to the shorter of the two truncations.
+def _times_pochhammer(rows: list[list[int]], n: int) -> TSeries:
+    """The t-series with q-coefficient rows[m] at t**m, times (t;q)_n, mod t**len(rows).
 
-    Every t-coefficient of both operands is packed once at one common
-    stride (see _kronecker); each t-coefficient of the product is then a
-    sum of bigint products, unpacked once.
+    The factors (1 - t q**i), i = 0..n-1, are applied one at a time: each
+    subtracts q**i times row m - 1 from row m.  Rows are updated from the
+    top down, so row m - 1 still holds its value before that factor.  The
+    lists in rows are overwritten.
     """
-    k = min(a.trunc, b.trunc)
-    ra = [c.coeffs for c in a.tcoeffs[:k]]
-    rb = [c.coeffs for c in b.tcoeffs[:k]]
-    la = max(map(len, ra), default=0)
-    lb = max(map(len, rb), default=0)
-    if not la or not lb:
-        return TSeries(k, (ZERO,) * k)
-    top_a = max(max(map(abs, cs)) for cs in ra if cs)
-    top_b = max(max(map(abs, cs)) for cs in rb if cs)
-    width = _stride(top_a * top_b * min(la, lb) * k)
-    pa = [_pack(cs, width) if cs else 0 for cs in ra]
-    pb = [_pack(cs, width) if cs else 0 for cs in rb]
-    out = []
-    for m in range(k):
-        packed = sum(map(mul, pa[: m + 1], pb[m::-1]))
-        out.append(QPoly(tuple(_unpack(packed, width, la + lb - 1))) if packed else ZERO)
-    return TSeries(k, tuple(out))
+    for i in range(n):
+        for m in range(len(rows) - 1, 0, -1):
+            lower, row = rows[m - 1], rows[m]
+            end = i + len(lower)
+            if len(row) < end:
+                row += repeat(0, end - len(row))
+            row[i:end] = map(sub, row[i:end], lower)
+    return TSeries(len(rows), tuple(QPoly(tuple(r)) for r in rows))
 
 
-def series_equal_mod(a: TSeries, b: TSeries, k: int) -> bool:
-    """Whether a and b agree on all t-coefficients below t**k.
-
-    Raises TruncationTooShort when either operand is not known that far.
-    """
-    if k > a.trunc or k > b.trunc:
-        raise TruncationTooShort(f"need {k} coefficients, have {a.trunc} and {b.trunc}")
-    return all(a.tcoeffs[i] == b.tcoeffs[i] for i in range(k))
-
-
-@lru_cache(maxsize=None)
 def q_pochhammer(n: int, trunc: int) -> TSeries:
     """Product of (1 - t q**i) for i in [0, n), modulo t**trunc.
-
-    Memoised: a TSeries is immutable, and the identity suites ask for the
-    same few series many times.
 
     >>> [c.coeffs for c in q_pochhammer(2, 3).tcoeffs]
     [(1,), (-1, -1), (0, 1)]
     """
     if n < 0:
         raise ValueError("negative factor count")
-    out = TSeries.of([ONE], trunc)
-    for i in range(n):
-        out = series_mul(out, TSeries.of([ONE, q_monomial(i, -1)], trunc))
-    return out
+    return _times_pochhammer([[1] if m == 0 else [] for m in range(trunc)], n)

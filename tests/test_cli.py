@@ -74,9 +74,11 @@ def test_eval_formula_unavailable(capsys):
 
 
 def test_eval_parse_failures(capsys):
-    for bad in (["eval", "1,2"], ["eval", ""], ["eval", "1,a"], ["eval", "2,0", "--q", "0.5"]):
+    zero_den = ["eval", "2,0", "--q", "1/0"]
+    for bad in (["eval", "1,2"], ["eval", ""], ["eval", "1,a"], ["eval", "2,0", "--q", "0.5"], zero_den):
         rc, out, err = run(capsys, *bad)
         assert rc == 2 and err.startswith("error:")
+    assert err == "error: zero denominator in '1/0'\n"
 
 
 def test_eval_crosscheck_mismatch_exit_code(capsys, monkeypatch):

@@ -27,6 +27,7 @@ from remixed.formulas import (
     cs_configuration,
     dispatch,
     hit_to_connected,
+    mset,
     q_hit,
 )
 from remixed.qcalc import (
@@ -40,8 +41,8 @@ from remixed.qcalc import (
     q_factorial,
     q_int,
     q_pochhammer,
-    series_mul,
 )
+from series_reference import pochhammer_reference, series_mul_reference
 
 
 # ---------------------------------------------------------------- lukasiewicz
@@ -254,7 +255,28 @@ def test_q_hit_examples():
 def hit_series(h, trunc):
     """The hit number generating series mod t**trunc, its products built by repeated *."""
     rhs = [prod((q_int(j + e) for e in h.factor_offsets()), start=ONE) for j in range(trunc)]
-    return series_mul(q_pochhammer(h.n + 1, trunc), TSeries.of(rhs, trunc))
+    return series_mul_reference(pochhammer_reference(h.n + 1, trunc), TSeries(trunc, tuple(rhs)))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 9), st.data())
+def test_pochhammer_products_match_schoolbook(n, data):
+    """q_pochhammer, core_series and q_hit against schoolbook products with (t;q)."""
+    below, above = st.integers(0, n), st.integers(n + 2, n + 4)
+    trunc = data.draw(st.one_of(st.just(0), st.just(n + 1), above, below), label="trunc")
+    assert q_pochhammer(n, trunc) == pochhammer_reference(n, trunc)
+    gamma = tuple(data.draw(st.lists(st.integers(0, 2), max_size=3), label="gamma"))
+    rows = TSeries(trunc, tuple(bracket_product([j + a for a in mset(gamma)]) for j in range(trunc)))
+    want = series_mul_reference(pochhammer_reference(n + 1, trunc), rows)
+    assert core_series(gamma, n, trunc) == want
+    if n:
+        # clamped to the staircase, parts often reach it, and then hit offsets are 0
+        parts = sorted(data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), reverse=True)
+        lam = tuple(min(x, n - k) for k, x in enumerate(parts))
+        offsets = HitIndex(lam, 0, n).factor_offsets()
+        rows = TSeries(n + 1, tuple(bracket_product([j + e for e in offsets]) for j in range(n + 1)))
+        want = series_mul_reference(pochhammer_reference(n + 1, n + 1), rows)
+        assert [q_hit(HitIndex(lam, i, n)) for i in range(n + 1)] == list(want.tcoeffs)
 
 
 def _staircase_partitions(n):
@@ -366,16 +388,16 @@ def test_cs_generating_series():
         for y in (1, 2):
             for total in range(4):
                 trunc = total + 1
-                lhs = TSeries.of(
-                    [carlitz_scoville_q(CSParams(i, total - i, x, y)) for i in range(trunc)],
+                lhs = TSeries(
                     trunc,
+                    tuple(carlitz_scoville_q(CSParams(i, total - i, x, y)) for i in range(trunc)),
                 )
-                rhs_coeffs = [
+                rhs_coeffs = tuple(
                     q_binomial(j + x + y - 1, j) * prod([q_int(j + y)] * total, start=ONE)
                     for j in range(trunc)
-                ]
-                rhs = series_mul(
-                    q_pochhammer(total + x + y, trunc), TSeries.of(rhs_coeffs, trunc)
+                )
+                rhs = series_mul_reference(
+                    q_pochhammer(total + x + y, trunc), TSeries(trunc, rhs_coeffs)
                 )
                 assert lhs == rhs
 
