@@ -66,16 +66,17 @@ def _emit(env: dict) -> None:
 
 
 def _parse_rational(text: str) -> Fraction:
-    """Exact rational from 'a/b' or an integer literal; decimals rejected."""
+    """Exact rational for --q from 'a/b' or an integer literal; decimals rejected."""
     text = text.strip()
-    if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
-        if not den:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    if "." in text:
+    num, slash, den = text.partition("/")
+    if not slash and "." in text:
         raise ValueError(f"decimal {text!r} rejected, use an integer or a/b")
-    return Fraction(int(text))
+    try:
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    except ValueError:
+        raise ValueError(f"--q takes an integer or a/b with integers a and b, got {text!r}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_tuple(text: str, what: str) -> tuple[int, ...]:

@@ -3,39 +3,41 @@
 The oracle follows the drop dynamics definition: balls fall one by one,
 and a ball that lands on an occupied site jumps to the nearest hole at
 distance a on the left, with weight q^a [b]/[a+b], or at distance b on
-the right, with weight [a]/[a+b].  One drop step is the only place a ball
-moves.  It reads the bounce geometry from one map per number of sites,
-and each occupancy mask carries a lane of integer masses, one per
+the right, with weight [a]/[a+b].  One drop step, _drop, is the only place
+a ball moves.  It reads the bounce geometry from one map per number of
+sites, and each occupancy mask carries a numpy lane of masses, one per
 evaluation point: the weights at q = u/v are integers over one scale per
 point, so the success probability at a rational point is exact integer
 mass over a power of that scale.  remixed_exact walks its drop order once
-for all the points q = 0..n(n-1)/2 and lifts the polynomial from its
-integer values there by qcalc.interpolate.  A walk meets few of the
-(mask, site) states and bounce pairs, so the geometry of a state and the
-weights of a pair are built when they are first met.  The second
-evaluator runs the final ball recursion with memoization and never
+for all the points q = 0..n(n-1)/2, on lanes of Python integers, and lifts
+the polynomial from its integer values there by qcalc.interpolate.  A walk
+meets few of the (mask, site) states and bounce pairs, so the geometry of
+a state and the weights of a pair are built when they are first met.  The
+second evaluator runs the final ball recursion with memoization and never
 touches probabilities.  Agreement of the two is the backbone of the test
 suite.
 
-The bulk sweep over all configurations on n sites is the same computation
-reduced modulo two primes p1, p2 below 2**31: the same bounce geometry,
-the integer weights divided by their scale, and qcalc.interpolate as a
-matrix, all mod p, on numpy int64 vectors of one lane per prime and per
-point q0 = 0..n(n-1)/2.  A residue is below 2**31, so a product of two is
-below 2**62 and a sum of two below 2**63.  The coefficients of a
-configuration polynomial are nonnegative and sum to at most n! < p1 * p2,
-so the Chinese remainder theorem recovers them exactly, and a lifted
-coefficient or row sum above n! is reported as an InvariantViolation.
+The bulk sweep over all configurations on n sites runs the same drop step
+on int64 lanes of residues modulo two primes p1, p2 below 2**28, one lane
+per prime and per point q0 = 0..D, D = n(n-1)/2, and interpolates by
+qcalc.interpolate as a matrix mod p.  Every lane is reduced after each
+drop, so a product of two residues is below 2**56.  A mask that a drop
+reaches gains one site, so it sums at most n products, and a row of the
+interpolation matrix sums D + 1 of them: both stay below 2**63 for every
+n <= 16.  The coefficients of a configuration polynomial are nonnegative
+and sum to at most n! < p1 * p2, so the Chinese remainder theorem
+recovers them exactly, and a lifted coefficient or row sum above n! is
+reported as an InvariantViolation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial, lcm, prod
-from operator import add, mul
+from operator import add
 
 import numpy as np
 
@@ -54,8 +56,8 @@ from .qcalc import (
     require_nonnegative,
 )
 
-# exact_sweep works modulo these two primes below 2**31: 2**31 - 1 and 2**31 - 19.
-_PRIMES = (2147483647, 2147483629)
+# exact_sweep works modulo these two primes, the largest two below 2**28.
+_PRIMES = (268435399, 268435367)
 
 # Largest number of sites exact_sweep accepts.  Its leaves take
 # C(2n - 1, n) * 2(D + 1) int64 values, D = n(n-1)/2: 14 MB at n = 9,
@@ -126,11 +128,13 @@ class _Weights(dict):
 
     Lane i holds the values at the i-th point, over that point's scale
     L_i = lcm(B_1..B_n).  The brackets, the scales and [n]! at every point
-    are built up front.  The weights themselves are built by pair number
-    (see _Bounces) on first lookup, because one walk meets few of the
-    pairs: self[pair] is the left lane u^a B_b L / B_(a+b) and the right
-    lane v^b B_a L / B_(a+b).  They are the weights q^a [b]/[a+b] and
-    [a]/[a+b] times L, and they sum to L since u^a B_b + v^b B_a = B_(a+b).
+    are built up front; the scales are a numpy lane of Python integers.
+    The weights themselves are built by pair number (see _Bounces) on
+    first lookup, because one walk meets few of the pairs: self[pair] is
+    the left lane u^a B_b L / B_(a+b) and the right lane v^b B_a L /
+    B_(a+b), both numpy lanes of Python integers.  They are the weights
+    q^a [b]/[a+b] and [a]/[a+b] times L, and they sum to L since
+    u^a B_b + v^b B_a = B_(a+b).
     """
 
     def __init__(self, n: int, points: Iterable[QRat]) -> None:
@@ -141,61 +145,71 @@ class _Weights(dict):
             raise ValueError("q must be nonnegative")
         self.points = [(q0.numerator, q0.denominator) for q0 in fracs]
         self.brackets = [_brackets(n, u, v) for u, v in self.points]
-        self.scale = [lcm(*br[1:]) for br in self.brackets]
+        self.scale = np.array([lcm(*br[1:]) for br in self.brackets], object)
         # the product B_1 ... B_n is [n]!(q0) at an integer point q0
         self.fact = [prod(br[1:]) for br in self.brackets]
 
-    def __missing__(self, pair: int) -> tuple[list[int], list[int]]:
+    def __missing__(self, pair: int) -> tuple[np.ndarray, np.ndarray]:
         a, b = divmod(pair, self.n + 1)
         left, right = [], []
         for (u, v), br, scale in zip(self.points, self.brackets, self.scale):
             unit = scale // br[a + b]
             left.append(u**a * br[b] * unit)
             right.append(v**b * br[a] * unit)
-        self[pair] = left, right
-        return left, right
+        lanes = self[pair] = np.array(left, object), np.array(right, object)
+        return lanes
 
 
-def _drop(dist: dict[int, list[int]], s: int, n: int, weights: _Weights) -> dict[int, list[int]]:
+def _drop(
+    dist: dict[int, np.ndarray],
+    s: int,
+    n: int,
+    weights: Mapping[int, tuple[np.ndarray, np.ndarray]],
+    scale: np.ndarray,
+) -> dict[int, np.ndarray]:
     """Drop one ball at site s onto every occupancy mask in dist.
 
-    Each mask carries a list of integer masses, one lane per point of the
-    weights.  Each drop multiplies a lane's total by its scale, and a
-    branch that would land off the line is lost mass.
+    Each mask carries a numpy lane of masses, one per point: Python
+    integers for the exact oracle, residues for the sweep.  weights maps a
+    pair number (see _Bounces) to its left and right weight lanes, and
+    scale is the lane of the weights' scales.  A ball on a free site
+    multiplies the lane by its scale, a bounce by the weight of its
+    branch, and a branch that would land off the line is lost mass.  The
+    only arithmetic is lane * scale, lane * weight and the sum of the
+    lanes that reach one mask, so the caller decides when to reduce.
     """
     tab = _bounce_table(n)
-    scale = weights.scale
     bit = 1 << (s - 1)
-    out: dict[int, list[int]] = {}
+    out: dict[int, np.ndarray] = {}
 
-    def put(mask: int, lane) -> None:
+    def put(mask: int, lane: np.ndarray) -> None:
         got = out.get(mask)
-        out[mask] = list(lane) if got is None else list(map(add, got, lane))
+        out[mask] = lane if got is None else got + lane
 
-    for mask, w in dist.items():
+    for mask, lane in dist.items():
         if not mask & bit:
-            put(mask | bit, map(mul, w, scale))
+            put(mask | bit, lane * scale)
             continue
         lt, rt, pair = tab[mask * n + s - 1]
         lw, rw = weights[pair]
-        # every left weight is 0 when q = 0 at every point
-        if lt >= 0 and any(lw):
-            put(lt, map(mul, w, lw))
+        if lt >= 0:
+            put(lt, lane * lw)
         if rt >= 0:
-            put(rt, map(mul, w, rw))
+            put(rt, lane * rw)
     return out
 
 
-def _success_for_order(n: int, order: tuple[int, ...], weights: _Weights) -> list[int]:
+def _success_for_order(n: int, order: tuple[int, ...], weights: _Weights) -> np.ndarray:
     """Chance that dropping balls at the given sites fills [1, n], at every point.
 
     One walk carries all points of the weights.  Returned unreduced, as the
     integer mass of the full state in each lane, over L_i**n in lane i.
     """
-    dist = {0: [1] * len(weights.scale)}
+    width = len(weights.scale)
+    dist = {0: np.ones(width, object)}
     for s in order:
-        dist = _drop(dist, s, n, weights)
-    return dist.get((1 << n) - 1, [0] * len(weights.scale))
+        dist = _drop(dist, s, n, weights, weights.scale)
+    return dist.get((1 << n) - 1, np.zeros(width, object))
 
 
 def _probability(n: int, order: tuple[int, ...], q0: QRat) -> QRat:
@@ -304,59 +318,32 @@ def remixed_induction(c: Configuration) -> QPoly:
     return _induction(c.c)
 
 
-def _lane_weights(n: int) -> tuple[list, list, np.ndarray, np.ndarray]:
-    """Bounce weights and [n]! at every lane of the sweep, as residues.
+def _lane_weights(
+    n: int,
+) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+    """The weights of _Weights(n, range(D + 1)) at every lane of the sweep, as residues.
 
     Lane k * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
-    _PRIMES[k].  Returns the left and right weights by pair number (see
-    _Bounces), [n]!(q0), and the modulus of each lane.  The weights are
-    those of _Weights(n, range(D + 1)) times the inverse of their scale mod
-    p, so they are q0^a [b]/[a+b] and [a]/[a+b] mod p and need no common
-    scale.
+    _PRIMES[k].  Returns the left and right weight lanes by pair number
+    (see _Bounces), the scales, [n]!(q0) * scale**-n, which turns the
+    mass of a full state into [n]!(q0) times its success chance, and the
+    modulus of each lane.
     """
     big_d = n * (n - 1) // 2
     weights = _Weights(n, range(big_d + 1))
-    # (p, inverse of the scale mod p) of every lane, in lane order
-    lanes = [(p, pow(scale, -1, p)) for p in _PRIMES for scale in weights.scale]
-    lw = np.zeros(((n + 1) * (n + 2), len(lanes)), np.int64)
-    rw = np.zeros_like(lw)
-    for a in range(1, n):
-        for b in range(1, n - a + 1):
-            pair = a * (n + 1) + b
-            left, right = weights[pair]
-            lw[pair] = [w * inv % p for (p, inv), w in zip(lanes, left * len(_PRIMES))]
-            rw[pair] = [w * inv % p for (p, inv), w in zip(lanes, right * len(_PRIMES))]
-    fact = np.array([f % p for (p, _), f in zip(lanes, weights.fact * len(_PRIMES))], np.int64)
-    return list(lw), list(rw), fact, np.repeat(np.array(_PRIMES, np.int64), big_d + 1)
 
+    def residues(values: Iterable[int]) -> np.ndarray:
+        return np.array([[v % p for v in values] for p in _PRIMES], np.int64).ravel()
 
-def _drop_lanes(
-    dist: dict[int, np.ndarray], s: int, n: int, lw: list, rw: list, mod: np.ndarray
-) -> dict[int, np.ndarray]:
-    """_drop on vectors of residues, one entry per lane.
-
-    Every vector stays reduced mod its lane's prime: a product of two
-    residues is below 2**62 and is reduced before it is added, so a sum of
-    two is below 2**32.
-    """
-    tab = _bounce_table(n)
-    bit = 1 << (s - 1)
-    out: dict[int, np.ndarray] = {}
-
-    def put(mask: int, vec: np.ndarray) -> None:
-        got = out.get(mask)
-        out[mask] = vec if got is None else (got + vec) % mod
-
-    for mask, vec in dist.items():
-        if not mask & bit:
-            put(mask | bit, vec)
-            continue
-        lt, rt, pair = tab[mask * n + s - 1]
-        if lt >= 0:
-            put(lt, vec * lw[pair] % mod)
-        if rt >= 0:
-            put(rt, vec * rw[pair] % mod)
-    return out
+    pairs = {
+        pair: tuple(map(residues, weights[pair]))
+        for pair in (a * (n + 1) + b for a in range(1, n) for b in range(1, n - a + 1))
+    }
+    unit = np.array(
+        [[f * pow(scale, -n, p) % p for f, scale in zip(weights.fact, weights.scale)] for p in _PRIMES],
+        np.int64,
+    ).ravel()
+    return pairs, residues(weights.scale), unit, np.repeat(np.array(_PRIMES, np.int64), big_d + 1)
 
 
 def _sweep_residues(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -368,7 +355,7 @@ def _sweep_residues(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     the configurations and an int64 array of shape (count, 2, D + 1),
     indexed by configuration, prime and q0.
     """
-    lw, rw, fact, mod = _lane_weights(n)
+    weights, scale, unit, mod = _lane_weights(n)
     keys: list[tuple[int, ...]] = []
     leaves = np.empty((comb(2 * n - 1, n), mod.size), np.int64)
     full = (1 << n) - 1
@@ -381,8 +368,10 @@ def _sweep_residues(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
                 keys.append(tuple(counts[1:]))
             return
         for s in range(min_site, n + 1):
-            nd = _drop_lanes(dist, s, n, lw, rw, mod)
+            nd = _drop(dist, s, n, weights, scale)
             if nd:
+                for lane in nd.values():
+                    lane %= mod
                 counts[s] += 1
                 rec(s, k + 1, nd)
                 counts[s] -= 1
@@ -391,7 +380,7 @@ def _sweep_residues(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     # every configuration has a positive success chance at q = 1
     if len(keys) != len(leaves):
         raise InvariantViolation(f"{len(leaves) - len(keys)} configurations never filled the line")
-    leaves *= fact
+    leaves *= unit
     leaves %= mod
     return keys, leaves.reshape(len(keys), len(_PRIMES), -1)
 
@@ -421,14 +410,13 @@ def _interpolate_mod(vals: np.ndarray) -> np.ndarray:
     """Coefficient residues of the polynomials through vals[..., q0] at q = q0.
 
     vals has shape (rows, 2, D + 1), residues mod _PRIMES along the middle
-    axis.  The map of _interp_matrix is split into 16-bit halves, so each
-    product in a matrix product is below 2**47 and each sum of D + 1 <= 46
-    of them below 2**53.
+    axis.  Each product in the matrix product with _interp_matrix is below
+    2**56 and each sum of D + 1 of them below 2**63 for D + 1 <= 128, which
+    covers every n <= 16.
     """
     out = np.empty_like(vals)
     for k, (p, m) in enumerate(zip(_PRIMES, _interp_matrix(vals.shape[-1] - 1))):
-        y = vals[:, k]
-        out[:, k] = (((y @ (m >> 16)) % p << 16) + y @ (m & 0xFFFF)) % p
+        out[:, k] = vals[:, k] @ m % p
     return out
 
 
@@ -447,16 +435,19 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     a prefix of that order share the drops of the prefix (_sweep_residues),
     and each reachable occupancy mask carries one int64 vector with a lane
     per prime p in _PRIMES and per q0 = 0..D, D = n(n-1)/2, holding its
-    probability mass at q0 mod p.  Residues are below 2**31, so every
-    product of two is below 2**62 and every sum of two below 2**63.  The
-    leaves are interpolated mod each prime (_interpolate_mod) and lifted
-    by the Chinese remainder theorem into [0, p1 * p2).
+    probability mass at q0 mod p.  The drop step is _drop itself: the lanes
+    are reduced after every drop, so they stay below p < 2**28, a product
+    of two is below 2**56 and the at most n products that reach one mask
+    sum to below 2**63.  The leaves are interpolated mod each prime
+    (_interpolate_mod) and lifted by the Chinese remainder theorem into
+    [0, p1 * p2).
 
     The true coefficients are nonnegative and sum to n! * P(success at
     q = 1) <= n! < p1 * p2, so the lift is exact.  A lifted coefficient or
     row sum above n! means the residues disagree with the theory and
     raises InvariantViolation; a wrong residue slips through only by
-    landing in [0, n!], a chance of about n! / (p1 * p2) per coefficient.
+    landing in [0, n!], a chance of about n! / (p1 * p2) per coefficient,
+    5e-11 at n = 10.
 
     Raises ValueError for n above SWEEP_MAX_N: the leaves alone take
     C(2n - 1, n) * 2(D + 1) int64 values, 68 MB at n = 10.

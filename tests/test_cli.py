@@ -79,6 +79,11 @@ def test_eval_parse_failures(capsys):
         rc, out, err = run(capsys, *bad)
         assert rc == 2 and err.startswith("error:")
     assert err == "error: zero denominator in '1/0'\n"
+    bad_q = [["eval", "2,0", "--q", q] for q in ("1/x", "x", "1/2/3", "1e5", "/2")]
+    for bad in bad_q + [["simulate", "2,0", "--q", "1/x", "--trials", "10"]]:
+        rc, out, err = run(capsys, *bad)
+        assert rc == 2 and out == ""
+        assert err == f"error: --q takes an integer or a/b with integers a and b, got {bad[3]!r}\n"
 
 
 def test_eval_crosscheck_mismatch_exit_code(capsys, monkeypatch):

@@ -30,19 +30,25 @@ def _landing(occupied, s, n):
     return lt, rt, divmod(pair, n + 1)
 
 
+def _lists(dist):
+    """A drop step's masks with their lanes as plain lists."""
+    return {mask: lane.tolist() for mask, lane in dist.items()}
+
+
 def test_bounce_table_examples():
     # a ball bounced off a lone occupied site 1 can only go right
     assert _landing({1}, 1, 2) == (-1, 0b11, (1, 1))
     # free site: no entry, the drop step settles the ball there with the full scale
     assert _landing(set(), 3, 5) is None
     weights = engine._Weights(5, (2,))
-    assert engine._drop({0: [1]}, 3, 5, weights) == {0b00100: weights.scale}
+    assert _lists(engine._drop({0: [1]}, 3, 5, weights, weights.scale)) == {0b00100: weights.scale.tolist()}
     # both branches live, into the holes at sites 1 and 4
     assert _landing({2, 3}, 3, 4) == (0b0111, 0b1110, (2, 1))
     # at q = 2: left q^2 [1] / [3] = 4/7, right [2] / [3] = 3/7
     weights = engine._Weights(4, (2,))
     (scale,) = weights.scale
-    assert engine._drop({0b0110: [1]}, 3, 4, weights) == {0b0111: [4 * scale // 7], 0b1110: [3 * scale // 7]}
+    got = _lists(engine._drop({0b0110: [1]}, 3, 4, weights, weights.scale))
+    assert got == {0b0111: [4 * scale // 7], 0b1110: [3 * scale // 7]}
 
 
 def test_bounce_weights_conserve_mass():
@@ -76,12 +82,12 @@ def test_drop_lanes_do_not_interact():
             shuffled = order[:]
             rng.shuffle(shuffled)
             for walk in (tuple(order), tuple(shuffled)):
-                together = engine._success_for_order(n, walk, engine._Weights(n, points))
-                alone = [engine._success_for_order(n, walk, engine._Weights(n, (q0,))) for q0 in points]
+                together = engine._success_for_order(n, walk, engine._Weights(n, points)).tolist()
+                alone = [engine._success_for_order(n, walk, engine._Weights(n, (q0,))).tolist() for q0 in points]
                 assert together == [mass for (mass,) in alone], (c.c, walk)
         # a ball per site never bounces, so its walk builds no pair lanes
         weights = engine._Weights(n, points)
-        masses = engine._success_for_order(n, tuple(range(1, n + 1)), weights)
+        masses = engine._success_for_order(n, tuple(range(1, n + 1)), weights).tolist()
         assert masses == [scale**n for scale in weights.scale]
         assert len(weights) == 0
 
@@ -159,13 +165,19 @@ def test_sweep_primes_fit_every_allowed_n():
     p1, p2 = engine._PRIMES
     for n in range(1, engine.SWEEP_MAX_N + 1):
         assert factorial(n) < p1 * p2
-        for q0 in range(n * (n - 1) // 2 + 1):
+        big_d = n * (n - 1) // 2
+        for p in engine._PRIMES:
+            # at most n products of two residues reach one mask in a drop,
+            # and a row of the interpolation matrix sums D + 1 of them
+            assert n * (p - 1) ** 2 < 2**63
+            assert (big_d + 1) * (p - 1) ** 2 < 2**63
+        for q0 in range(big_d + 1):
             for bracket in engine._brackets(n, q0)[1:]:
                 assert bracket % p1 and bracket % p2, (n, q0)
 
 
 def test_modular_interpolation_every_allowed_degree():
-    # every D the sweep uses; at D = 45 the matrix products come nearest 2**53
+    # every D the sweep uses; at D = 45 the sums of D + 1 products come nearest 2**63
     rng = random.Random(53)
     for n in range(1, engine.SWEEP_MAX_N + 1):
         big_d, bound = n * (n - 1) // 2, factorial(n)

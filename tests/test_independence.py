@@ -4,7 +4,8 @@ The drop-dynamics oracle must not import the closed formulas it checks,
 the simulator must not import the exact engine it checks, and the closed
 formulas take from the engine only the recursion they fall back on.  The
 scalar reference the tests check the simulator against imports nothing
-from the package.
+from the package.  Inside the engine, one drop step moves every ball, for
+the single-order oracle and the sweep alike.
 """
 
 import ast
@@ -48,6 +49,17 @@ def test_route_does_not_import_what_it_checks(module, forbidden):
 
 def test_formulas_take_only_the_recursion_from_the_engine():
     assert imports(PACKAGE / "formulas.py")["engine"] == {"remixed_induction"}
+
+
+def test_one_drop_kernel_reads_the_bounce_geometry():
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, ast.Name) and node.id == "_bounce_table" for node in ast.walk(func))
+    }
+    assert readers == {"_drop"}
 
 
 def test_scalar_reference_imports_nothing_from_the_package():
