@@ -149,21 +149,29 @@ def _shifts(gamma: tuple[int, ...], n: int) -> range:
     return range(n - len(gamma) + 1)
 
 
+def _sites(args: argparse.Namespace) -> int:
+    """--n of a table kind that reads it, at least one site."""
+    n = _require(args.n, "n")
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    return n
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     rows: list[tuple[str, object]] = []
     if args.kind == "connected":
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
-        n = _require(args.n, "n")
+        n = _sites(args)
         for i in _shifts(gamma, n):
             rows.append((str(i), a_connected(gamma, i, n)))
     elif args.kind == "weakly":
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
-        n = _require(args.n, "n")
+        n = _sites(args)
         for i in range(max_weakly_shift(gamma, n) + 1):
             rows.append((str(i), a_weakly_lukasiewicz(gamma, i, n)))
     elif args.kind == "one-hole":
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
-        n = _require(args.n, "n")
+        n = _sites(args)
         for i in _shifts(gamma, n):
             rows.append((str(i), a_one_hole(shifted_config(gamma, i, n))))
     elif args.kind == "cs":
@@ -177,7 +185,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 rows.append((f"{r}:{total - r}", p))
     elif args.kind == "hit":
         lam = _parse_tuple(_require(args.lam, "lambda"), "lambda")
-        n = _require(args.n, "n")
+        n = _sites(args)
         for i in range(n + 1):
             rows.append((str(i), q_hit(HitIndex(lam, i, n))))
     if args.format == "csv":
@@ -363,6 +371,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("need at least one trial")
     q0 = _parse_rational(args.q)
+    if q0 < 0:
+        raise ValueError(f"--q must be nonnegative, got {args.q!r}")
     res = estimate_success(c, q0, args.trials, args.seed)
     result: dict = {"sim": res.to_json()}
     if c.n <= 10:
@@ -391,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--method", choices=["auto", "exact", "induction", "formula"], default="auto")
     p.add_argument("--crosscheck", action="store_true")
-    p.add_argument("--q", default=None, help="evaluate at an exact rational, a/b or integer")
+    p.add_argument(
+        "--q",
+        default=None,
+        help="evaluate at an exact rational, a/b or integer; write a negative fraction as --q=-1/2",
+    )
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_eval)
 

@@ -12,10 +12,12 @@ mass over a power of that scale.  remixed_exact walks its drop order once
 for all the points q = 0..n(n-1)/2, on lanes of Python integers, and lifts
 the polynomial from its integer values there by qcalc.interpolate.  A walk
 meets few of the (mask, site) states and bounce pairs, so the geometry of
-a state and the weights of a pair are built when they are first met.  The
-second evaluator runs the final ball recursion with memoization and never
-touches probabilities.  Agreement of the two is the backbone of the test
-suite.
+a state and the weights of a pair are built when they are first met.  Both
+are kept per n for the life of the process: the geometry by _bounce_table,
+the weights at the points 0..n(n-1)/2 by _oracle_weights, which
+remixed_exact and the sweep share.  The second evaluator runs the final
+ball recursion with memoization and never touches probabilities.
+Agreement of the two is the backbone of the test suite.
 
 The bulk sweep over all configurations on n sites runs the same drop step
 on int64 lanes of residues modulo two primes p1, p2 below 2**28, one lane
@@ -134,7 +136,8 @@ class _Weights(dict):
     the left lane u^a B_b L / B_(a+b) and the right lane v^b B_a L /
     B_(a+b), both numpy lanes of Python integers.  They are the weights
     q^a [b]/[a+b] and [a]/[a+b] times L, and they sum to L since
-    u^a B_b + v^b B_a = B_(a+b).
+    u^a B_b + v^b B_a = B_(a+b).  Every lane is read-only, because
+    _oracle_weights hands one instance to every walk on n sites.
     """
 
     def __init__(self, n: int, points: Iterable[QRat]) -> None:
@@ -143,11 +146,11 @@ class _Weights(dict):
         fracs = [Fraction(q0) for q0 in points]
         if any(q0 < 0 for q0 in fracs):
             raise ValueError("q must be nonnegative")
-        self.points = [(q0.numerator, q0.denominator) for q0 in fracs]
-        self.brackets = [_brackets(n, u, v) for u, v in self.points]
-        self.scale = np.array([lcm(*br[1:]) for br in self.brackets], object)
+        self.points = tuple((q0.numerator, q0.denominator) for q0 in fracs)
+        self.brackets = tuple(_brackets(n, u, v) for u, v in self.points)
+        self.scale = _frozen([lcm(*br[1:]) for br in self.brackets])
         # the product B_1 ... B_n is [n]!(q0) at an integer point q0
-        self.fact = [prod(br[1:]) for br in self.brackets]
+        self.fact = tuple(prod(br[1:]) for br in self.brackets)
 
     def __missing__(self, pair: int) -> tuple[np.ndarray, np.ndarray]:
         a, b = divmod(pair, self.n + 1)
@@ -156,8 +159,25 @@ class _Weights(dict):
             unit = scale // br[a + b]
             left.append(u**a * br[b] * unit)
             right.append(v**b * br[a] * unit)
-        lanes = self[pair] = np.array(left, object), np.array(right, object)
+        lanes = self[pair] = _frozen(left), _frozen(right)
         return lanes
+
+
+def _frozen(values: list[int]) -> np.ndarray:
+    """A read-only numpy lane of Python integers."""
+    lane = np.array(values, object)
+    lane.setflags(write=False)
+    return lane
+
+
+@lru_cache(maxsize=None)
+def _oracle_weights(n: int) -> _Weights:
+    """The weights on n sites at q = 0..n(n-1)/2, one instance per n for every walk.
+
+    remixed_exact and the sweep (_lane_weights) both read it, and a pair
+    weight is built when the first of them looks it up.
+    """
+    return _Weights(n, range(n * (n - 1) // 2 + 1))
 
 
 def _drop(
@@ -244,7 +264,7 @@ def remixed_exact(c: Configuration) -> QPoly:
     integer coefficients; anything else is an internal defect.
     """
     n = c.n
-    weights = _Weights(n, range(n * (n - 1) // 2 + 1))
+    weights = _oracle_weights(n)
     masses = _success_for_order(n, left_to_right_order(c), weights)
     vals = [
         _integer_value(factv, mass, scale**n, q0)
@@ -321,7 +341,7 @@ def remixed_induction(c: Configuration) -> QPoly:
 def _lane_weights(
     n: int,
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
-    """The weights of _Weights(n, range(D + 1)) at every lane of the sweep, as residues.
+    """The weights of _oracle_weights(n) at every lane of the sweep, as residues.
 
     Lane k * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
     _PRIMES[k].  Returns the left and right weight lanes by pair number
@@ -330,7 +350,7 @@ def _lane_weights(
     modulus of each lane.
     """
     big_d = n * (n - 1) // 2
-    weights = _Weights(n, range(big_d + 1))
+    weights = _oracle_weights(n)
 
     def residues(values: Iterable[int]) -> np.ndarray:
         return np.array([[v % p for v in values] for p in _PRIMES], np.int64).ravel()

@@ -47,6 +47,10 @@ def test_eval_at_rational(capsys):
     assert "poly" not in env["result"]
     rc, out, _ = run(capsys, "eval", "1,1,1", "--q", "1/2")
     assert json.loads(out)["result"]["value"] == "21/8"
+    # argparse takes "-1/2" after a space for an option, so a negative fraction is written with "="
+    rc, out, _ = run(capsys, "eval", "1,1", "--q=-1/2")
+    assert rc == 0
+    assert json.loads(out)["result"]["value"] == "1/2"
 
 
 def test_eval_crosscheck_and_pretty(capsys):
@@ -168,6 +172,22 @@ def test_table_impossible_sizes(capsys):
         assert rc == 2 and out == "" and err.startswith("error:"), argv
 
 
+def test_table_needs_at_least_one_site(capsys):
+    kinds = (
+        ("connected", "--gamma", "1"),
+        ("weakly", "--gamma", "1"),
+        ("one-hole", "--gamma", "1,0,1"),
+        ("hit", "--lambda", "1"),
+    )
+    for argv in kinds:
+        for n in ("0", "-1"):
+            rc, out, err = run(capsys, "table", *argv, "--n", n)
+            assert (rc, out, err) == (2, "", f"error: --n must be at least 1, got {n}\n"), argv
+    # cs does not read --n, so no value of it is an error there
+    rc, _, _ = run(capsys, "table", "cs", "--x", "1", "--y", "1", "--rsmax", "1", "--n", "0")
+    assert rc == 0
+
+
 def test_invocations_byte_identical(capsys):
     _, first, _ = run(capsys, "eval", "0,2,1,0,3,0", "--crosscheck", "--pretty")
     _, second, _ = run(capsys, "eval", "0,2,1,0,3,0", "--crosscheck", "--pretty")
@@ -252,7 +272,7 @@ def test_simulate_argument_validation(capsys):
     rc, _, err = run(capsys, "simulate", "2,1")
     assert rc == 2 and err.startswith("error:")
     rc, _, err = run(capsys, "simulate", "2,0", "--q", "-1")
-    assert rc == 2 and err.startswith("error:")
+    assert rc == 2 and err == "error: --q must be nonnegative, got '-1'\n"
 
 
 def test_in_process_drivers_share_tables(oracle):

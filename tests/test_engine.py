@@ -161,6 +161,36 @@ def test_exact_sweep_matches_per_config_evaluator(oracle):
             assert remixed_exact(Configuration(ct)) == table[ct]
 
 
+def test_oracle_weights_shared_per_n():
+    # remixed_exact and the sweep read one set of weights per n, in either
+    # order, and no walk can write into the lanes they share
+    walks = {
+        "exact": lambda: remixed_exact(Configuration((0, 2, 1, 1))),
+        "sweep": lambda: engine._lane_weights(4),
+    }
+    for order in (("exact", "sweep"), ("sweep", "exact")):
+        engine._oracle_weights.cache_clear()
+        for name in order:
+            walks[name]()
+        info = engine._oracle_weights.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        weights = engine._oracle_weights(4)
+        assert set(weights) == {a * 5 + b for a in range(1, 4) for b in range(1, 5 - a)}
+        for lane in (weights.scale, *(lane for pair in weights.values() for lane in pair)):
+            assert not lane.flags.writeable
+        with pytest.raises(ValueError):
+            weights.scale[0] = 0
+
+
+def test_oracle_weights_memo_independent_of_query_order():
+    cfgs = [c for n in range(1, 7) for c in all_configurations(n)]
+    runs = []
+    for order in (cfgs, cfgs[::-1]):
+        engine._oracle_weights.cache_clear()
+        runs.append({c.c: remixed_exact(c) for c in order})
+    assert runs[0] == runs[1]
+
+
 def test_sweep_primes_fit_every_allowed_n():
     p1, p2 = engine._PRIMES
     for n in range(1, engine.SWEEP_MAX_N + 1):

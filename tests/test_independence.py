@@ -5,7 +5,8 @@ the simulator must not import the exact engine it checks, and the closed
 formulas take from the engine only the recursion they fall back on.  The
 scalar reference the tests check the simulator against imports nothing
 from the package.  Inside the engine, one drop step moves every ball, for
-the single-order oracle and the sweep alike.
+the single-order oracle and the sweep alike, and one function builds the
+weights at the points both of them interpolate from.
 """
 
 import ast
@@ -60,6 +61,22 @@ def test_one_drop_kernel_reads_the_bounce_geometry():
         and any(isinstance(node, ast.Name) and node.id == "_bounce_table" for node in ast.walk(func))
     }
     assert readers == {"_drop"}
+
+
+def test_one_builder_of_the_oracle_weights():
+    # every other caller of _Weights asks for a tuple of points it names
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    builders = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_Weights"
+        and not (len(node.args) == 2 and isinstance(node.args[1], ast.Tuple))
+    }
+    assert builders == {"_oracle_weights"}
 
 
 def test_scalar_reference_imports_nothing_from_the_package():
