@@ -4,8 +4,7 @@ Every successful JSON invocation prints exactly one envelope object with
 the command, the echoed inputs, the result payload and the tool version.
 Exit codes: 0 success, 2 usage or parse error, 3 cross check mismatch,
 4 verification failure, 5 internal invariant violated (a defect in the
-package, reported without a traceback).  The verification drivers live
-here as plain functions so the test suite can run them in process.
+package, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -13,48 +12,26 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
 
 from . import __version__
-from .config import (
-    Configuration,
-    NoWeaklyShift,
-    all_configurations,
-    classify,
-    core,
-    left_to_right_order,
-    max_weakly_shift,
-    parse_config,
-    shifted_config,
-)
-from .engine import (
-    SWEEP_MAX_N,
-    drop_order_check,
-    exact_sweep,
-    remixed_exact,
-    remixed_induction,
-    success_probability,
-)
+from .config import classify, max_weakly_shift, parse_config, shifted_config
+from .engine import SWEEP_MAX_N, exact_sweep, remixed_exact, remixed_induction, success_probability
 from .formulas import (
-    ROUTES,
     CSParams,
     HitIndex,
     a_connected,
     a_one_hole,
     a_weakly_lukasiewicz,
     carlitz_scoville_q,
-    core_series,
-    corrective_series,
     dispatch,
-    one_hole_prefactor,
     q_hit,
-    sum_terms,
 )
-from .qcalc import InvariantViolation, ZERO, bracket_product
+from .qcalc import InvariantViolation
 from .simulate import estimate_success
+from .verify import SUITES
 
 
 def _envelope(command: str, inputs: dict, result: dict) -> dict:
@@ -159,19 +136,16 @@ def _sites(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rows: list[tuple[str, object]] = []
-    if args.kind == "connected":
+    if args.kind in ("connected", "weakly", "one-hole"):
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
         n = _sites(args)
+    if args.kind == "connected":
         for i in _shifts(gamma, n):
             rows.append((str(i), a_connected(gamma, i, n)))
     elif args.kind == "weakly":
-        gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
-        n = _sites(args)
         for i in range(max_weakly_shift(gamma, n) + 1):
             rows.append((str(i), a_weakly_lukasiewicz(gamma, i, n)))
     elif args.kind == "one-hole":
-        gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
-        n = _sites(args)
         for i in _shifts(gamma, n):
             rows.append((str(i), a_one_hole(shifted_config(gamma, i, n))))
     elif args.kind == "cs":
@@ -211,156 +185,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of positive integers with the given sum."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
-# check names of the families suite that differ from the route names
-_FAMILY_CHECKS = {"almost_lukasiewicz": "almost", "weakly_lukasiewicz": "weakly"}
-
-
-def verify_families(nmax: int, tables: dict[int, dict]) -> dict:
-    """Closed formulas and the recursion against the oracle, exhaustively.
-
-    Every route of formulas.ROUTES whose family contains a configuration
-    is checked on it, not only the one dispatch picks.  Each builder of
-    terms is summed once per configuration: the route dispatch chose
-    reuses its polynomial, and routes that share a builder share its sum.
-    """
-    families = [(_FAMILY_CHECKS.get(name, name), applies, build) for name, applies, build in ROUTES]
-    builders = {name: build for name, _, build in ROUTES}
-    checks = {"induction": 0, **{family: 0 for family, _, _ in families}, "dispatch": 0}
-    failures: list[dict] = []
-
-    def fail(ct, family):
-        failures.append({"config": list(ct), "family": family})
-
-    for n in range(1, nmax + 1):
-        for ct in sorted(tables[n]):
-            oracle = tables[n][ct]
-            c = Configuration(ct)
-            if remixed_induction(c) != oracle:
-                fail(ct, "induction")
-            checks["induction"] += 1
-            rep = dispatch(c)
-            if rep.poly != oracle:
-                fail(ct, "dispatch")
-            checks["dispatch"] += 1
-            # polynomial by builder, for this configuration
-            sums = {builders[rep.method]: rep.poly} if rep.method in builders else {}
-            for family, applies, build in families:
-                if applies(rep.flags):
-                    poly = sums.get(build)
-                    if poly is None:
-                        poly = sums[build] = sum_terms(build(c, rep.flags), ct)
-                    if poly != oracle:
-                        fail(ct, family)
-                    checks[family] += 1
-    return {
-        "name": "families",
-        "passed": not failures,
-        "checks": checks,
-        "failures": failures[:20],
-    }
-
-
-def verify_congruence(nmax: int, tables: dict[int, dict]) -> dict:
-    """The truncated series identity at the maximal weakly shift."""
-    checks = 0
-    failures: list[dict] = []
-    for n in range(1, nmax + 1):
-        cores = sorted({core(Configuration(ct)).gamma for ct in tables[n]})
-        for gamma in cores:
-            try:
-                k = max_weakly_shift(gamma, n)
-            except NoWeaklyShift:
-                continue
-            lhs = tuple(tables[n][shifted_config(gamma, i, n).c] for i in range(k + 1))
-            if lhs != core_series(gamma, n, k + 1).tcoeffs:
-                failures.append({"core": list(gamma), "n": n, "k": k})
-            checks += 1
-    return {"name": "congruence", "passed": not failures, "checks": checks, "failures": failures[:20]}
-
-
-def verify_corrective(nmax: int, tables: dict[int, dict]) -> dict:
-    """Corrective series against its definition, plus the two block factorization."""
-    checks = 0
-    failures: list[dict] = []
-    for n in range(2, nmax + 1):
-        table = tables[n]
-        for p in range(1, n):
-            r = n - p
-            base = corrective_series((p,), (r,), n)
-            for alpha in _compositions(p):
-                for beta in _compositions(r):
-                    series = corrective_series(alpha, beta, n)
-                    gamma = alpha + (0,) + beta
-                    span = len(gamma)
-                    definition = core_series(gamma, n, n + 1)
-                    shifted = [ZERO] * (n + 1)
-                    for i in range(n - span + 1):
-                        shifted[i] = table[shifted_config(gamma, i, n).c]
-                    ok = all(
-                        series.tcoeffs[t] == definition.tcoeffs[t] - shifted[t]
-                        for t in range(n + 1)
-                    )
-                    if not ok:
-                        failures.append({"alpha": list(alpha), "beta": list(beta), "n": n, "law": "definition"})
-                    checks += 1
-                    exp, brackets = one_hole_prefactor(alpha, beta)
-                    ell = len(alpha)
-                    ok = all(
-                        series.tcoeffs[t].shift(-exp) == bracket_product(brackets, base.tcoeffs[t + ell - 1])
-                        if t + ell - 1 <= n
-                        else series.tcoeffs[t] == ZERO
-                        for t in range(n + 1)
-                    )
-                    if not ok:
-                        failures.append({"alpha": list(alpha), "beta": list(beta), "n": n, "law": "factorization"})
-                    checks += 1
-    return {"name": "corrective", "passed": not failures, "checks": checks, "failures": failures[:20]}
-
-
-def verify_abelian(nmax: int, tables: dict[int, dict]) -> dict:
-    """Drop order invariance of the success probability, spot checked."""
-    rng = random.Random(97)
-    qs = [Fraction(1, 3), Fraction(1), Fraction(2)]
-    checks = 0
-    failures: list[dict] = []
-    for n in range(2, min(nmax, 7) + 1):
-        cfgs = list(all_configurations(n))
-        for c in rng.sample(cfgs, min(4, len(cfgs))):
-            base = {q0: success_probability(c, q0) for q0 in qs}
-            for _ in range(5):
-                order = list(left_to_right_order(c))
-                rng.shuffle(order)
-                for q0 in qs:
-                    if drop_order_check(c, tuple(order), q0) != base[q0]:
-                        failures.append({"config": list(c.c), "order": order, "q": str(q0)})
-                    checks += 1
-    return {"name": "abelian", "passed": not failures, "checks": checks, "failures": failures[:20]}
-
-
-_SUITES = {
-    "families": verify_families,
-    "congruence": verify_congruence,
-    "corrective": verify_corrective,
-    "abelian": verify_abelian,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if not 1 <= args.nmax <= SWEEP_MAX_N:
         raise ValueError(f"nmax must be between 1 and {SWEEP_MAX_N}")
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    tables = {n: exact_sweep(n) for n in range(1, args.nmax + 1)}
-    suites = [_SUITES[name](args.nmax, tables) for name in names]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    # one cache per command: a table is built on a suite's first read of it,
+    # shared by the suites after it, and dropped when the command ends
+    table = lru_cache(maxsize=None)(exact_sweep)
+    suites = [SUITES[name](args.nmax, table) for name in names]
     result = {"suites": suites}
     _emit(_envelope("verify", {"suite": args.suite, "nmax": args.nmax}, result))
     return 0 if all(s["passed"] for s in suites) else 4
@@ -425,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run exhaustive identity suites")
-    p.add_argument("suite", choices=["families", "congruence", "corrective", "abelian", "all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument(
         "--nmax",
         type=int,

@@ -18,9 +18,6 @@ class OracleTable:
             self._tables[n] = exact_sweep(n)
         return self._tables[n]
 
-    def tables(self, nmax: int) -> dict[int, dict]:
-        return {n: self.table(n) for n in range(1, nmax + 1)}
-
     def value(self, ct: tuple[int, ...]):
         return self.table(sum(ct))[tuple(ct)]
 

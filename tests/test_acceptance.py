@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, prod, sqrt
 
-from remixed.cli import verify_abelian, verify_congruence, verify_corrective, verify_families
+from remixed.verify import verify_abelian, verify_congruence, verify_corrective, verify_families
 from remixed.config import Configuration, all_configurations, core
 from remixed.engine import remixed_exact, remixed_induction, success_probability
 from remixed.formulas import (
@@ -116,10 +116,9 @@ def test_criterion_2_exhaustive_triple_equality(oracle):
 
 
 def test_criterion_3_family_suites(oracle):
-    tables = oracle.tables(8)
     all_ok = True
     for driver in (verify_families, verify_congruence, verify_corrective):
-        rep = driver(8, tables)
+        rep = driver(8, oracle.table)
         done = rep["checks"]
         detail = (
             ", ".join(f"{k}={v}" for k, v in done.items()) if isinstance(done, dict) else str(done)
@@ -143,7 +142,7 @@ def test_criterion_4_structural_properties(oracle):
             count += 1
     ok_line(nonneg, "criterion 4: nonnegative coefficients for all n <= 8", f"{count} configs")
     ok_line(palin, "criterion 4: reversal palindromicity for all n <= 8", f"{count} configs")
-    rep = verify_abelian(8, oracle.tables(8))
+    rep = verify_abelian(8, oracle.table)
     ok_line(
         rep["passed"],
         "criterion 4: drop order invariance spot checks",

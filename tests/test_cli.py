@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import remixed.cli as cli
-from remixed import __version__, formulas
+from remixed import __version__, formulas, verify
 from remixed.config import Configuration, classify
 from remixed.engine import SWEEP_MAX_N
 from remixed.formulas import HitIndex, q_hit
@@ -237,11 +237,40 @@ def test_verify_bad_nmax(capsys, monkeypatch):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     fake = {"name": "families", "passed": False, "checks": {}, "failures": [{"config": [9]}]}
-    monkeypatch.setitem(cli._SUITES, "families", lambda nmax, tables=None: fake)
+    monkeypatch.setitem(verify.SUITES, "families", lambda nmax, table=None: fake)
     rc, out, _ = run(capsys, "verify", "families", "--nmax", "1")
     assert rc == 4
     env = envelope(out)
     assert env["result"]["suites"][0]["passed"] is False
+
+
+def test_verify_builds_only_the_tables_it_reads(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exact_sweep", lambda n: pytest.fail(f"built the table for n={n}"))
+    rc, _, _ = run(capsys, "verify", "abelian", "--nmax", str(SWEEP_MAX_N))
+    assert rc == 0
+
+
+def test_verify_builds_each_table_once_per_command(capsys, monkeypatch):
+    real, built = cli.exact_sweep, []
+
+    def record(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "exact_sweep", record)
+    run(capsys, "verify", "corrective", "--nmax", "4")
+    assert built == [2, 3, 4]
+    built.clear()
+    run(capsys, "verify", "all", "--nmax", "3")
+    assert built == [1, 2, 3]
+
+
+def test_single_suite_report_matches_verify_all(capsys):
+    # suites read the tables of one command but share no other state
+    _, out, _ = run(capsys, "verify", "all", "--nmax", "5")
+    for report in envelope(out)["result"]["suites"]:
+        rc, out, _ = run(capsys, "verify", report["name"], "--nmax", "5")
+        assert rc == 0 and envelope(out)["result"]["suites"] == [report]
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -276,11 +305,10 @@ def test_simulate_argument_validation(capsys):
 
 
 def test_in_process_drivers_share_tables(oracle):
-    tables = oracle.tables(4)
-    for driver in (cli.verify_families, cli.verify_congruence, cli.verify_corrective):
-        report = driver(4, tables)
+    for driver in (verify.verify_families, verify.verify_congruence, verify.verify_corrective):
+        report = driver(4, oracle.table)
         assert report["passed"], report["failures"]
-    report = cli.verify_abelian(4, tables)
+    report = verify.verify_abelian(4, oracle.table)
     assert report["passed"]
 
 
@@ -288,14 +316,13 @@ def test_broken_route_fails_every_check_it_feeds(oracle, monkeypatch):
     # The families suite sums each builder of terms once per configuration
     # and reuses what dispatch computed; a defect in the shared terms must
     # still fail every check that reads them, with unchanged check counts.
-    tables = oracle.tables(5)
-    clean = cli.verify_families(5, tables)
+    clean = verify.verify_families(5, oracle.table)
     real = formulas._shifted_sum_terms
     # one extra term adds 1 to every connected, weakly and one hole sum
     monkeypatch.setattr(
         formulas, "_shifted_sum_terms", lambda *a: real(*a) + [formulas._Term(1, 0, ())]
     )
-    broken = cli.verify_families(5, tables)
+    broken = verify.verify_families(5, oracle.table)
     failed = {f["family"] for f in broken["failures"]}
     assert {"dispatch", "connected", "weakly", "one_hole"} <= failed
     assert "induction" not in failed
@@ -305,14 +332,14 @@ def test_broken_route_fails_every_check_it_feeds(oracle, monkeypatch):
     patched = {"connected", "one_hole", "weakly_lukasiewicz"}
     want = []
     for n in range(1, 6):
-        for ct in sorted(tables[n]):
+        for ct in sorted(oracle.table(n)):
             flags = classify(Configuration(ct))
             routes = [name for name, applies, _ in formulas.ROUTES if applies(flags)]
             if routes and routes[0] in patched:
                 want.append({"config": list(ct), "family": "dispatch"})
             for name in routes:
                 if name in patched:
-                    want.append({"config": list(ct), "family": cli._FAMILY_CHECKS.get(name, name)})
+                    want.append({"config": list(ct), "family": verify._FAMILY_CHECKS.get(name, name)})
     assert broken["failures"] == want[:20]
 
 

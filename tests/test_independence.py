@@ -6,7 +6,8 @@ formulas take from the engine only the recursion they fall back on.  The
 scalar reference the tests check the simulator against imports nothing
 from the package.  Inside the engine, one drop step moves every ball, for
 the single-order oracle and the sweep alike, and one function builds the
-weights at the points both of them interpolate from.
+weights at the points both of them interpolate from.  The identity suites,
+which check every route, are imported by the command line front end only.
 """
 
 import ast
@@ -77,6 +78,11 @@ def test_one_builder_of_the_oracle_weights():
         and not (len(node.args) == 2 and isinstance(node.args[1], ast.Tuple))
     }
     assert builders == {"_oracle_weights"}
+
+
+def test_only_the_cli_imports_the_identity_suites():
+    importers = {path.stem for path in PACKAGE.glob("*.py") if "verify" in imports(path)}
+    assert importers == {"cli"}
 
 
 def test_scalar_reference_imports_nothing_from_the_package():
