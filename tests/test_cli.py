@@ -194,6 +194,41 @@ def test_invocations_byte_identical(capsys):
     assert first == second
 
 
+# SHA-256 of [stdout, stderr, exit code] for each command line, so a change
+# to how the CLI builds its output that moves any byte fails here.  Like
+# test_verify_output_digest, the envelopes carry the version: a version bump
+# must re-pin them.
+PINNED_OUTPUTS = {
+    "eval 0,2,1,0,3,0 --crosscheck --pretty":
+        "93870f8b9b76f60368c3b7f08f76eb13d6df989511ae1b2d71913a09ca2d60fa",
+    "eval 0,3,0,2,0 --q 2/3":
+        "2ab4a29b507fafd94996c0600a9945e1c0c8c867bcdcde876060c14f46089262",
+    "eval 1,1,1 --method exact --crosscheck":
+        "d2da4c9cb13b812a4d3878e4bd8ba543f0f430a17958d55c422c291b43d8217d",
+    "eval 0,0,3,0,0,3,0,0,3 --method formula":
+        "1a8d4bb98a1d61af8191b3ede7521c3b155b94bb74eac2d3b25d8ae3666bbee7",
+    "classify 1,0,3,0,1":
+        "6ace06862d29e92366103fa24c9587e36ee3ef200c63db733c337077503a336a",
+    "table connected --gamma 1,2,2 --n 5":
+        "e9ee4352e6b6c5b9f7f91d499d516d0f9dce4974c7056b5ff363723d517535a4",
+    "table connected --gamma 1,2,2 --n 5 --format csv":
+        "4805170726afdf41ff5dd38536fa799d331be250abab2d728a37e10be2c96139",
+    "table hit --lambda 2,1 --n 3":
+        "0d9749a0f0da544da7f38ee788eff2ae5ebd719226385bfbef12d6c267ffb061",
+    "table cs --x 1 --y 2 --rsmax 2":
+        "2fdd313b158a0dfbfa77cf296cef83a0d0c266a5c4806241a36ae06be6573b80",
+    "simulate 0,3,0,2,0 --q 1/3 --trials 2000 --seed 7":
+        "42742dce81604c7bc11589c5cb3366327b39aa355f82ee793b8c52c6fd81b998",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OUTPUTS)
+def test_command_output_pinned(capsys, argv):
+    rc, out, err = run(capsys, *argv.split())
+    digest = hashlib.sha256(json.dumps([out, err, rc]).encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS[argv]
+
+
 def test_verify_all_small(capsys):
     rc, out, _ = run(capsys, "verify", "all", "--nmax", "3")
     env = envelope(out)
