@@ -1,7 +1,11 @@
 """Command line interface: evaluate, classify, tabulate, verify, simulate.
 
-Every successful JSON invocation prints exactly one envelope object with
-the command, the echoed inputs, the result payload and the tool version.
+Each command returns its result payload and exit code, and `main` alone
+wraps the payload in the one JSON envelope it prints: the command, the
+inputs, the result and the tool version.  The inputs echo every parsed
+argument of the command, defaults included, in `--help` order.  Only
+`table --format csv` prints rows in place of an envelope.
+
 Exit codes: 0 success, 2 usage or parse error, 3 cross check mismatch,
 4 verification failure, 5 internal invariant violated (a defect in the
 package, reported without a traceback).
@@ -34,14 +38,6 @@ from .simulate import estimate_success
 from .verify import SUITES
 
 
-def _envelope(command: str, inputs: dict, result: dict) -> dict:
-    return {"command": command, "inputs": inputs, "result": result, "version": __version__}
-
-
-def _emit(env: dict) -> None:
-    sys.stdout.write(json.dumps(env, indent=2) + "\n")
-
-
 def _parse_rational(text: str) -> Fraction:
     """Exact rational for --q from 'a/b' or an integer literal; decimals rejected."""
     text = text.strip()
@@ -67,8 +63,9 @@ def _parse_tuple(text: str, what: str) -> tuple[int, ...]:
     return vals
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> tuple[dict, int]:
     c = parse_config(args.config)
+    q = None if args.q is None else _parse_rational(args.q)
     if args.method == "exact":
         method, poly, pretty, flags = "exact", remixed_exact(c), None, classify(c)
     elif args.method == "induction":
@@ -85,8 +82,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         oracle = remixed_induction(c) if method == "exact" else remixed_exact(c)
         check = "pass" if oracle == poly else "fail"
     result: dict = {"config": list(c.c), "method": method}
-    if args.q is not None:
-        result["value"] = str(poly.evaluate(_parse_rational(args.q)))
+    if q is not None:
+        result["value"] = str(poly.evaluate(q))
     else:
         result["poly"] = poly.to_json()
     result["flags"] = flags.to_json()
@@ -95,22 +92,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result["pretty"] = pretty
     if check == "fail":
         result["oracle"] = oracle.to_json()
-    inputs = {
-        "config": args.config,
-        "method": args.method,
-        "crosscheck": args.crosscheck,
-        "q": args.q,
-        "pretty": args.pretty,
-    }
-    _emit(_envelope("eval", inputs, result))
-    return 3 if check == "fail" else 0
+    return result, 3 if check == "fail" else 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     c = parse_config(args.config)
-    result = {"config": list(c.c), "flags": classify(c).to_json()}
-    _emit(_envelope("classify", {"config": args.config}, result))
-    return 0
+    return {"config": list(c.c), "flags": classify(c).to_json()}, 0
 
 
 def _require(value, name: str):
@@ -134,7 +121,7 @@ def _sites(args: argparse.Namespace) -> int:
     return n
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[dict | None, int]:
     rows: list[tuple[str, object]] = []
     if args.kind in ("connected", "weakly", "one-hole"):
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
@@ -158,7 +145,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 p = carlitz_scoville_q(CSParams(r, total - r, x, y))
                 rows.append((f"{r}:{total - r}", p))
     elif args.kind == "hit":
-        lam = _parse_tuple(_require(args.lam, "lambda"), "lambda")
+        lam = _parse_tuple(_require(getattr(args, "lambda"), "lambda"), "lambda")
         n = _sites(args)
         for i in range(n + 1):
             rows.append((str(i), q_hit(HitIndex(lam, i, n))))
@@ -169,23 +156,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         for idx, p in rows:
             lines.append(idx + "," + ",".join(str(p.coeff(i)) for i in range(width)))
         sys.stdout.write("\n".join(lines) + "\n")
-        return 0
-    inputs = {
-        "kind": args.kind,
-        "gamma": args.gamma,
-        "n": args.n,
-        "x": args.x,
-        "y": args.y,
-        "rsmax": args.rsmax,
-        "lambda": args.lam,
-        "format": args.format,
-    }
-    result = {"rows": [{"index": idx, "poly": p.to_json()} for idx, p in rows]}
-    _emit(_envelope("table", inputs, result))
-    return 0
+        return None, 0
+    return {"rows": [{"index": idx, "poly": p.to_json()} for idx, p in rows]}, 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if not 1 <= args.nmax <= SWEEP_MAX_N:
         raise ValueError(f"nmax must be between 1 and {SWEEP_MAX_N}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -193,12 +168,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # shared by the suites after it, and dropped when the command ends
     table = lru_cache(maxsize=None)(exact_sweep)
     suites = [SUITES[name](args.nmax, table) for name in names]
-    result = {"suites": suites}
-    _emit(_envelope("verify", {"suite": args.suite, "nmax": args.nmax}, result))
-    return 0 if all(s["passed"] for s in suites) else 4
+    return {"suites": suites}, 0 if all(s["passed"] for s in suites) else 4
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     c = parse_config(args.config)
     if args.trials < 1:
         raise ValueError("need at least one trial")
@@ -217,9 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         else:
             dev = f"{abs(res.successes / res.trials - p) / sigma:.4f}"
         result["sigma_deviation"] = dev
-    inputs = {"config": args.config, "q": args.q, "trials": args.trials, "seed": args.seed}
-    _emit(_envelope("simulate", inputs, result))
-    return 0
+    return result, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--y", type=int, default=None)
     p.add_argument("--rsmax", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
+    p.add_argument("--lambda", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_table)
 
@@ -278,13 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result, code = args.func(args)
     except InvariantViolation as exc:
         print(f"internal error: invariant violated: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RecursionError) as exc:
+        # RecursionError: the last ball recursion takes one frame per site
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if result is not None:
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        env = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+        sys.stdout.write(json.dumps(env, indent=2) + "\n")
+    return code
 
 
 if __name__ == "__main__":

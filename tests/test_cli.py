@@ -90,6 +90,21 @@ def test_eval_parse_failures(capsys):
         assert err == f"error: --q takes an integer or a/b with integers a and b, got {bad[3]!r}\n"
 
 
+def test_eval_parses_q_before_evaluating(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "remixed_exact", lambda c: pytest.fail("evaluated before parsing --q"))
+    rc, out, err = run(capsys, "eval", "2,0", "--method", "exact", "--q", "1/x")
+    assert (rc, out) == (2, "")
+    assert err == "error: --q takes an integer or a/b with integers a and b, got '1/x'\n"
+
+
+def test_eval_deep_recursion_is_a_usage_error(capsys):
+    # the last ball recursion takes one frame per site
+    sites = ",".join(["1"] * (sys.getrecursionlimit() + 100))
+    rc, out, err = run(capsys, "eval", sites, "--method", "induction")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_eval_crosscheck_mismatch_exit_code(capsys, monkeypatch):
     # inject a wrong oracle to drive the mismatch path
     monkeypatch.setattr(cli, "remixed_induction", lambda c: QPoly((99,)))

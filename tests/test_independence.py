@@ -8,6 +8,7 @@ from the package.  Inside the engine, one drop step moves every ball, for
 the single-order oracle and the sweep alike, and one function builds the
 weights at the points both of them interpolate from.  The identity suites,
 which check every route, are imported by the command line front end only.
+No module of the package holds an assert statement, which python -O strips.
 """
 
 import ast
@@ -83,6 +84,13 @@ def test_one_builder_of_the_oracle_weights():
 def test_only_the_cli_imports_the_identity_suites():
     importers = {path.stem for path in PACKAGE.glob("*.py") if "verify" in imports(path)}
     assert importers == {"cli"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_assert_in_the_package(path):
+    # python -O strips assert statements; invariants raise InvariantViolation
+    asserts = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_scalar_reference_imports_nothing_from_the_package():
