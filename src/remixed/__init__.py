@@ -11,12 +11,9 @@ __version__ = "0.1.0"
 
 from .qcalc import (
     QPoly,
-    QRat,
-    TSeries,
     NotDivisible,
     DegreeTooHigh,
     NonIntegerCoefficients,
-    TruncationTooShort,
     InvariantViolation,
     q_int,
     q_factorial,
@@ -62,12 +59,9 @@ from .simulate import estimate_success, SimResult
 
 __all__ = [
     "QPoly",
-    "QRat",
-    "TSeries",
     "NotDivisible",
     "DegreeTooHigh",
     "NonIntegerCoefficients",
-    "TruncationTooShort",
     "InvariantViolation",
     "q_int",
     "q_factorial",

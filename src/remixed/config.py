@@ -62,11 +62,10 @@ class Configuration:
 
 @dataclass(frozen=True)
 class CoreDecomposition:
-    """Configuration as left zeros, core with nonzero ends, right zeros."""
+    """Configuration as left zeros, then a core with nonzero ends, then zeros."""
 
     left_zeros: int
     gamma: tuple[int, ...]
-    right_zeros: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class OneHoleShape:
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     ell: int
-    m: int
     p: int
     r: int
 
@@ -131,23 +129,25 @@ def heights(c: Configuration) -> tuple[int, ...]:
     return tuple(out)
 
 
+def mset(tup: tuple[int, ...]) -> list[int]:
+    """Site indices of tup with multiplicity: i repeated tup[i-1] times."""
+    return [i for i, x in enumerate(tup, start=1) for _ in range(x)]
+
+
 def left_to_right_order(c: Configuration) -> tuple[int, ...]:
     """Ball start sites listed from the left, with multiplicity.
 
     >>> left_to_right_order(Configuration((0, 3, 0, 2, 0)))
     (2, 2, 2, 4, 4)
     """
-    out = []
-    for i, x in enumerate(c.c, start=1):
-        out.extend([i] * x)
-    return tuple(out)
+    return tuple(mset(c.c))
 
 
 def core(c: Configuration) -> CoreDecomposition:
     """Strip outer zeros.
 
     >>> core(Configuration((0, 0, 4, 0, 1, 2, 0)))
-    CoreDecomposition(left_zeros=2, gamma=(4, 0, 1, 2), right_zeros=1)
+    CoreDecomposition(left_zeros=2, gamma=(4, 0, 1, 2))
     """
     lo = 0
     while c.c[lo] == 0:
@@ -155,7 +155,7 @@ def core(c: Configuration) -> CoreDecomposition:
     hi = len(c.c)
     while c.c[hi - 1] == 0:
         hi -= 1
-    return CoreDecomposition(lo, c.c[lo:hi], len(c.c) - hi)
+    return CoreDecomposition(lo, c.c[lo:hi])
 
 
 def reverse(c: Configuration) -> Configuration:
@@ -163,24 +163,26 @@ def reverse(c: Configuration) -> Configuration:
     return Configuration(c.c[::-1])
 
 
-def weak_order_ok(u: tuple[int, ...]) -> bool:
-    """Whether u_j <= max(u_{j-1} + 1, j) holds for every j >= 2.
+def _weak_bound(gamma: tuple[int, ...], n: int) -> int:
+    """Largest shift i at which gamma after i zeros on n sites is weakly placed.
 
-    u is a weakly increasing list of start sites; the condition only
-    constrains consecutive entries, so it is stable under truncation.
+    The weak family asks u_j <= max(u_{j-1} + 1, j) for every j >= 2, where
+    u lists the ball start sites from the left.  Shifting gamma by i adds i
+    to each u_j.  A step with u_j <= u_{j-1} + 1 passes at every shift; a
+    jump over a hole passes exactly while u_j + i <= j.  Negative when no
+    shift passes.
     """
-    for j in range(2, len(u) + 1):
-        if u[j - 1] > max(u[j - 2] + 1, j):
-            return False
-    return True
+    u = mset(gamma)
+    jumps = [j - u[j - 1] for j in range(2, len(u) + 1) if u[j - 1] > u[j - 2] + 1]
+    return min([n - len(gamma), *jumps])
 
 
 def classify(c: Configuration) -> ConfigFlags:
     """Family flags for c.
 
     Height based tests decide the first two families, the core decides
-    connectivity and one hole, and the start site order decides the weak
-    family.
+    connectivity and one hole, and the core's shift decides the weak
+    family: it must not exceed _weak_bound.
 
     >>> classify(Configuration((1, 0, 3, 0, 1))).almost_defect
     2
@@ -196,14 +198,14 @@ def classify(c: Configuration) -> ConfigFlags:
         if c.c[j - 1] != 0:
             raise InvariantViolation("the defect site cannot hold a ball")
         defect = j
-    gamma = core(c).gamma
-    holes = gamma.count(0)
+    dec = core(c)
+    holes = dec.gamma.count(0)
     return ConfigFlags(
         is_lukasiewicz=is_luka,
         almost_defect=defect,
         is_connected=holes == 0,
         is_one_hole=holes == 1,
-        is_weakly_lukasiewicz=weak_order_ok(left_to_right_order(c)),
+        is_weakly_lukasiewicz=dec.left_zeros <= _weak_bound(dec.gamma, c.n),
     )
 
 
@@ -237,16 +239,9 @@ def max_weakly_shift(gamma: tuple[int, ...], n: int) -> int:
     """
     gamma = tuple(gamma)
     _check_core(gamma, n)
-    good = [
-        i
-        for i in range(n - len(gamma) + 1)
-        if weak_order_ok(left_to_right_order(shifted_config(gamma, i, n)))
-    ]
-    if not good:
+    best = _weak_bound(gamma, n)
+    if best < 0:
         raise NoWeaklyShift(f"core {gamma} fails the weak condition at every shift")
-    best = max(good)
-    if good != list(range(best + 1)):
-        raise InvariantViolation("good shifts must form a prefix")
     return best
 
 
@@ -254,7 +249,7 @@ def one_hole_decompose(c: Configuration) -> OneHoleShape:
     """Split the core of c around its unique hole.
 
     >>> one_hole_decompose(Configuration((0, 2, 1, 0, 3, 0)))
-    OneHoleShape(alpha=(2, 1), beta=(3,), ell=2, m=1, p=3, r=3)
+    OneHoleShape(alpha=(2, 1), beta=(3,), ell=2, p=3, r=3)
     """
     gamma = core(c).gamma
     if gamma.count(0) != 1:
@@ -265,7 +260,6 @@ def one_hole_decompose(c: Configuration) -> OneHoleShape:
         alpha=alpha,
         beta=beta,
         ell=len(alpha),
-        m=len(beta),
         p=sum(alpha),
         r=sum(beta),
     )

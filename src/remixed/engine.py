@@ -48,7 +48,6 @@ from .qcalc import (
     ONE,
     InvariantViolation,
     QPoly,
-    QRat,
     ZERO,
     NonIntegerCoefficients,
     _convolve,
@@ -140,7 +139,7 @@ class _Weights(dict):
     _oracle_weights hands one instance to every walk on n sites.
     """
 
-    def __init__(self, n: int, points: Iterable[QRat]) -> None:
+    def __init__(self, n: int, points: Iterable[Fraction]) -> None:
         super().__init__()
         self.n = n
         fracs = [Fraction(q0) for q0 in points]
@@ -232,7 +231,7 @@ def _success_for_order(n: int, order: tuple[int, ...], weights: _Weights) -> np.
     return dist.get((1 << n) - 1, np.zeros(width, object))
 
 
-def _probability(n: int, order: tuple[int, ...], q0: QRat) -> QRat:
+def _probability(n: int, order: tuple[int, ...], q0: Fraction) -> Fraction:
     """_success_for_order at the single point q0, as a fraction."""
     weights = _Weights(n, (q0,))
     (mass,) = _success_for_order(n, order, weights)
@@ -247,7 +246,7 @@ def _integer_value(factv: int, mass: int, scale_n: int, q0: int) -> int:
     return num // scale_n
 
 
-def success_probability(c: Configuration, q0: QRat) -> QRat:
+def success_probability(c: Configuration, q0: Fraction) -> Fraction:
     """Chance that the drop dynamics ends with every site holding one ball.
 
     >>> success_probability(Configuration((2, 0)), Fraction(1))
@@ -277,7 +276,7 @@ def remixed_exact(c: Configuration) -> QPoly:
     return require_nonnegative(poly, c.c)
 
 
-def drop_order_check(c: Configuration, order: tuple[int, ...], q0: QRat) -> QRat:
+def drop_order_check(c: Configuration, order: tuple[int, ...], q0: Fraction) -> Fraction:
     """Success probability under an arbitrary drop order of the same balls.
 
     Raises BadContent when order is not a rearrangement of the start sites.

@@ -29,6 +29,7 @@ from .config import (
     classify,
     core,
     max_weakly_shift,
+    mset,
     one_hole_decompose,
     NoWeaklyShift,
 )
@@ -37,7 +38,6 @@ from .qcalc import (
     InvariantViolation,
     ONE,
     QPoly,
-    TSeries,
     ZERO,
     _times_pochhammer,
     bracket_product,
@@ -64,11 +64,6 @@ class BadPartition(ValueError):
 
 class NoMatch(ValueError):
     """No connected configuration matches the requested hit number."""
-
-
-def mset(tup: tuple[int, ...]) -> list[int]:
-    """Site indices of tup with multiplicity: i repeated tup[i-1] times."""
-    return [i for i, x in enumerate(tup, start=1) for _ in range(x)]
 
 
 @dataclass(frozen=True)
@@ -205,13 +200,13 @@ def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
     return sum_terms(_shifted_sum_terms(gamma, i, n), f"{gamma} at {i}")
 
 
-def _bracket_series(sizes: Sequence[int], n: int, trunc: int) -> TSeries:
+def _bracket_series(sizes: Sequence[int], n: int, trunc: int) -> tuple[QPoly, ...]:
     """(t;q)_{n+1} times the sum of t**j prod [j+a] over a in sizes, mod t**trunc."""
     rows = [list(bracket_product([j + a for a in sizes]).coeffs) for j in range(trunc)]
     return _times_pochhammer(rows, n + 1)
 
 
-def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> TSeries:
+def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> tuple[QPoly, ...]:
     """Pochhammer factor times sum of t**j prod [j+a] over the core balls.
 
     No family restriction on gamma; this is the raw left-hand side that
@@ -273,7 +268,7 @@ def _corrective_term(p: int, r: int, k: int, prefactor: tuple[int, tuple[int, ..
     return _Term(-1 if k % 2 else 1, qexp, brackets, (p + r + 1, r - k))
 
 
-def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> TSeries:
+def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> tuple[QPoly, ...]:
     """The finite t series correcting the connected identity at one hole.
 
     alpha and beta are the blocks around the hole; both must be free of
@@ -293,7 +288,7 @@ def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> 
     coeffs = [ZERO] * (n + 1)
     for k in range(r + 1):
         coeffs[p - ell + k] = _assemble([_corrective_term(p, r, k, prefactor)])
-    return TSeries(n + 1, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _one_hole_terms(c: Configuration) -> list[_Term]:
@@ -359,7 +354,7 @@ def q_hit(h: HitIndex) -> QPoly:
     core balls.  Its numerator series is a polynomial in t of degree at
     most n, so the truncation n + 1 is exact.
     """
-    return _bracket_series(h.factor_offsets(), h.n, h.n + 1).tcoeff(h.i)
+    return _bracket_series(h.factor_offsets(), h.n, h.n + 1)[h.i]
 
 
 def hit_to_connected(h: HitIndex) -> tuple[tuple[int, ...], int, int]:
@@ -452,7 +447,6 @@ ROUTES = (
 class EvalReport:
     """Outcome of evaluating one configuration by the best method."""
 
-    config: Configuration
     method: str
     poly: QPoly
     flags: ConfigFlags
@@ -474,5 +468,5 @@ def dispatch(c: Configuration) -> EvalReport:
     for method, applies, build in ROUTES:
         if applies(flags):
             terms = tuple(build(c, flags))
-            return EvalReport(c, method, sum_terms(terms, c.c), flags, terms)
-    return EvalReport(c, "induction", remixed_induction(c), flags)
+            return EvalReport(method, sum_terms(terms, c.c), flags, terms)
+    return EvalReport("induction", remixed_induction(c), flags)

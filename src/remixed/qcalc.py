@@ -1,8 +1,8 @@
 """Exact polynomial and series arithmetic over the integers.
 
 Polynomials in q have integer coefficients stored densely, lowest degree
-first.  Truncated power series in t carry polynomial-in-q coefficients and
-an explicit truncation order.  Rational scalars are exact fractions; no
+first.  A power series in t truncated at t**k is the tuple of its k
+coefficients in QPoly, t**0 first.  Rational scalars are Fractions; no
 floating point enters any computation here.
 
 Two product kernels carry nearly all of the package's arithmetic:
@@ -36,9 +36,6 @@ from math import factorial
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
-QRat = Fraction
-
-
 class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
@@ -49,10 +46,6 @@ class DegreeTooHigh(ValueError):
 
 class NonIntegerCoefficients(ValueError):
     """Raised when interpolation does not land in integer coefficients."""
-
-
-class TruncationTooShort(ValueError):
-    """Raised when a series comparison asks for more terms than are known."""
 
 
 class InvariantViolation(RuntimeError):
@@ -99,9 +92,6 @@ class QPoly:
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -143,7 +133,7 @@ class QPoly:
             return self
         return QPoly((0,) * k + self.coeffs)
 
-    def evaluate(self, q0: QRat) -> QRat:
+    def evaluate(self, q0: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * q0 + c
@@ -304,7 +294,7 @@ def q_binomial(n: int, k: int) -> QPoly:
 
     >>> q_binomial(4, 2).coeffs
     (1, 1, 2, 1, 1)
-    >>> q_binomial(5, 7).is_zero()
+    >>> not q_binomial(5, 7)
     True
     """
     if n < 0:
@@ -332,9 +322,9 @@ def poly_divexact(a: QPoly, b: QPoly) -> QPoly:
     >>> poly_divexact(q_factorial(3), q_int(2)).coeffs
     (1, 1, 1)
     """
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
+    if not a:
         return ZERO
     da, db = len(a.coeffs) - 1, len(b.coeffs) - 1
     if da < db:
@@ -419,26 +409,7 @@ def interpolate(vals: Sequence[int]) -> QPoly:
     return QPoly(tuple(out))
 
 
-@dataclass(frozen=True)
-class TSeries:
-    """Power series in t known modulo t**trunc, coefficients in QPoly."""
-
-    trunc: int
-    tcoeffs: tuple[QPoly, ...]
-
-    def __post_init__(self) -> None:
-        if self.trunc < 0:
-            raise ValueError("negative truncation")
-        if len(self.tcoeffs) != self.trunc:
-            raise ValueError("coefficient count must equal trunc")
-
-    def tcoeff(self, i: int) -> QPoly:
-        if i >= self.trunc:
-            raise TruncationTooShort(f"coefficient {i} beyond trunc {self.trunc}")
-        return self.tcoeffs[i]
-
-
-def _times_pochhammer(rows: list[list[int]], n: int) -> TSeries:
+def _times_pochhammer(rows: list[list[int]], n: int) -> tuple[QPoly, ...]:
     """The t-series with q-coefficient rows[m] at t**m, times (t;q)_n, mod t**len(rows).
 
     The factors (1 - t q**i), i = 0..n-1, are applied one at a time: each
@@ -453,13 +424,13 @@ def _times_pochhammer(rows: list[list[int]], n: int) -> TSeries:
             if len(row) < end:
                 row += repeat(0, end - len(row))
             row[i:end] = map(sub, row[i:end], lower)
-    return TSeries(len(rows), tuple(QPoly(tuple(r)) for r in rows))
+    return tuple(QPoly(tuple(r)) for r in rows)
 
 
-def q_pochhammer(n: int, trunc: int) -> TSeries:
+def q_pochhammer(n: int, trunc: int) -> tuple[QPoly, ...]:
     """Product of (1 - t q**i) for i in [0, n), modulo t**trunc.
 
-    >>> [c.coeffs for c in q_pochhammer(2, 3).tcoeffs]
+    >>> [c.coeffs for c in q_pochhammer(2, 3)]
     [(1,), (-1, -1), (0, 1)]
     """
     if n < 0:

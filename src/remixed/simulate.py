@@ -18,8 +18,8 @@ trial's stream and steps left when it is below left_threshold(q).
 simulate_batch cuts the trials into chunks of _CHUNK and advances each
 chunk in lockstep on a padded board of shape (rows, n + 2), whose columns
 0 and n + 1 catch a ball that leaves the line.  A chunk holds at most
-_CHUNK * (n + 2) site counts, so memory does not grow with the number of
-trials.
+_CHUNK * (n + 2) site counts, so the board does not grow with the number
+of trials; the success flags it returns do, at one byte a trial.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Configuration
-from .qcalc import QRat
 
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -38,7 +37,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def left_threshold(q0: QRat) -> int:
+def left_threshold(q0: Fraction) -> int:
     """Uniform 64-bit draws below this value step left.
 
     The left probability q/(1+q) is mapped to the integer range with
@@ -82,7 +81,7 @@ def _mix_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def simulate_batch(c: Configuration, q0: QRat, trials: int, seed: int) -> np.ndarray:
+def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np.ndarray:
     """Per-trial success flags, trials advanced in lockstep chunks.
 
     Each trial runs the dynamics of the module docstring on its own
@@ -93,9 +92,10 @@ def simulate_batch(c: Configuration, q0: QRat, trials: int, seed: int) -> np.nda
     Trials run in chunks of _CHUNK on a padded board of shape
     (rows, n + 2): columns 0 and n + 1 catch a ball that leaves the line,
     so a move is two flat-index updates with no bounds check.  A chunk
-    holds at most _CHUNK * (n + 2) counts, so memory does not grow with
-    trials, and since a trial's stream depends only on (seed, index) the
-    flags do not depend on the chunk size.
+    holds at most _CHUNK * (n + 2) counts, so the board does not grow with
+    trials; the flags returned take one byte a trial.  Since a trial's
+    stream depends only on (seed, index), the flags do not depend on the
+    chunk size.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -144,7 +144,7 @@ def simulate_batch(c: Configuration, q0: QRat, trials: int, seed: int) -> np.nda
     return success
 
 
-def estimate_success(c: Configuration, q0: QRat, trials: int, seed: int) -> SimResult:
+def estimate_success(c: Configuration, q0: Fraction, trials: int, seed: int) -> SimResult:
     """Monte Carlo estimate of the success probability.
 
     Reproducible: the result is a pure function of the four arguments.

@@ -101,7 +101,7 @@ def verify_congruence(nmax: int, table: Table) -> dict:
             except NoWeaklyShift:
                 continue
             lhs = tuple(values[shifted_config(gamma, i, n).c] for i in range(k + 1))
-            if lhs != core_series(gamma, n, k + 1).tcoeffs:
+            if lhs != core_series(gamma, n, k + 1):
                 failures.append({"core": list(gamma), "n": n, "k": k})
             checks += 1
     return _report("congruence", checks, failures)
@@ -125,19 +125,16 @@ def verify_corrective(nmax: int, table: Table) -> dict:
                     shifted = [ZERO] * (n + 1)
                     for i in range(n - span + 1):
                         shifted[i] = values[shifted_config(gamma, i, n).c]
-                    ok = all(
-                        series.tcoeffs[t] == definition.tcoeffs[t] - shifted[t]
-                        for t in range(n + 1)
-                    )
+                    ok = all(series[t] == definition[t] - shifted[t] for t in range(n + 1))
                     if not ok:
                         failures.append({"alpha": list(alpha), "beta": list(beta), "n": n, "law": "definition"})
                     checks += 1
                     exp, brackets = one_hole_prefactor(alpha, beta)
                     ell = len(alpha)
                     ok = all(
-                        series.tcoeffs[t].shift(-exp) == bracket_product(brackets, base.tcoeffs[t + ell - 1])
+                        series[t].shift(-exp) == bracket_product(brackets, base[t + ell - 1])
                         if t + ell - 1 <= n
-                        else series.tcoeffs[t] == ZERO
+                        else series[t] == ZERO
                         for t in range(n + 1)
                     )
                     if not ok:

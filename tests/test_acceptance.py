@@ -205,7 +205,7 @@ def _q_normal_form(p: int, r: int) -> list:
         return [ONE]
     ser = corrective_series((p,), (r,), p + r)
     unit = ONE.shift(comb(p, 2))
-    return [poly_divexact(ser.tcoeff(t + p - 1), unit) for t in range(r + 1)]
+    return [poly_divexact(ser[t + p - 1], unit) for t in range(r + 1)]
 
 
 def test_criterion_6_corrective_algebra():

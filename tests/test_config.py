@@ -20,7 +20,6 @@ from remixed.config import (
     parse_config,
     reverse,
     shifted_config,
-    weak_order_ok,
 )
 
 
@@ -57,7 +56,7 @@ def test_left_to_right_order_examples():
 
 def test_core_example():
     dec = core(Configuration((0, 0, 4, 0, 1, 2, 0)))
-    assert (dec.left_zeros, dec.gamma, dec.right_zeros) == (2, (4, 0, 1, 2), 1)
+    assert (dec.left_zeros, dec.gamma) == (2, (4, 0, 1, 2))
 
 
 def test_reverse():
@@ -98,14 +97,27 @@ def test_family_containment(n, data):
         assert flags.is_weakly_lukasiewicz
 
 
-@given(st.integers(1, 8), st.data())
-def test_characterizations_against_heights(n, data):
-    c = data.draw(st.sampled_from(list(all_configurations(n))))
-    u = left_to_right_order(c)
-    flags = classify(c)
-    assert flags.is_lukasiewicz == all(u[j - 1] <= j for j in range(1, n + 1))
-    assert flags.is_connected == all(u[j - 1] <= u[j - 2] + 1 for j in range(2, n + 1))
-    assert flags.is_weakly_lukasiewicz == weak_order_ok(u)
+def test_characterizations_against_heights():
+    # every configuration with n <= 8, 8788 in all
+    for n in range(1, 9):
+        for c in all_configurations(n):
+            u = left_to_right_order(c)
+            flags = classify(c)
+            assert flags.is_lukasiewicz == all(u[j - 1] <= j for j in range(1, n + 1))
+            assert flags.is_connected == all(u[j - 1] <= u[j - 2] + 1 for j in range(2, n + 1))
+            assert flags.is_weakly_lukasiewicz == all(
+                u[j - 1] <= max(u[j - 2] + 1, j) for j in range(2, n + 1)
+            )
+
+
+def brute_weakly_shifts(gamma, n):
+    """Every shift of gamma whose start sites u meet u_j <= max(u_{j-1} + 1, j)."""
+    good = []
+    for i in range(n - len(gamma) + 1):
+        u = left_to_right_order(shifted_config(gamma, i, n))
+        if all(u[j - 1] <= max(u[j - 2] + 1, j) for j in range(2, n + 1)):
+            good.append(i)
+    return good
 
 
 def test_max_weakly_shift_examples():
@@ -115,6 +127,17 @@ def test_max_weakly_shift_examples():
     assert max_weakly_shift((1, 2, 2), 5) == 2
     with pytest.raises(NoWeaklyShift):
         max_weakly_shift((1, 0, 2), 3)
+    # every core with n <= 8 against the search over all its shifts
+    for n in range(1, 9):
+        for gamma in {core(c).gamma for c in all_configurations(n)}:
+            good = brute_weakly_shifts(gamma, n)
+            if not good:
+                with pytest.raises(NoWeaklyShift):
+                    max_weakly_shift(gamma, n)
+                continue
+            # the good shifts form a prefix
+            assert good == list(range(len(good)))
+            assert max_weakly_shift(gamma, n) == good[-1]
 
 
 @given(st.integers(2, 8), st.data())
@@ -127,14 +150,14 @@ def test_weakly_prefix_and_stability(n, data):
     for i in range(k + 1):
         assert classify(shifted_config(dec.gamma, i, n)).is_weakly_lukasiewicz
     # dropping the rightmost ball keeps the flag on the truncated order
-    u = left_to_right_order(c)
-    assert weak_order_ok(u[:-1])
+    u = left_to_right_order(c)[:-1]
+    assert all(u[j - 1] <= max(u[j - 2] + 1, j) for j in range(2, len(u) + 1))
 
 
 def test_one_hole_decompose_examples():
     shape = one_hole_decompose(Configuration((0, 2, 1, 0, 3, 0)))
     assert (shape.alpha, shape.beta) == ((2, 1), (3,))
-    assert (shape.ell, shape.m, shape.p, shape.r) == (2, 1, 3, 3)
+    assert (shape.ell, shape.p, shape.r) == (2, 3, 3)
     with pytest.raises(NotOneHole):
         one_hole_decompose(Configuration((1, 1)))
     with pytest.raises(NotOneHole):

@@ -1,14 +1,15 @@
 """The three evaluation routes stay independent of each other.
 
 The drop-dynamics oracle must not import the closed formulas it checks,
-the simulator must not import the exact engine it checks, and the closed
-formulas take from the engine only the recursion they fall back on.  The
-scalar reference the tests check the simulator against imports nothing
-from the package.  Inside the engine, one drop step moves every ball, for
-the single-order oracle and the sweep alike, and one function builds the
-weights at the points both of them interpolate from.  The identity suites,
-which check every route, are imported by the command line front end only.
-No module of the package holds an assert statement, which python -O strips.
+the simulator takes only Configuration from the package, so nothing from
+the exact engine it checks, and the closed formulas take from the engine
+only the recursion they fall back on.  The scalar reference the tests
+check the simulator against imports nothing from the package.  Inside the
+engine, one drop step moves every ball, for the single-order oracle and
+the sweep alike, and one function builds the weights at the points both
+of them interpolate from.  The identity suites, which check every route,
+are imported by the command line front end only.  No module of the
+package holds an assert statement, which python -O strips.
 """
 
 import ast
@@ -48,6 +49,10 @@ def imports(path: Path) -> dict[str, set[str]]:
 @pytest.mark.parametrize("module, forbidden", [("engine", "formulas"), ("simulate", "engine")])
 def test_route_does_not_import_what_it_checks(module, forbidden):
     assert forbidden not in imports(PACKAGE / f"{module}.py")
+
+
+def test_simulator_takes_only_the_configuration_from_the_package():
+    assert imports(PACKAGE / "simulate.py") == {"config": {"Configuration"}}
 
 
 def test_formulas_take_only_the_recursion_from_the_engine():
