@@ -37,9 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import comb, factorial, lcm, prod
-from operator import add
 
 import numpy as np
 
@@ -50,9 +48,9 @@ from .qcalc import (
     QPoly,
     ZERO,
     NonIntegerCoefficients,
-    _convolve,
     bracket_product,
     interpolate,
+    poly_sum,
     q_binomial,
     require_nonnegative,
 )
@@ -296,7 +294,7 @@ def _wt(n: int, j: int, u: int) -> QPoly:
     """
     if j >= u:
         return bracket_product((u,), q_binomial(n, j))
-    return bracket_product((n + 1 - u,), q_binomial(n, j - 1)).shift(u - j)
+    return poly_sum([(1, u - j, (q_binomial(n, j - 1),), (n + 1 - u,))])
 
 
 @lru_cache(maxsize=None)
@@ -309,20 +307,15 @@ def _induction(ct: tuple[int, ...]) -> QPoly:
     u = max(i for i, x in enumerate(ct, start=1) if x > 0)
     d = list(ct)
     d[u - 1] -= 1
-    # the sum of the split products, grown to the length of each product
-    total: list[int] = []
+    splits = []
     pref = 0
     for j in range(1, n + 1):
         if d[j - 1] == 0 and pref == j - 1:
             left = _induction(tuple(d[: j - 1]))
             right = _induction(tuple(d[j:]))
-            if left and right:
-                term = _convolve(_convolve(_wt(n, j, u).coeffs, left.coeffs), right.coeffs)
-                if len(total) < len(term):
-                    total += repeat(0, len(term) - len(total))
-                total[: len(term)] = map(add, total, term)
+            splits.append((1, 0, (_wt(n, j, u), left, right), ()))
         pref += d[j - 1]
-    return QPoly(tuple(total))
+    return poly_sum(splits)
 
 
 def remixed_induction(c: Configuration) -> QPoly:

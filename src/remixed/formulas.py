@@ -18,9 +18,7 @@ terms of a route through sum_terms, which rejects a negative coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb
-from operator import add, sub
 from typing import Sequence
 
 from .config import (
@@ -36,11 +34,11 @@ from .config import (
 from .engine import remixed_induction
 from .qcalc import (
     InvariantViolation,
-    ONE,
     QPoly,
     ZERO,
     _times_pochhammer,
     bracket_product,
+    poly_sum,
     q_binomial,
     require_nonnegative,
 )
@@ -98,18 +96,14 @@ class _Term:
 
 
 def _assemble(terms: Sequence[_Term]) -> QPoly:
-    """The sum of the terms, added coefficient by coefficient into one list."""
-    total: list[int] = []
+    """The sum of the terms, as one poly_sum."""
     for t in terms:
         if t.qexp < 0:
             raise InvariantViolation(f"negative q exponent {t.qexp} in a formula term")
-        base = ONE if t.binom is None else q_binomial(*t.binom)
-        cs = bracket_product(t.brackets, base).coeffs
-        end = t.qexp + len(cs)
-        if len(total) < end:
-            total += repeat(0, end - len(total))
-        total[t.qexp : end] = map(add if t.sign > 0 else sub, total[t.qexp : end], cs)
-    return QPoly(tuple(total))
+    return poly_sum(
+        (t.sign, t.qexp, () if t.binom is None else (q_binomial(*t.binom),), t.brackets)
+        for t in terms
+    )
 
 
 def sum_terms(terms: Sequence[_Term], what: object) -> QPoly:
@@ -410,15 +404,16 @@ def carlitz_scoville_q(p: CSParams) -> QPoly:
     >>> carlitz_scoville_q(CSParams(1, 1, 1, 1)).coeffs
     (0, 2, 2)
     """
-    total = ZERO
     rs = p.r + p.s
-    for j in range(p.r + 1):
-        term = q_binomial(j + p.x + p.y - 1, j) * q_binomial(rs + p.x + p.y, p.r - j)
-        term = bracket_product(repeat(j + p.y, rs), term)
-        term = term.shift(comb(p.r - j, 2))
-        if (p.r + j) % 2:
-            term = -term
-        total = total + term
+    total = poly_sum(
+        (
+            -1 if (p.r + j) % 2 else 1,
+            comb(p.r - j, 2),
+            (q_binomial(j + p.x + p.y - 1, j), q_binomial(rs + p.x + p.y, p.r - j)),
+            (j + p.y,) * rs,
+        )
+        for j in range(p.r + 1)
+    )
     return require_nonnegative(total, p)
 
 

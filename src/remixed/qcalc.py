@@ -5,19 +5,17 @@ first.  A power series in t truncated at t**k is the tuple of its k
 coefficients in QPoly, t**0 first.  Rational scalars are Fractions; no
 floating point enters any computation here.
 
-Two product kernels carry nearly all of the package's arithmetic:
-
-* bracket_product multiplies by q-integers [a] = 1 + q + ... + q**(a-1).
-  Multiplying by [a] sums each window of a consecutive coefficients, so
-  one prefix-sum pass and one subtraction pass do it in O(len p + a),
-  on plain lists, with one QPoly built at the end.
-* General products use Kronecker substitution: each signed operand is
-  packed into one Python int at a bit stride k with 2**(k-1) above every
-  product coefficient, the two ints are multiplied once, and the product's
-  digits are read back with a bias that keeps them nonnegative.  Packing
-  and unpacking go through machine-word arrays, so both are linear and run
-  at C speed.  Below a fixed length the shorter factor is multiplied row by
-  row instead.
+One kernel, poly_sum, carries nearly all of the package's arithmetic.  It
+takes a signed sum of terms, each a power of q times polynomial factors
+times q-integers [a] = 1 + q + ... + q**(a-1), and evaluates the whole sum
+at one point x = 2**(8w) as one Python int (Kronecker substitution).  Each
+factor is packed into an int at a stride of w bytes, a bracket [a] is the
+shift-and-subtract (x**a - 1) over a division by x - 1 that is taken once
+for the whole sum, and the digits of the result are read back with a bias
+that keeps them nonnegative.  The stride holds a bound on every
+coefficient of the sum, so the read-back is exact.  Packing and unpacking
+go through machine-word arrays, so both are linear and run at C speed.
+A product of two polynomials and a bracket product are one-term sums.
 
 Truncated t-series are multiplied by the Pochhammer product (t;q)_n one
 linear factor (1 - t q**i) at a time, in place on coefficient lists
@@ -31,8 +29,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from math import factorial
+from itertools import repeat
+from math import factorial, prod
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -116,9 +114,7 @@ class QPoly:
 
     def __mul__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, QPoly):
-            if not self.coeffs or not other.coeffs:
-                return ZERO
-            return QPoly(tuple(_convolve(self.coeffs, other.coeffs)))
+            return poly_sum([(1, 0, (self, other), ())])
         if isinstance(other, int):
             return QPoly(tuple(map(mul, self.coeffs, repeat(other))))
         return NotImplemented
@@ -149,43 +145,10 @@ class QPoly:
 ZERO = QPoly()
 ONE = QPoly((1,))
 
-# Below this length of the shorter factor, adding one scaled row of the
-# longer factor per coefficient beats one packed product.  Measured on a
-# 2-core x86-64 VM under CPython 3.11: at 8 by 8 coefficients both take
-# about 11 us; at 4 by 4 rows take 4 us against 6 to 9 us; at 16 by 16
-# the packed product takes 16 us against 30 to 37 us.
-_KRONECKER_CUTOFF = 8
-
 # unsigned machine-word typecodes by byte width, to pack and unpack digits
 _WORDS = {array(code).itemsize: code for code in "BHIQ"}
 _WORD_WIDTHS = sorted(_WORDS)
 _BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two nonempty coefficient sequences.
-
-    The result has len(a) + len(b) - 1 entries; zeros are kept anywhere.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) >= _KRONECKER_CUTOFF:
-        return _kronecker(a, b)
-    la = len(a)
-    out = [0] * (la + len(b) - 1)
-    for j, cb in enumerate(b):
-        if cb:
-            row = a if cb == 1 else map(mul, a, repeat(cb))
-            out[j : j + la] = map(add, out[j : j + la], row)
-    return out
-
-
-def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """_convolve by one bigint product of a and b packed at a byte stride."""
-    top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    # the operands themselves must fit the stride too, also when one is all zeros
-    width = _stride(max(top_a * top_b * min(len(a), len(b)), top_a, top_b))
-    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
 def _stride(bound: int) -> int:
@@ -232,11 +195,63 @@ def _unpack(packed: int, width: int, n: int) -> list[int]:
     return list(map(sub, words, repeat(half)))
 
 
+def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -> QPoly:
+    """The sum of sign * q**shift * prod(factors) * prod of [a] for a in sizes, over the terms.
+
+    A term is (sign, shift, factors, sizes) with sign +1 or -1.  Every term
+    is evaluated at x = 2**(8w) as one int; a term with k brackets is also
+    multiplied by (x - 1)**(K - k), K the most brackets of any term, so
+    that the sum divides exactly by (x - 1)**K once.  The stride w holds
+    B, the sum over the terms of prod |f|_1 over the factors times prod
+    of the sizes: B bounds every coefficient of the sum, and every
+    coefficient of a factor too.  Terms with a zero factor or a size 0
+    are skipped.  Raises ValueError for a negative size or shift.
+
+    >>> poly_sum([(1, 0, (QPoly((1, 1)),), (3,)), (-1, 2, (), (2,))]).coeffs
+    (1, 2, 1)
+    """
+    kept = []
+    bound = length = top = 0
+    for sign, shift, factors, sizes in terms:
+        if shift < 0:
+            raise ValueError("negative shift")
+        if sizes and min(sizes) < 0:
+            raise ValueError("bracket of a negative integer")
+        sizes = [a for a in sizes if a != 1]
+        size = prod(sizes)
+        degree = shift + sum(sizes) - len(sizes)
+        for f in factors:
+            size *= sum(map(abs, f.coeffs))
+            degree += len(f.coeffs) - 1
+        if not size:  # a zero factor or a size 0
+            continue
+        bound += size
+        length = max(length, degree + 1)
+        top = max(top, len(sizes))
+        kept.append((sign, shift, factors, sizes))
+    if not kept:
+        return ZERO
+    width = _stride(bound)
+    bits = 8 * width
+    total = 0
+    for sign, shift, factors, sizes in kept:
+        x = 1
+        for f in factors:
+            x *= _pack(f.coeffs, width)
+        for a in sizes:
+            x = (x << bits * a) - x
+        for _ in range(top - len(sizes)):
+            x = (x << bits) - x
+        x <<= bits * shift
+        total = total + x if sign > 0 else total - x
+    if top:
+        total //= ((1 << bits) - 1) ** top
+    return QPoly(tuple(_unpack(total, width, length)))
+
+
 def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:
     """p times the product of the brackets [a] for a in sizes.
 
-    Coefficient k of cs * [a] is the window sum cs[k-a+1] + ... + cs[k],
-    a difference of two prefix sums, so each bracket costs O(len p + a).
     Raises ValueError for a negative size, as q_int does.
 
     >>> bracket_product((2, 3)).coeffs
@@ -244,22 +259,7 @@ def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:
     >>> bracket_product((2,), QPoly((1, -1))).coeffs
     (1, 0, -1)
     """
-    cs = list(p.coeffs)
-    for a in sizes:
-        if a < 0:
-            raise ValueError("bracket of a negative integer")
-        if a == 1 or not cs:
-            continue
-        if a == 0:
-            cs = []
-            continue
-        pre = list(accumulate(cs, initial=0))
-        hi = pre[1:]
-        hi += repeat(pre[-1], a - 1)
-        lo = [0] * (a - 1)
-        lo += pre
-        cs = list(map(sub, hi, lo))
-    return QPoly(tuple(cs))
+    return poly_sum([(1, 0, (p,), tuple(sizes))])
 
 
 def q_int(i: int) -> QPoly:

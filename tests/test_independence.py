@@ -8,8 +8,10 @@ check the simulator against imports nothing from the package.  Inside the
 engine, one drop step moves every ball, for the single-order oracle and
 the sweep alike, and one function builds the weights at the points both
 of them interpolate from.  The identity suites, which check every route,
-are imported by the command line front end only.  No module of the
-package holds an assert statement, which python -O strips.
+are imported by the command line front end only.  In qcalc, one kernel
+reads packed sums back, and no module takes a private name of qcalc but
+the Pochhammer step of the formulas.  No module of the package holds an
+assert statement, which python -O strips.
 """
 
 import ast
@@ -68,6 +70,24 @@ def test_one_drop_kernel_reads_the_bounce_geometry():
         and any(isinstance(node, ast.Name) and node.id == "_bounce_table" for node in ast.walk(func))
     }
     assert readers == {"_drop"}
+
+
+def test_one_packed_evaluator():
+    tree = ast.parse((PACKAGE / "qcalc.py").read_text())
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, ast.Name) and node.id == "_unpack" for node in ast.walk(func))
+    }
+    assert readers == {"poly_sum"}
+    private = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in imports(path).get("qcalc", ())
+        if name.startswith("_")
+    }
+    assert private == {("formulas", "_times_pochhammer")}
 
 
 def test_one_builder_of_the_oracle_weights():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from remixed import qcalc
 from remixed.qcalc import (
     ONE,
     ZERO,
@@ -17,6 +16,7 @@ from remixed.qcalc import (
     interpolate,
     poly_divexact,
     poly_reverse,
+    poly_sum,
     q_binomial,
     q_factorial,
     q_int,
@@ -199,8 +199,8 @@ def test_q_specializations_at_one(n):
 coefficients = st.one_of(
     st.just(0), st.integers(-50, 50), st.integers(-(2**40), 2**40), st.integers(-(2**90), 2**90)
 )
-# lengths on both sides of the cutoff between row products and packed products
-lengths = st.integers(0, 3 * qcalc._KRONECKER_CUTOFF)
+# lengths from the empty polynomial up to 24 coefficients
+lengths = st.integers(0, 24)
 
 
 def coeff_lists(min_size=0):
@@ -216,9 +216,8 @@ def test_mul_matches_schoolbook(a, b):
 
 @given(coeff_lists(min_size=1), coeff_lists(min_size=1))
 def test_both_product_kernels_match_schoolbook(a, b):
-    want = list(schoolbook(a, b))
-    assert qcalc._convolve(a, b) == want
-    assert qcalc._kronecker(a, b) == want
+    want = QPoly(schoolbook(a, b))
+    assert poly_sum([(1, 0, (QPoly(tuple(a)), QPoly(tuple(b))), ())]) == want
 
 
 def test_mul_examples_across_word_sizes():
@@ -228,7 +227,43 @@ def test_mul_examples_across_word_sizes():
         a = (top, 0, -top, 3) * 4
         b = (-1, top, 0) * 5
         assert (QPoly(a) * QPoly(b)).coeffs == QPoly(schoolbook(a, b)).coeffs
-        assert qcalc._kronecker(a, b) == list(schoolbook(a, b))
+        assert poly_sum([(1, 0, (QPoly(a), QPoly(b)), ())]) == QPoly(schoolbook(a, b))
+
+
+def poly_sum_reference(terms):
+    """The sum of the terms of poly_sum, each built by schoolbook products."""
+    total = ZERO
+    for sign, shift, factors, sizes in terms:
+        cs = (1,)
+        for f in (*factors, *map(q_int, sizes)):
+            cs = schoolbook(cs, f.coeffs)
+        term = QPoly(cs).shift(shift)
+        total = total + term if sign > 0 else total - term
+    return total
+
+
+poly_terms = st.tuples(
+    st.sampled_from((1, -1)),
+    st.integers(0, 5),
+    st.lists(st.lists(coefficients, max_size=6).map(lambda cs: QPoly(tuple(cs))), max_size=3),
+    st.lists(st.integers(0, 6), max_size=4),
+)
+
+
+@given(st.lists(poly_terms, max_size=5))
+def test_poly_sum_matches_schoolbook(terms):
+    assert poly_sum(terms) == poly_sum_reference(terms)
+
+
+def test_poly_sum_edges():
+    # the stride holds the sum of the term bounds, not the largest of them
+    big = QPoly((2**62,))
+    assert poly_sum([(1, 0, (big,), ()), (1, 0, (big,), ())]) == QPoly((2**63,))
+    assert poly_sum([(1, 1, (q_int(3),), (2,)), (-1, 1, (q_int(2),), (3,))]) == ZERO
+    with pytest.raises(ValueError):
+        poly_sum([(1, 0, (), (0, -1))])
+    with pytest.raises(ValueError):
+        poly_sum([(1, -1, (ONE,), ())])
 
 
 @given(st.lists(st.integers(0, 12), max_size=8), small_polys)
