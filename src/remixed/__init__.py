@@ -50,6 +50,7 @@ from .formulas import (
     corrective_series,
     a_one_hole,
     q_hit,
+    q_hits,
     hit_to_connected,
     carlitz_scoville_q,
     dispatch,
@@ -92,6 +93,7 @@ __all__ = [
     "corrective_series",
     "a_one_hole",
     "q_hit",
+    "q_hits",
     "hit_to_connected",
     "carlitz_scoville_q",
     "dispatch",

@@ -25,13 +25,12 @@ from .config import classify, max_weakly_shift, parse_config, shifted_config
 from .engine import SWEEP_MAX_N, exact_sweep, remixed_exact, remixed_induction, success_probability
 from .formulas import (
     CSParams,
-    HitIndex,
     a_connected,
     a_one_hole,
     a_weakly_lukasiewicz,
     carlitz_scoville_q,
     dispatch,
-    q_hit,
+    q_hits,
 )
 from .qcalc import InvariantViolation
 from .simulate import estimate_success
@@ -147,8 +146,8 @@ def cmd_table(args: argparse.Namespace) -> tuple[dict | None, int]:
     elif args.kind == "hit":
         lam = _parse_tuple(_require(getattr(args, "lambda"), "lambda"), "lambda")
         n = _sites(args)
-        for i in range(n + 1):
-            rows.append((str(i), q_hit(HitIndex(lam, i, n))))
+        for i, p in enumerate(q_hits(lam, n)):
+            rows.append((str(i), p))
     if args.format == "csv":
         width = max((len(p.coeffs) for _, p in rows), default=0)
         width = max(width, 1)

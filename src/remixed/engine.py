@@ -5,31 +5,33 @@ and a ball that lands on an occupied site jumps to the nearest hole at
 distance a on the left, with weight q^a [b]/[a+b], or at distance b on
 the right, with weight [a]/[a+b].  One drop step, _drop, is the only place
 a ball moves.  It reads the bounce geometry from one map per number of
-sites, and each occupancy mask carries a numpy lane of masses, one per
+sites, and each occupancy mask carries a lane of masses, one per
 evaluation point: the weights at q = u/v are integers over one scale per
 point, so the success probability at a rational point is exact integer
 mass over a power of that scale.  remixed_exact walks its drop order once
-for all the points q = 0..n(n-1)/2, on lanes of Python integers, and lifts
-the polynomial from its integer values there by qcalc.interpolate.  A walk
-meets few of the (mask, site) states and bounce pairs, so the geometry of
-a state and the weights of a pair are built when they are first met.  Both
-are kept per n for the life of the process: the geometry by _bounce_table,
-the weights at the points 0..n(n-1)/2 by _oracle_weights, which
-remixed_exact and the sweep share.  The second evaluator runs the final
-ball recursion with memoization and never touches probabilities.
-Agreement of the two is the backbone of the test suite.
+for all the points q = 0..n(n-1)/2, on tuple lanes of Python integers
+(_Lane), and lifts the polynomial from its integer values there by
+qcalc.interpolate.  A walk meets few of the (mask, site) states and bounce
+pairs, so the geometry of a state and the weights of a pair are built when
+they are first met.  Both are kept per n for the life of the process: the
+geometry by _bounce_table, the weights at the points 0..n(n-1)/2 by
+_oracle_weights, which remixed_exact and the sweep share.  The second
+evaluator runs the final ball recursion with memoization and never
+touches probabilities.  Agreement of the two is the backbone of the test
+suite.
 
 The bulk sweep over all configurations on n sites runs the same drop step
 on int64 lanes of residues modulo two primes p1, p2 below 2**28, one lane
 per prime and per point q0 = 0..D, D = n(n-1)/2, and interpolates by
-qcalc.interpolate as a matrix mod p.  Every lane is reduced after each
-drop, so a product of two residues is below 2**56.  A mask that a drop
-reaches gains one site, so it sums at most n products, and a row of the
-interpolation matrix sums D + 1 of them: both stay below 2**63 for every
-n <= 16.  The coefficients of a configuration polynomial are nonnegative
-and sum to at most n! < p1 * p2, so the Chinese remainder theorem
-recovers them exactly, and a lifted coefficient or row sum above n! is
-reported as an InvariantViolation.
+qcalc.interpolate as a matrix mod p.  Only these array kernels import
+numpy, on their first call, so the oracle and the recursion never load
+it.  Every lane is reduced after each drop, so a product of two residues
+is below 2**56.  A mask that a drop reaches gains one site, so it sums at
+most n products, and a row of the interpolation matrix sums D + 1 of
+them: both stay below 2**63 for every n <= 16.  The coefficients of a
+configuration polynomial are nonnegative and sum to at most n! < p1 * p2,
+so the Chinese remainder theorem recovers them exactly, and a lifted
+coefficient or row sum above n! is reported as an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-
-import numpy as np
+from operator import add, mul
+from typing import TYPE_CHECKING
 
 from .config import Configuration, left_to_right_order
 from .qcalc import (
@@ -54,6 +56,12 @@ from .qcalc import (
     q_binomial,
     require_nonnegative,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    # a lane of masses, one per point: exact for the oracle, residues for the sweep
+    Lane = _Lane | np.ndarray
 
 # exact_sweep works modulo these two primes, the largest two below 2**28.
 _PRIMES = (268435399, 268435367)
@@ -122,19 +130,35 @@ def _brackets(n: int, u: int, v: int = 1) -> list[int]:
     return out
 
 
+class _Lane(tuple):
+    """An immutable lane of Python integers, one per point, with elementwise * and +.
+
+    The exact oracle's masses and weights; the sweep's lanes are int64
+    numpy arrays of residues, and _drop reads both the same way.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other: _Lane) -> _Lane:
+        return _Lane(map(mul, self, other))
+
+    def __add__(self, other: _Lane) -> _Lane:
+        return _Lane(map(add, self, other))
+
+
 class _Weights(dict):
     """Bounce weights on n sites at the points q = u/v, as integers.
 
     Lane i holds the values at the i-th point, over that point's scale
     L_i = lcm(B_1..B_n).  The brackets, the scales and [n]! at every point
-    are built up front; the scales are a numpy lane of Python integers.
-    The weights themselves are built by pair number (see _Bounces) on
-    first lookup, because one walk meets few of the pairs: self[pair] is
-    the left lane u^a B_b L / B_(a+b) and the right lane v^b B_a L /
-    B_(a+b), both numpy lanes of Python integers.  They are the weights
-    q^a [b]/[a+b] and [a]/[a+b] times L, and they sum to L since
-    u^a B_b + v^b B_a = B_(a+b).  Every lane is read-only, because
-    _oracle_weights hands one instance to every walk on n sites.
+    are built up front; the scales are a _Lane.  The weights themselves
+    are built by pair number (see _Bounces) on first lookup, because one
+    walk meets few of the pairs: self[pair] is the left lane
+    u^a B_b L / B_(a+b) and the right lane v^b B_a L / B_(a+b), both
+    _Lanes.  They are the weights q^a [b]/[a+b] and [a]/[a+b] times L, and
+    they sum to L since u^a B_b + v^b B_a = B_(a+b).  Every lane is
+    immutable, because _oracle_weights hands one instance to every walk on
+    n sites.
     """
 
     def __init__(self, n: int, points: Iterable[Fraction]) -> None:
@@ -145,26 +169,19 @@ class _Weights(dict):
             raise ValueError("q must be nonnegative")
         self.points = tuple((q0.numerator, q0.denominator) for q0 in fracs)
         self.brackets = tuple(_brackets(n, u, v) for u, v in self.points)
-        self.scale = _frozen([lcm(*br[1:]) for br in self.brackets])
+        self.scale = _Lane(lcm(*br[1:]) for br in self.brackets)
         # the product B_1 ... B_n is [n]!(q0) at an integer point q0
         self.fact = tuple(prod(br[1:]) for br in self.brackets)
 
-    def __missing__(self, pair: int) -> tuple[np.ndarray, np.ndarray]:
+    def __missing__(self, pair: int) -> tuple[_Lane, _Lane]:
         a, b = divmod(pair, self.n + 1)
         left, right = [], []
         for (u, v), br, scale in zip(self.points, self.brackets, self.scale):
             unit = scale // br[a + b]
             left.append(u**a * br[b] * unit)
             right.append(v**b * br[a] * unit)
-        lanes = self[pair] = _frozen(left), _frozen(right)
+        lanes = self[pair] = _Lane(left), _Lane(right)
         return lanes
-
-
-def _frozen(values: list[int]) -> np.ndarray:
-    """A read-only numpy lane of Python integers."""
-    lane = np.array(values, object)
-    lane.setflags(write=False)
-    return lane
 
 
 @lru_cache(maxsize=None)
@@ -178,28 +195,28 @@ def _oracle_weights(n: int) -> _Weights:
 
 
 def _drop(
-    dist: dict[int, np.ndarray],
+    dist: dict[int, Lane],
     s: int,
     n: int,
-    weights: Mapping[int, tuple[np.ndarray, np.ndarray]],
-    scale: np.ndarray,
-) -> dict[int, np.ndarray]:
+    weights: Mapping[int, tuple[Lane, Lane]],
+    scale: Lane,
+) -> dict[int, Lane]:
     """Drop one ball at site s onto every occupancy mask in dist.
 
-    Each mask carries a numpy lane of masses, one per point: Python
-    integers for the exact oracle, residues for the sweep.  weights maps a
-    pair number (see _Bounces) to its left and right weight lanes, and
-    scale is the lane of the weights' scales.  A ball on a free site
-    multiplies the lane by its scale, a bounce by the weight of its
-    branch, and a branch that would land off the line is lost mass.  The
+    Each mask carries a lane of masses, one per point: a _Lane of Python
+    integers for the exact oracle, an int64 array of residues for the
+    sweep.  weights maps a pair number (see _Bounces) to its left and right
+    weight lanes, and scale is the lane of the weights' scales.  A ball on
+    a free site multiplies the lane by its scale, a bounce by the weight of
+    its branch, and a branch that would land off the line is lost mass.  The
     only arithmetic is lane * scale, lane * weight and the sum of the
     lanes that reach one mask, so the caller decides when to reduce.
     """
     tab = _bounce_table(n)
     bit = 1 << (s - 1)
-    out: dict[int, np.ndarray] = {}
+    out: dict[int, Lane] = {}
 
-    def put(mask: int, lane: np.ndarray) -> None:
+    def put(mask: int, lane: Lane) -> None:
         got = out.get(mask)
         out[mask] = lane if got is None else got + lane
 
@@ -216,17 +233,17 @@ def _drop(
     return out
 
 
-def _success_for_order(n: int, order: tuple[int, ...], weights: _Weights) -> np.ndarray:
+def _success_for_order(n: int, order: tuple[int, ...], weights: _Weights) -> _Lane:
     """Chance that dropping balls at the given sites fills [1, n], at every point.
 
     One walk carries all points of the weights.  Returned unreduced, as the
     integer mass of the full state in each lane, over L_i**n in lane i.
     """
     width = len(weights.scale)
-    dist = {0: np.ones(width, object)}
+    dist = {0: _Lane((1,) * width)}
     for s in order:
         dist = _drop(dist, s, n, weights, weights.scale)
-    return dist.get((1 << n) - 1, np.zeros(width, object))
+    return dist.get((1 << n) - 1, _Lane((0,) * width))
 
 
 def _probability(n: int, order: tuple[int, ...], q0: Fraction) -> Fraction:
@@ -341,6 +358,8 @@ def _lane_weights(
     mass of a full state into [n]!(q0) times its success chance, and the
     modulus of each lane.
     """
+    import numpy as np
+
     big_d = n * (n - 1) // 2
     weights = _oracle_weights(n)
 
@@ -367,6 +386,8 @@ def _sweep_residues(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     the configurations and an int64 array of shape (count, 2, D + 1),
     indexed by configuration, prime and q0.
     """
+    import numpy as np
+
     weights, scale, unit, mod = _lane_weights(n)
     keys: list[tuple[int, ...]] = []
     leaves = np.empty((comb(2 * n - 1, n), mod.size), np.int64)
@@ -405,6 +426,8 @@ def _interp_matrix(big_d: int) -> np.ndarray:
     q**i, mod _PRIMES[k]: qcalc.interpolate of D! times the unit vector at
     q0, which has integer coefficients, times the inverse of D! mod p.
     """
+    import numpy as np
+
     scaled = factorial(big_d)
     out = np.empty((len(_PRIMES), big_d + 1, big_d + 1), np.int64)
     for q0 in range(big_d + 1):
@@ -426,6 +449,8 @@ def _interpolate_mod(vals: np.ndarray) -> np.ndarray:
     2**56 and each sum of D + 1 of them below 2**63 for D + 1 <= 128, which
     covers every n <= 16.
     """
+    import numpy as np
+
     out = np.empty_like(vals)
     for k, (p, m) in enumerate(zip(_PRIMES, _interp_matrix(vals.shape[-1] - 1))):
         out[:, k] = vals[:, k] @ m % p

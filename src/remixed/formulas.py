@@ -341,14 +341,20 @@ class HitIndex:
         return [k - self.lam[self.n - k] for k in range(1, self.n + 1)]
 
 
-def q_hit(h: HitIndex) -> QPoly:
-    """Coefficient extraction from the hit number generating identity.
+def q_hits(lam: tuple[int, ...], n: int) -> tuple[QPoly, ...]:
+    """The q-hit numbers of lam in the staircase of size n, for i = 0..n.
 
-    The identity is core_series over the factor offsets in place of the
-    core balls.  Its numerator series is a polynomial in t of degree at
-    most n, so the truncation n + 1 is exact.
+    They are the coefficients of one generating series: core_series over
+    the factor offsets in place of the core balls.  Its numerator series
+    is a polynomial in t of degree at most n, so the truncation n + 1 is
+    exact.
     """
-    return _bracket_series(h.factor_offsets(), h.n, h.n + 1)[h.i]
+    return _bracket_series(HitIndex(lam, 0, n).factor_offsets(), n, n + 1)
+
+
+def q_hit(h: HitIndex) -> QPoly:
+    """Coefficient extraction from the hit number generating identity (q_hits)."""
+    return q_hits(h.lam, h.n)[h.i]
 
 
 def hit_to_connected(h: HitIndex) -> tuple[tuple[int, ...], int, int]:

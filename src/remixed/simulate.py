@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import Configuration
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -74,6 +76,8 @@ _CHUNK = 1 << 15
 
 
 def _mix_np(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX1)
     z = z ^ (z >> np.uint64(27))
@@ -97,6 +101,8 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
     stream depends only on (seed, index), the flags do not depend on the
     chunk size.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("need at least one trial")
     n = c.n

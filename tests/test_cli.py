@@ -159,6 +159,16 @@ def test_table_hit(capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_table_hit_builds_the_series_once(capsys, monkeypatch):
+    # every row is a coefficient of one generating series
+    built = []
+    inner = formulas._bracket_series
+    monkeypatch.setattr(formulas, "_bracket_series", lambda *a: built.append(a) or inner(*a))
+    rc, out, _ = run(capsys, "table", "hit", "--lambda", "4,2,1", "--n", "7")
+    assert rc == 0 and len(envelope(out)["result"]["rows"]) == 8
+    assert len(built) == 1
+
+
 def test_table_missing_option(capsys):
     rc, _, err = run(capsys, "table", "connected", "--n", "5")
     assert rc == 2 and "gamma" in err

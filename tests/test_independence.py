@@ -11,10 +11,16 @@ of them interpolate from.  The identity suites, which check every route,
 are imported by the command line front end only.  In qcalc, one kernel
 reads packed sums back, and no module takes a private name of qcalc but
 the Pochhammer step of the formulas.  No module of the package holds an
-assert statement, which python -O strips.
+assert statement, which python -O strips.  numpy is imported inside the
+functions that build arrays, the sweep's and the simulator's, so the
+commands that need no array never load it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +126,107 @@ def test_no_assert_in_the_package(path):
 
 def test_scalar_reference_imports_nothing_from_the_package():
     assert imports(TESTS / "scalar_sim.py") == {}
+
+
+def import_time_modules(path: Path) -> set[str]:
+    """Top-level names of the modules a source file imports when it is itself imported.
+
+    A function body runs only when called, and the body of an
+    `if TYPE_CHECKING:` never runs; every other statement, in a class body,
+    a try or a plain if, runs at import.
+    """
+    found: set[str] = set()
+
+    def visit(nodes) -> None:
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and "TYPE_CHECKING" in {
+                getattr(node.test, "id", None),
+                getattr(node.test, "attr", None),
+            }:
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(path.read_text()).body)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_numpy_at_import_time(path):
+    assert "numpy" not in import_time_modules(path)
+
+
+def test_import_time_reader_sees_every_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "import typing\n"
+        "from typing import TYPE_CHECKING\n"
+        "import os.path\n"
+        "from . import simulate\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "else:\n"
+        "    import json\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "try:\n"
+        "    from fractions import Fraction\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class Lane:\n"
+        "    import math\n"
+        "    def method(self):\n"
+        "        import numpy\n"
+        "def kernel():\n"
+        "    import numpy as np\n"
+    )
+    assert import_time_modules(src) == {"typing", "os", "json", "fractions", "math"}
+
+
+def test_numpy_stays_unloaded_until_an_array_kernel_runs():
+    # a fresh interpreter: the test process itself has numpy loaded
+    script = """
+import contextlib, io, json, sys
+from fractions import Fraction
+import remixed
+from remixed import cli
+from remixed.config import Configuration, all_configurations
+from remixed.engine import exact_sweep, remixed_exact
+from remixed.simulate import simulate_batch
+argvs = [
+    ["eval", "0,0,2,1,1,3,0,2,0,0,0,4,0", "--crosscheck"],
+    ["classify", "0,0,2,1,1,3,0,2,0,0,0,4,0"],
+    ["table", "hit", "--lambda", "4,2,1", "--n", "7"],
+    ["table", "cs", "--x", "2", "--y", "3", "--rsmax", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+before = "numpy" in sys.modules
+table = exact_sweep(3)
+sweep = sorted(table) == sorted(c.c for c in all_configurations(3)) and all(
+    table[ct] == remixed_exact(Configuration(ct)) for ct in table
+)
+flags = simulate_batch(Configuration((1, 1, 1)), Fraction(1), 40, 3)
+print(json.dumps({"codes": codes, "before": before, "sweep": sweep,
+                  "simulated": int(flags.sum()), "after": "numpy" in sys.modules}))
+"""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [0, 0, 0, 0],
+        "before": False,
+        "sweep": True,
+        "simulated": 40,
+        "after": True,
+    }
 
 
 def test_import_reader_sees_every_form(tmp_path):
