@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .qcalc import (
     QPoly,
-    NotDivisible,
     DegreeTooHigh,
     NonIntegerCoefficients,
     InvariantViolation,
@@ -23,7 +22,6 @@ from .qcalc import (
 from .config import (
     Configuration,
     CoreDecomposition,
-    OneHoleShape,
     ConfigFlags,
     parse_config,
     heights,
@@ -32,7 +30,6 @@ from .config import (
     reverse,
     classify,
     max_weakly_shift,
-    one_hole_decompose,
 )
 from .engine import (
     success_probability,
@@ -60,7 +57,6 @@ from .simulate import estimate_success, SimResult
 
 __all__ = [
     "QPoly",
-    "NotDivisible",
     "DegreeTooHigh",
     "NonIntegerCoefficients",
     "InvariantViolation",
@@ -70,7 +66,6 @@ __all__ = [
     "q_pochhammer",
     "Configuration",
     "CoreDecomposition",
-    "OneHoleShape",
     "ConfigFlags",
     "parse_config",
     "heights",
@@ -79,7 +74,6 @@ __all__ = [
     "reverse",
     "classify",
     "max_weakly_shift",
-    "one_hole_decompose",
     "success_probability",
     "remixed_exact",
     "remixed_induction",

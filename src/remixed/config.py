@@ -2,14 +2,13 @@
 
 A configuration places c_i balls on site i with as many balls as sites in
 total.  This module owns parsing, the height profile, the left to right
-ball order, core extraction, reversal, classification into the families
-with closed formulas, and the shape decompositions those formulas need.
+ball order, core extraction, reversal, and classification into the
+families with closed formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .qcalc import InvariantViolation
 
@@ -30,10 +29,6 @@ class NoWeaklyShift(ValueError):
     """No placement of the core satisfies the weak order condition."""
 
 
-class NotOneHole(ValueError):
-    """The core does not have exactly one empty site."""
-
-
 @dataclass(frozen=True)
 class Configuration:
     """Tuple c with c_i balls on site i and sum(c) == len(c)."""
@@ -44,7 +39,7 @@ class Configuration:
         c = tuple(self.c)
         if not c:
             raise Empty("a configuration needs at least one site")
-        if not all(map(isinstance, c, repeat(int))):
+        if not set(map(type, c)) <= {int}:
             raise TypeError(f"entries must be int, got {c}")
         if min(c) < 0:
             raise Negative(f"negative entry in {c}")
@@ -66,17 +61,6 @@ class CoreDecomposition:
 
     left_zeros: int
     gamma: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OneHoleShape:
-    """Core split around its single hole: gamma = (alpha, 0, beta)."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    ell: int
-    p: int
-    r: int
 
 
 @dataclass(frozen=True)
@@ -243,26 +227,6 @@ def max_weakly_shift(gamma: tuple[int, ...], n: int) -> int:
     if best < 0:
         raise NoWeaklyShift(f"core {gamma} fails the weak condition at every shift")
     return best
-
-
-def one_hole_decompose(c: Configuration) -> OneHoleShape:
-    """Split the core of c around its unique hole.
-
-    >>> one_hole_decompose(Configuration((0, 2, 1, 0, 3, 0)))
-    OneHoleShape(alpha=(2, 1), beta=(3,), ell=2, p=3, r=3)
-    """
-    gamma = core(c).gamma
-    if gamma.count(0) != 1:
-        raise NotOneHole(f"core {gamma} has {gamma.count(0)} holes, need exactly 1")
-    z = gamma.index(0)
-    alpha, beta = gamma[:z], gamma[z + 1 :]
-    return OneHoleShape(
-        alpha=alpha,
-        beta=beta,
-        ell=len(alpha),
-        p=sum(alpha),
-        r=sum(beta),
-    )
 
 
 def all_configurations(n: int):

@@ -28,7 +28,6 @@ from .config import (
     core,
     max_weakly_shift,
     mset,
-    one_hole_decompose,
     NoWeaklyShift,
 )
 from .engine import remixed_induction
@@ -286,14 +285,15 @@ def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> 
 
 
 def _one_hole_terms(c: Configuration) -> list[_Term]:
-    shape = one_hole_decompose(c)
     dec = core(c)
-    i, n = dec.left_zeros, c.n
-    terms = _shifted_sum_terms(dec.gamma, i, n)
-    if i >= shape.p - shape.ell:
+    gamma, i, n = dec.gamma, dec.left_zeros, c.n
+    terms = _shifted_sum_terms(gamma, i, n)
+    z = gamma.index(0)
+    alpha, beta = gamma[:z], gamma[z + 1 :]
+    ell, p = len(alpha), sum(alpha)
+    if i >= p - ell:
         # minus the corrective series coefficient of t**i
-        k = i + shape.ell - shape.p
-        t = _corrective_term(shape.p, shape.r, k, one_hole_prefactor(shape.alpha, shape.beta))
+        t = _corrective_term(p, n - p, i + ell - p, one_hole_prefactor(alpha, beta))
         terms.append(_Term(-t.sign, t.qexp, t.brackets, t.binom))
     return terms
 

@@ -30,13 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
-
-class NotDivisible(ArithmeticError):
-    """Raised when an exact polynomial division leaves a remainder."""
-
 
 class DegreeTooHigh(ValueError):
     """Raised when a reversal window is smaller than the degree."""
@@ -78,7 +74,7 @@ class QPoly:
 
     def __post_init__(self) -> None:
         cs = tuple(self.coeffs)
-        if not all(map(isinstance, cs, repeat(int))):
+        if not set(map(type, cs)) <= {int}:
             raise TypeError("coefficients must be int")
         if cs and not cs[-1]:
             end = len(cs) - 1
@@ -290,7 +286,8 @@ _QBIN_CACHE: dict[tuple[int, int], QPoly] = {}
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial coefficient.  Zero when k is out of [0, n].
 
-    Built incrementally along a row, dividing exactly at each step.
+    Read off the Pochhammer product by the q-binomial theorem,
+    (t;q)_n = sum over k of (-1)**k q**comb(k, 2) qbin(n, k) t**k.
 
     >>> q_binomial(4, 2).coeffs
     (1, 1, 2, 1, 1)
@@ -306,44 +303,10 @@ def q_binomial(n: int, k: int) -> QPoly:
     got = _QBIN_CACHE.get(key)
     if got is not None:
         return got
-    out = ONE
-    for j in range(1, k + 1):
-        out = poly_divexact(bracket_product((n - j + 1,), out), q_int(j))
+    cs = q_pochhammer(n, k + 1)[k].coeffs[comb(k, 2) :]
+    out = QPoly(tuple(map(neg, cs)) if k % 2 else cs)
     _QBIN_CACHE[key] = out
     return out
-
-
-def poly_divexact(a: QPoly, b: QPoly) -> QPoly:
-    """Quotient a / b when it is exact over the integers.
-
-    Raises NotDivisible if the division leaves a remainder or needs
-    non-integer coefficients; ZeroDivisionError for a zero divisor.
-
-    >>> poly_divexact(q_factorial(3), q_int(2)).coeffs
-    (1, 1, 1)
-    """
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return ZERO
-    da, db = len(a.coeffs) - 1, len(b.coeffs) - 1
-    if da < db:
-        raise NotDivisible(f"degree {da} < degree {db}")
-    lead = b.coeffs[-1]
-    rem = list(a.coeffs)
-    quot = [0] * (da - db + 1)
-    for i in range(da - db, -1, -1):
-        top = rem[i + db]
-        if top % lead != 0:
-            raise NotDivisible("leading coefficient does not divide")
-        c = top // lead
-        quot[i] = c
-        if c:
-            for j, cb in enumerate(b.coeffs):
-                rem[i + j] -= c * cb
-    if any(rem[:db]):
-        raise NotDivisible("nonzero remainder")
-    return QPoly(tuple(quot))
 
 
 def poly_reverse(a: QPoly, d: int) -> QPoly:

@@ -8,7 +8,6 @@ from remixed.config import (
     Configuration,
     Empty,
     Negative,
-    NotOneHole,
     NoWeaklyShift,
     all_configurations,
     classify,
@@ -16,7 +15,6 @@ from remixed.config import (
     heights,
     left_to_right_order,
     max_weakly_shift,
-    one_hole_decompose,
     parse_config,
     reverse,
     shifted_config,
@@ -37,7 +35,7 @@ def test_parse_examples():
 
 
 def test_rejects_non_int_entries():
-    for ct in [(1.0,), (2.0, 0), (Fraction(1),)]:
+    for ct in [(1.0,), (2.0, 0), (Fraction(1),), (True, True)]:
         with pytest.raises(TypeError):
             Configuration(ct)
 
@@ -152,16 +150,6 @@ def test_weakly_prefix_and_stability(n, data):
     # dropping the rightmost ball keeps the flag on the truncated order
     u = left_to_right_order(c)[:-1]
     assert all(u[j - 1] <= max(u[j - 2] + 1, j) for j in range(2, len(u) + 1))
-
-
-def test_one_hole_decompose_examples():
-    shape = one_hole_decompose(Configuration((0, 2, 1, 0, 3, 0)))
-    assert (shape.alpha, shape.beta) == ((2, 1), (3,))
-    assert (shape.ell, shape.p, shape.r) == (2, 3, 3)
-    with pytest.raises(NotOneHole):
-        one_hole_decompose(Configuration((1, 1)))
-    with pytest.raises(NotOneHole):
-        one_hole_decompose(Configuration((2, 0, 2, 0, 1)))
 
 
 @given(st.integers(2, 8), st.data())

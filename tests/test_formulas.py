@@ -35,7 +35,6 @@ from remixed.qcalc import (
     ZERO,
     QPoly,
     bracket_product,
-    poly_divexact,
     q_binomial,
     q_factorial,
     q_int,
@@ -353,10 +352,8 @@ def test_cs_matches_configuration_polynomial():
             for x in (1, 2):
                 for y in (1, 2):
                     p = CSParams(r, s, x, y)
-                    lhs = poly_divexact(
-                        remixed_induction(cs_configuration(p)), q_factorial(x + y - 1)
-                    )
-                    assert lhs == carlitz_scoville_q(p)
+                    lhs = remixed_induction(cs_configuration(p))
+                    assert lhs == q_factorial(x + y - 1) * carlitz_scoville_q(p)
 
 
 def test_cs_q_recurrence():
