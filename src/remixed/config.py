@@ -9,6 +9,7 @@ families with closed formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .qcalc import InvariantViolation
 
@@ -105,12 +106,7 @@ def heights(c: Configuration) -> tuple[int, ...]:
     >>> heights(Configuration((0, 3, 0, 2, 0)))
     (-1, 1, 0, 1, 0)
     """
-    out = []
-    h = 0
-    for x in c.c:
-        h += x - 1
-        out.append(h)
-    return tuple(out)
+    return tuple(accumulate(x - 1 for x in c.c))
 
 
 def mset(tup: tuple[int, ...]) -> list[int]:
@@ -151,42 +147,47 @@ def _weak_bound(gamma: tuple[int, ...], n: int) -> int:
     """Largest shift i at which gamma after i zeros on n sites is weakly placed.
 
     The weak family asks u_j <= max(u_{j-1} + 1, j) for every j >= 2, where
-    u lists the ball start sites from the left.  Shifting gamma by i adds i
-    to each u_j.  A step with u_j <= u_{j-1} + 1 passes at every shift; a
-    jump over a hole passes exactly while u_j + i <= j.  Negative when no
-    shift passes.
+    u lists the ball start sites from the left.  A step with
+    u_j <= u_{j-1} + 1 passes at every shift; the ball numbered balls + 1
+    that first starts past a hole, at core site a, passes shifted by i
+    exactly while i <= balls + 1 - a.  Negative when no shift passes.
     """
-    u = mset(gamma)
-    jumps = [j - u[j - 1] for j in range(2, len(u) + 1) if u[j - 1] > u[j - 2] + 1]
-    return min([n - len(gamma), *jumps])
+    best, balls, prev = n - len(gamma), 0, gamma[0]
+    for a, x in enumerate(gamma, start=1):
+        if x and not prev:
+            best = min(best, balls + 1 - a)
+        balls, prev = balls + x, x
+    return best
 
 
 def classify(c: Configuration) -> ConfigFlags:
     """Family flags for c.
 
-    Height based tests decide the first two families, the core decides
-    connectivity and one hole, and the core's shift decides the weak
-    family: it must not exceed _weak_bound.
+    One walk over the heights finds where they dip below zero, which
+    decides the first two families; the core decides connectivity and one
+    hole, and its shift decides the weak family: at most _weak_bound.
 
     >>> classify(Configuration((1, 0, 3, 0, 1))).almost_defect
     2
     """
-    hs = heights(c)
-    neg = [j for j, h in enumerate(hs, start=1) if h < 0]
-    is_luka = not neg
-    defect: int | None = None
-    if len(neg) == 1:
-        j = neg[0]
-        if hs[j - 1] != -1:
+    dip, depth, h = None, 0, 0
+    for j, x in enumerate(c.c, start=1):
+        h += x - 1
+        if h < 0:
+            if dip is not None:
+                dip = 0  # a second dip: neither family
+                break
+            dip, depth = j, h
+    if dip:
+        if depth != -1:
             raise InvariantViolation("a lone dip below zero can only reach -1")
-        if c.c[j - 1] != 0:
+        if c.c[dip - 1] != 0:
             raise InvariantViolation("the defect site cannot hold a ball")
-        defect = j
     dec = core(c)
     holes = dec.gamma.count(0)
     return ConfigFlags(
-        is_lukasiewicz=is_luka,
-        almost_defect=defect,
+        is_lukasiewicz=dip is None,
+        almost_defect=dip or None,
         is_connected=holes == 0,
         is_one_hole=holes == 1,
         is_weakly_lukasiewicz=dec.left_zeros <= _weak_bound(dec.gamma, c.n),

@@ -17,6 +17,7 @@ terms of a route through sum_terms, which rejects a negative coefficient.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
@@ -140,12 +141,11 @@ def a_lukasiewicz(c: Configuration) -> QPoly:
 
 
 def _almost_terms(c: Configuration, j: int) -> list[_Term]:
-    ms = mset(c.c)
-    low = tuple(a for a in ms if a < j)
-    high = tuple(a - j for a in ms if a > j)
+    ms = tuple(mset(c.c))
+    k = bisect_left(ms, j)  # no ball starts at the defect site j
     return [
-        _Term(1, 0, tuple(ms)),
-        _Term(-1, 0, low + high, (c.n + 1, j)),
+        _Term(1, 0, ms),
+        _Term(-1, 0, (*ms[:k], *[a - j for a in ms[k:]]), (c.n + 1, j)),
     ]
 
 

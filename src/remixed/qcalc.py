@@ -11,10 +11,11 @@ times q-integers [a] = 1 + q + ... + q**(a-1), and evaluates the whole sum
 at one point x = 2**(8w) as one Python int (Kronecker substitution).  Each
 factor is packed into an int at a stride of w bytes, a bracket [a] is the
 shift-and-subtract (x**a - 1) over a division by x - 1 that is taken once
-for the whole sum, and the digits of the result are read back with a bias
-that keeps them nonnegative.  The stride holds a bound on every
-coefficient of the sum, so the read-back is exact.  Packing and unpacking
-go through machine-word arrays, so both are linear and run at C speed.
+for the whole sum, and the digits of the result are read back by adding
+a bias digit to each and XOR-ing it away again, which leaves every digit
+in two's complement.  The stride holds a bound on every coefficient of
+the sum, so the read-back is exact.  Packing and unpacking go through
+signed machine-word arrays, so both are linear and run at C speed.
 A product of two polynomials and a bracket product are one-term sums.
 
 Truncated t-series are multiplied by the Pochhammer product (t;q)_n one
@@ -141,9 +142,9 @@ class QPoly:
 ZERO = QPoly()
 ONE = QPoly((1,))
 
-# unsigned machine-word typecodes by byte width, to pack and unpack digits
-_WORDS = {array(code).itemsize: code for code in "BHIQ"}
-_WORD_WIDTHS = sorted(_WORDS)
+# signed machine-word typecodes by byte width, to write and read two's complement digits
+_WORDS = {array(code).itemsize: code for code in "bhiq"}
+_ROUNDED = tuple(min(w for w in _WORDS if w >= k) for k in range(max(_WORDS) + 1))
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -155,40 +156,47 @@ def _stride(bound: int) -> int:
     Strides up to 8 bytes are rounded up to a machine word.
     """
     width = (bound.bit_length() + 8) // 8
-    return next((w for w in _WORD_WIDTHS if w >= width), width)
+    return _ROUNDED[width] if width < len(_ROUNDED) else width
 
 
-def _pack(cs: Sequence[int], width: int) -> int:
-    """sum of cs[i] * 2**(8*width*i), for signed cs of magnitude below 2**(8*width - 1)."""
-    if min(cs) >= 0:
-        return _pack_unsigned(cs, width)
-    pos = _pack_unsigned(map(max, cs, repeat(0)), width)
-    return pos - _pack_unsigned(map(max, map(neg, cs), repeat(0)), width)
+@lru_cache(maxsize=64)
+def _radix(width: int, top: int) -> tuple[bytes, int]:
+    """The bias digit 2**(8*width - 1) as width bytes, and (x - 1)**top at x = 2**(8*width)."""
+    return (1 << 8 * width - 1).to_bytes(width, "little"), ((1 << 8 * width) - 1) ** top
 
 
-def _pack_unsigned(cs: Iterable[int], width: int) -> int:
+def _pack(cs: Sequence[int], width: int, bias: int) -> int:
+    """sum of cs[i] * 2**(8*width*i), for signed cs of magnitude below 2**(8*width - 1).
+
+    As a two's complement word, a negative c reads as c plus its sign bit
+    doubled; bias, the bias digit over len(cs) digits or more, masks the
+    sign bits.
+    """
     code = _WORDS.get(width)
     if code is None:
-        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
-    words = array(code, cs)
+        raw = b"".join(c.to_bytes(width, "little", signed=True) for c in cs)
+    else:
+        raw = array(code, cs)
+        if _BIG_ENDIAN:
+            raw.byteswap()
+    u = int.from_bytes(raw, "little")
+    return u - ((u & bias) << 1)
+
+
+def _unpack(packed: int, width: int, n: int, bias: int) -> list[int]:
+    """The n signed digits of packed at a stride of width bytes (see _stride).
+
+    Adding bias, the bias digit at each of the n digits, makes every digit
+    nonnegative; XOR-ing it back leaves each digit in two's complement.
+    """
+    raw = ((packed + bias) ^ bias).to_bytes(width * n, "little")
+    code = _WORDS.get(width)
+    if code is None:
+        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    words = array(code, raw)
     if _BIG_ENDIAN:
         words.byteswap()
-    return int.from_bytes(words, "little")
-
-
-def _unpack(packed: int, width: int, n: int) -> list[int]:
-    """The n signed digits of packed at a stride of width bytes (see _stride)."""
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
-    raw = (packed + bias).to_bytes(width * n, "little")
-    code = _WORDS.get(width)
-    if code is None:
-        words = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-    else:
-        words = array(code, raw)
-        if _BIG_ENDIAN:
-            words.byteswap()
-    return list(map(sub, words, repeat(half)))
+    return words.tolist()
 
 
 def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -> QPoly:
@@ -201,7 +209,8 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
     B, the sum over the terms of prod |f|_1 over the factors times prod
     of the sizes: B bounds every coefficient of the sum, and every
     coefficient of a factor too.  Terms with a zero factor or a size 0
-    are skipped.  Raises ValueError for a negative size or shift.
+    are skipped.  Raises ValueError for a sign other than +1 or -1, or a
+    negative size or shift.
 
     >>> poly_sum([(1, 0, (QPoly((1, 1)),), (3,)), (-1, 2, (), (2,))]).coeffs
     (1, 2, 1)
@@ -209,6 +218,8 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
     kept = []
     bound = length = top = 0
     for sign, shift, factors, sizes in terms:
+        if sign != 1 and sign != -1:
+            raise ValueError(f"sign {sign} is not +1 or -1")
         if shift < 0:
             raise ValueError("negative shift")
         if sizes and min(sizes) < 0:
@@ -229,11 +240,13 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
         return ZERO
     width = _stride(bound)
     bits = 8 * width
+    half, divisor = _radix(width, top)
+    bias = int.from_bytes(half * length, "little")
     total = 0
     for sign, shift, factors, sizes in kept:
         x = 1
         for f in factors:
-            x *= _pack(f.coeffs, width)
+            x *= _pack(f.coeffs, width, bias)
         for a in sizes:
             x = (x << bits * a) - x
         for _ in range(top - len(sizes)):
@@ -241,8 +254,8 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
         x <<= bits * shift
         total = total + x if sign > 0 else total - x
     if top:
-        total //= ((1 << bits) - 1) ** top
-    return QPoly(tuple(_unpack(total, width, length)))
+        total //= divisor
+    return QPoly(_unpack(total, width, length, bias))
 
 
 def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:

@@ -19,6 +19,7 @@ from remixed.config import (
     reverse,
     shifted_config,
 )
+from config_reference import classify_reference, weak_bound_reference
 
 
 def test_parse_examples():
@@ -136,6 +137,25 @@ def test_max_weakly_shift_examples():
             # the good shifts form a prefix
             assert good == list(range(len(good)))
             assert max_weakly_shift(gamma, n) == good[-1]
+
+
+def test_single_walk_matches_the_multi_pass_reference():
+    # every configuration with n <= 9, 33098 in all, and every core among them
+    seen = 0
+    for n in range(1, 10):
+        cores = set()
+        for c in all_configurations(n):
+            assert classify(c) == classify_reference(c)
+            cores.add(core(c).gamma)
+            seen += 1
+        for gamma in cores:
+            want = weak_bound_reference(gamma, n)
+            if want < 0:
+                with pytest.raises(NoWeaklyShift):
+                    max_weakly_shift(gamma, n)
+            else:
+                assert max_weakly_shift(gamma, n) == want
+    assert seen == 33098
 
 
 @given(st.integers(2, 8), st.data())

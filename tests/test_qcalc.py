@@ -21,6 +21,7 @@ from remixed.qcalc import (
     q_pochhammer,
     require_nonnegative,
 )
+from remixed.qcalc import _stride
 from series_reference import schoolbook
 
 small_polys = st.lists(st.integers(-20, 20), max_size=6).map(lambda cs: QPoly(tuple(cs)))
@@ -248,6 +249,33 @@ def test_poly_sum_edges():
         poly_sum([(1, 0, (), (0, -1))])
     with pytest.raises(ValueError):
         poly_sum([(1, -1, (ONE,), ())])
+    # a sign is +1 or -1 and nothing else, also on a term that is skipped
+    for sign in (2, 0, -3):
+        with pytest.raises(ValueError):
+            poly_sum([(sign, 0, (QPoly((100,)),), ())])
+        with pytest.raises(ValueError):
+            poly_sum([(1, 0, (QPoly((5,)),), ()), (sign, 0, (ZERO,), ())])
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_signed_read_back_at_the_digit_boundary(width):
+    top = 2 ** (8 * width - 1) - 1
+    # the largest digit a stride of width bytes holds, first, last and only
+    cases = [
+        [(sign, shift, (QPoly((top,)),), ())] for sign in (1, -1) for shift in (0, 1, 5)
+    ]
+    # half of it at each end, with either sign at either end
+    half = top // 2
+    for lo, hi in ((half, -half), (-half, half), (-half, -half), (half, half)):
+        cases.append([(1, 0, (QPoly((lo, 0, 0, hi)),), ())])
+    # a negative top digit under a borrow from every digit below it
+    cases.append([(1, 0, (QPoly((-1,) * 6 + (-(top - 6),)),), ())])
+    # both ends at the boundary, which takes the next word up
+    cases.append([(1, 0, (QPoly((top,)),), ()), (-1, 4, (QPoly((top,)),), ())])
+    cases.append([(-1, 0, (QPoly((top,)),), ()), (1, 4, (QPoly((top,)),), ())])
+    for terms in cases:
+        assert poly_sum(terms) == poly_sum_reference(terms)
+    assert _stride(top) == width and _stride(top + 1) > width
 
 
 @given(st.lists(st.integers(0, 12), max_size=8), small_polys)
