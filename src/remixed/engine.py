@@ -4,17 +4,15 @@ The oracle follows the drop dynamics definition: balls fall one by one,
 and a ball that lands on an occupied site jumps to the nearest hole at
 distance a on the left, with weight q^a [b]/[a+b], or at distance b on
 the right, with weight [a]/[a+b].  One drop step, _drop, is the only place
-a ball moves.  It reads the bounce geometry from one map per number of
-sites, and each occupancy mask carries a lane of masses, one per
-evaluation point: the weights at q = u/v are integers over one scale per
-point, so the success probability at a rational point is exact integer
-mass over a power of that scale.  remixed_exact walks its drop order once
-for all the points q = 0..n(n-1)/2, on tuple lanes of Python integers
-(_Lane), and lifts the polynomial from its integer values there by
-qcalc.interpolate.  A walk meets few of the (mask, site) states and bounce
-pairs, so the geometry of a state and the weights of a pair are built when
-they are first met.  Both are kept per n for the life of the process: the
-geometry by _bounce_table, the weights at the points 0..n(n-1)/2 by
+a ball moves.  It finds the two holes by bit scans of the occupancy
+mask, and each mask carries a lane of masses, one per evaluation point:
+the weights at q = u/v are integers over one scale per point, so the
+success probability at a rational point is exact integer mass over a
+power of that scale.  remixed_exact walks its drop order once for all the
+points q = 0..n(n-1)/2, on tuple lanes of Python integers (_Lane), and
+lifts the polynomial from its integer values there by qcalc.interpolate.
+A walk meets few of the bounce pairs, so the weights of a pair are built
+when it is first met, and kept per n for the life of the process by
 _oracle_weights, which remixed_exact and the sweep share.  The second
 evaluator runs the final ball recursion with memoization and never
 touches probabilities.  Agreement of the two is the backbone of the test
@@ -76,46 +74,6 @@ class BadContent(ValueError):
     """A drop order whose multiset of sites does not match the configuration."""
 
 
-class _Bounces(dict):
-    """Bounce geometry on n sites, keyed by mask * n + site - 1.
-
-    A free site reads None: the ball settles there.  An occupied site reads
-    (left, right, pair): the masks after landing in the nearest hole to the
-    left and to the right, -1 where that hole is off the line, and the pair
-    number a * (n + 1) + b of the distances a, b to those holes.  An entry
-    is built on first lookup, because a walk meets few of the n * 2**n
-    (mask, site) keys.
-    """
-
-    def __init__(self, n: int) -> None:
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, key: int) -> tuple[int, int, int] | None:
-        n = self.n
-        # bit i of the mask is site i + 1
-        mask, i = divmod(key, n)
-        entry = None
-        if mask >> i & 1:
-            a = 1
-            while i - a >= 0 and mask >> (i - a) & 1:
-                a += 1
-            b = 1
-            while i + b < n and mask >> (i + b) & 1:
-                b += 1
-            lt = mask | 1 << (i - a) if i >= a else -1
-            rt = mask | 1 << (i + b) if i + b < n else -1
-            entry = (lt, rt, a * (n + 1) + b)
-        self[key] = entry
-        return entry
-
-
-@lru_cache(maxsize=None)
-def _bounce_table(n: int) -> _Bounces:
-    """The bounce geometry on n sites, one map per n for every walk."""
-    return _Bounces(n)
-
-
 def _brackets(n: int, u: int, v: int = 1) -> list[int]:
     """B_k = sum of u^i v^(k-1-i) over i < k, for k = 0..n.
 
@@ -151,9 +109,11 @@ class _Weights(dict):
 
     Lane i holds the values at the i-th point, over that point's scale
     L_i = lcm(B_1..B_n).  The brackets, the scales and [n]! at every point
-    are built up front; the scales are a _Lane.  The weights themselves
-    are built by pair number (see _Bounces) on first lookup, because one
-    walk meets few of the pairs: self[pair] is the left lane
+    are built up front; the scales are a _Lane.  A ball bounced off an
+    occupied site goes to the nearest hole a sites to its left or b sites
+    to its right, and the pair number of the bounce is a * (n + 1) + b.  The
+    weights are built by pair number on first lookup, because one walk
+    meets few of the pairs: self[pair] is the left lane
     u^a B_b L / B_(a+b) and the right lane v^b B_a L / B_(a+b), both
     _Lanes.  They are the weights q^a [b]/[a+b] and [a]/[a+b] times L, and
     they sum to L since u^a B_b + v^b B_a = B_(a+b).  Every lane is
@@ -205,14 +165,13 @@ def _drop(
 
     Each mask carries a lane of masses, one per point: a _Lane of Python
     integers for the exact oracle, an int64 array of residues for the
-    sweep.  weights maps a pair number (see _Bounces) to its left and right
+    sweep.  weights maps a pair number (see _Weights) to its left and right
     weight lanes, and scale is the lane of the weights' scales.  A ball on
     a free site multiplies the lane by its scale, a bounce by the weight of
     its branch, and a branch that would land off the line is lost mass.  The
     only arithmetic is lane * scale, lane * weight and the sum of the
     lanes that reach one mask, so the caller decides when to reduce.
     """
-    tab = _bounce_table(n)
     bit = 1 << (s - 1)
     out: dict[int, Lane] = {}
 
@@ -224,12 +183,18 @@ def _drop(
         if not mask & bit:
             put(mask | bit, lane * scale)
             continue
-        lt, rt, pair = tab[mask * n + s - 1]
-        lw, rw = weights[pair]
-        if lt >= 0:
-            put(lt, lane * lw)
-        if rt >= 0:
-            put(rt, lane * rw)
+        # bit j - 1 is site j; left holds the free sites below s, right those
+        # above it, where every site past n reads free, so a = s or
+        # b = n + 1 - s when that side has no hole on the line
+        left = ~mask & (bit - 1)
+        right = ~mask >> s
+        a = s - left.bit_length()
+        b = (right & -right).bit_length()
+        lw, rw = weights[a * (n + 1) + b]
+        if left:
+            put(mask | bit >> a, lane * lw)
+        if s + b <= n:
+            put(mask | bit << b, lane * rw)
     return out
 
 
@@ -354,7 +319,7 @@ def _lane_weights(
 
     Lane k * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
     _PRIMES[k].  Returns the left and right weight lanes by pair number
-    (see _Bounces), the scales, [n]!(q0) * scale**-n, which turns the
+    (see _Weights), the scales, [n]!(q0) * scale**-n, which turns the
     mass of a full state into [n]!(q0) times its success chance, and the
     modulus of each lane.
     """

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import (
     ConfigFlags,
@@ -64,8 +64,7 @@ class NoMatch(ValueError):
     """No connected configuration matches the requested hit number."""
 
 
-@dataclass(frozen=True)
-class _Term:
+class _Term(NamedTuple):
     """One summand sign * q**qexp * qbin(bin_n, bin_k) * prod of brackets."""
 
     sign: int
@@ -168,7 +167,7 @@ def _shifted_sum_terms(gamma: tuple[int, ...], i: int, n: int) -> list[_Term]:
         _Term(
             1 if (i + j) % 2 == 0 else -1,
             comb(i - j, 2),
-            tuple(j + a for a in ms),
+            tuple([j + a for a in ms]),
             (n + 1, i - j),
         )
         for j in range(i, -1, -1)

@@ -21,13 +21,20 @@ from remixed.qcalc import InvariantViolation, poly_reverse, q_factorial
 
 
 def _landing(occupied, s, n):
-    """Bounce table entry for a ball at site s over the occupied sites, with (a, b) decoded."""
-    mask = sum(1 << (j - 1) for j in occupied)
-    entry = engine._bounce_table(n)[mask * n + s - 1]
-    if entry is None:
+    """Where a ball dropped at site s over the occupied sites can land, by walking the line.
+
+    None for a free site; otherwise the masks after landing in the nearest
+    hole to the left and to the right, -1 where that hole is off the line,
+    and the distances (a, b) to those holes, with sites 0 and n + 1 free.
+    """
+    if s not in occupied:
         return None
-    lt, rt, pair = entry
-    return lt, rt, divmod(pair, n + 1)
+    a = next(d for d in range(1, s + 1) if s - d not in occupied)
+    b = next(d for d in range(1, n + 2 - s) if s + d not in occupied)
+    mask = sum(1 << (j - 1) for j in occupied)
+    lt = mask | 1 << (s - a - 1) if s - a >= 1 else -1
+    rt = mask | 1 << (s + b - 1) if s + b <= n else -1
+    return lt, rt, (a, b)
 
 
 def _lists(dist):
@@ -50,6 +57,35 @@ def test_bounce_table_examples():
     (scale,) = weights.scale
     got = _lists(engine._drop({0b0110: one}, 3, 4, weights, weights.scale))
     assert got == {0b0111: [4 * scale // 7], 0b1110: [3 * scale // 7]}
+
+
+def test_drop_lands_in_the_scanned_holes():
+    # every state a drop can meet for n <= 10, at a point with v != 1
+    points = (Fraction(2), Fraction(1, 3))
+
+    def bracket(k, q0):
+        return sum(q0**i for i in range(k))
+
+    one = engine._Lane((1, 1))
+    for n in range(1, 11):
+        weights = engine._Weights(n, points)
+        for mask in range(1 << n):
+            occupied = {j for j in range(1, n + 1) if mask >> (j - 1) & 1}
+            if len(occupied) == n:
+                continue
+            for s in range(1, n + 1):
+                got = _lists(engine._drop({mask: one}, s, n, weights, weights.scale))
+                entry = _landing(occupied, s, n)
+                if entry is None:
+                    assert got == {mask | 1 << (s - 1): list(weights.scale)}
+                    continue
+                lt, rt, (a, b) = entry
+                # q^a [b]/[a+b] to the left and [a]/[a+b] to the right, times the scale
+                lw = [q0**a * bracket(b, q0) / bracket(a + b, q0) * L for q0, L in zip(points, weights.scale)]
+                rw = [bracket(a, q0) / bracket(a + b, q0) * L for q0, L in zip(points, weights.scale)]
+                want = {lt: lw, rt: rw}
+                want.pop(-1, None)
+                assert got == want, (n, mask, s)
 
 
 def test_bounce_weights_conserve_mass():
@@ -224,9 +260,9 @@ def test_modular_interpolation_every_allowed_degree():
 
 def test_exact_sweep_rejects_n_above_cap(monkeypatch):
     def refuse(n):
-        raise AssertionError("the bounce table was built")
+        raise AssertionError("the sweep was started")
 
-    monkeypatch.setattr(engine, "_bounce_table", refuse)
+    monkeypatch.setattr(engine, "_sweep_residues", refuse)
     with pytest.raises(ValueError, match=f"at most {engine.SWEEP_MAX_N} sites"):
         exact_sweep(engine.SWEEP_MAX_N + 1)
 

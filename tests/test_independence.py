@@ -5,15 +5,16 @@ the simulator takes only Configuration from the package, so nothing from
 the exact engine it checks, and the closed formulas take from the engine
 only the recursion they fall back on.  The scalar reference the tests
 check the simulator against imports nothing from the package.  Inside the
-engine, one drop step moves every ball, for the single-order oracle and
-the sweep alike, and one function builds the weights at the points both
-of them interpolate from.  The identity suites, which check every route,
-are imported by the command line front end only.  In qcalc, one kernel
-reads packed sums back, and no module takes a private name of qcalc but
-the Pochhammer step of the formulas.  No module of the package holds an
-assert statement, which python -O strips.  numpy is imported inside the
-functions that build arrays, the sweep's and the simulator's, so the
-commands that need no array never load it.
+engine, one drop step moves every ball and is the one place that searches
+for a hole, for the single-order oracle and the sweep alike, and one
+function builds the weights at the points both of them interpolate from.
+The identity suites, which check every route, are imported by the command
+line front end only.  In qcalc, one kernel reads packed sums back, and no
+module takes a private name of qcalc but the Pochhammer step of the
+formulas.  No module of the package holds an assert statement, which
+python -O strips.  numpy is imported inside the functions that build
+arrays, the sweep's and the simulator's, so the commands that need no
+array never load it.
 """
 
 import ast
@@ -67,15 +68,32 @@ def test_formulas_take_only_the_recursion_from_the_engine():
     assert imports(PACKAGE / "formulas.py")["engine"] == {"remixed_induction"}
 
 
-def test_one_drop_kernel_reads_the_bounce_geometry():
-    tree = ast.parse((PACKAGE / "engine.py").read_text())
-    readers = {
+def hole_searchers(tree: ast.AST) -> set[str]:
+    """Functions that scan an occupancy mask for a hole: the callers of .bit_length()."""
+    return {
         func.name
         for func in ast.walk(tree)
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(isinstance(node, ast.Name) and node.id == "_bounce_table" for node in ast.walk(func))
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "bit_length"
+            for node in ast.walk(func)
+        )
     }
-    assert readers == {"_drop"}
+
+
+def test_one_drop_kernel_finds_the_holes():
+    assert hole_searchers(ast.parse((PACKAGE / "engine.py").read_text())) == {"_drop"}
+
+
+def test_hole_search_outside_the_drop_kernel_is_caught():
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    (walk,) = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_success_for_order"
+    ]
+    walk.body[:0] = ast.parse("left = ~mask & (bit - 1)\na = s - left.bit_length()").body
+    assert hole_searchers(tree) == {"_drop", "_success_for_order"}
 
 
 def test_one_packed_evaluator():
