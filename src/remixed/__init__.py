@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .qcalc import (
     QPoly,
     DegreeTooHigh,
-    NonIntegerCoefficients,
     InvariantViolation,
     q_int,
     q_factorial,
@@ -58,7 +57,6 @@ from .simulate import estimate_success, SimResult
 __all__ = [
     "QPoly",
     "DegreeTooHigh",
-    "NonIntegerCoefficients",
     "InvariantViolation",
     "q_int",
     "q_factorial",

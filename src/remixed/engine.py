@@ -5,51 +5,51 @@ and a ball that lands on an occupied site jumps to the nearest hole at
 distance a on the left, with weight q^a [b]/[a+b], or at distance b on
 the right, with weight [a]/[a+b].  One drop step, _drop, is the only place
 a ball moves.  It finds the two holes by bit scans of the occupancy
-mask, and each mask carries a lane of masses, one per evaluation point:
-the weights at q = u/v are integers over one scale per point, so the
-success probability at a rational point is exact integer mass over a
-power of that scale.  remixed_exact walks its drop order once for all the
-points q = 0..n(n-1)/2, on tuple lanes of Python integers (_Lane), and
-lifts the polynomial from its integer values there by qcalc.interpolate.
-A walk meets few of the bounce pairs, so the weights of a pair are built
-when it is first met, and kept per n for the life of the process by
-_oracle_weights, which remixed_exact and the sweep share.  The second
-evaluator runs the final ball recursion with memoization and never
-touches probabilities.  Agreement of the two is the backbone of the test
-suite.
+mask, and each mask carries a mass: the weights at q = u/v are integers
+over one scale, so the success probability at a rational point is exact
+integer mass over a power of that scale.  A_c(q) = [n]! P(success) has
+nonnegative integer coefficients summing to A_c(1) <= n!, so its value at
+the one point x = qcalc.kronecker_point(n!) holds every coefficient as a
+base-x digit: remixed_exact walks its drop order once, at x, and reads the
+polynomial back by qcalc.kronecker_read.  A walk meets few of the bounce
+pairs, so the weights of a pair are built when it is first met, and the
+weights at x are kept per n for the life of the process by
+_oracle_weights.  The second evaluator runs the final ball recursion with
+memoization and never touches probabilities.  Agreement of the two is the
+backbone of the test suite.
 
 The bulk sweep over all configurations on n sites runs the same drop step
 on int64 lanes of residues modulo two primes p1, p2 below 2**28, one lane
-per prime and per point q0 = 0..D, D = n(n-1)/2, and interpolates by
-qcalc.interpolate as a matrix mod p.  Only these array kernels import
-numpy, on their first call, so the oracle and the recursion never load
-it.  Every lane is reduced after each drop, so a product of two residues
-is below 2**56.  A mask that a drop reaches gains one site, so it sums at
-most n products, and a row of the interpolation matrix sums D + 1 of
-them: both stay below 2**63 for every n <= 16.  The coefficients of a
-configuration polynomial are nonnegative and sum to at most n! < p1 * p2,
-so the Chinese remainder theorem recovers them exactly, and a lifted
-coefficient or row sum above n! is reported as an InvariantViolation.
+per prime and per point q0 = 0..D, D = n(n-1)/2, and interpolates by a
+Lagrange matrix mod p.  Only these array kernels import numpy, on their
+first call, so the oracle and the recursion never load it.  Every lane is
+reduced after each drop, so a product of two residues is below 2**56.  A
+mask that a drop reaches gains one site, so it sums at most n products,
+and a row of the interpolation matrix sums D + 1 of them: both stay below
+2**63 for every n <= 16.  The coefficients of a configuration polynomial
+are nonnegative and sum to at most n! < p1 * p2, so the Chinese remainder
+theorem recovers them exactly, and a lifted coefficient or row sum above
+n! is reported as an InvariantViolation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .config import Configuration, left_to_right_order
 from .qcalc import (
     ONE,
+    DegreeTooHigh,
     InvariantViolation,
     QPoly,
     ZERO,
-    NonIntegerCoefficients,
     bracket_product,
-    interpolate,
+    kronecker_point,
+    kronecker_read,
     poly_sum,
     q_binomial,
     require_nonnegative,
@@ -58,8 +58,8 @@ from .qcalc import (
 if TYPE_CHECKING:
     import numpy as np
 
-    # a lane of masses, one per point: exact for the oracle, residues for the sweep
-    Lane = _Lane | np.ndarray
+    # a mass: exact for the oracle, a lane of residues for the sweep
+    Mass = int | np.ndarray
 
 # exact_sweep works modulo these two primes, the largest two below 2**28.
 _PRIMES = (268435399, 268435367)
@@ -88,100 +88,73 @@ def _brackets(n: int, u: int, v: int = 1) -> list[int]:
     return out
 
 
-class _Lane(tuple):
-    """An immutable lane of Python integers, one per point, with elementwise * and +.
-
-    The exact oracle's masses and weights; the sweep's lanes are int64
-    numpy arrays of residues, and _drop reads both the same way.
-    """
-
-    __slots__ = ()
-
-    def __mul__(self, other: _Lane) -> _Lane:
-        return _Lane(map(mul, self, other))
-
-    def __add__(self, other: _Lane) -> _Lane:
-        return _Lane(map(add, self, other))
-
-
 class _Weights(dict):
-    """Bounce weights on n sites at the points q = u/v, as integers.
+    """Bounce weights on n sites at one point q = u/v, as integers over one scale.
 
-    Lane i holds the values at the i-th point, over that point's scale
-    L_i = lcm(B_1..B_n).  The brackets, the scales and [n]! at every point
-    are built up front; the scales are a _Lane.  A ball bounced off an
+    The scale is L = lcm(B_1..B_n) (see _brackets).  A ball bounced off an
     occupied site goes to the nearest hole a sites to its left or b sites
     to its right, and the pair number of the bounce is a * (n + 1) + b.  The
     weights are built by pair number on first lookup, because one walk
-    meets few of the pairs: self[pair] is the left lane
-    u^a B_b L / B_(a+b) and the right lane v^b B_a L / B_(a+b), both
-    _Lanes.  They are the weights q^a [b]/[a+b] and [a]/[a+b] times L, and
-    they sum to L since u^a B_b + v^b B_a = B_(a+b).  Every lane is
-    immutable, because _oracle_weights hands one instance to every walk on
-    n sites.
+    meets few of the pairs: self[pair] is the left weight
+    u^a B_b L / B_(a+b) and the right weight v^b B_a L / B_(a+b).  They are
+    q^a [b]/[a+b] and [a]/[a+b] times L, and they sum to L since
+    u^a B_b + v^b B_a = B_(a+b).
     """
 
-    def __init__(self, n: int, points: Iterable[Fraction]) -> None:
+    def __init__(self, n: int, q0: Fraction | int) -> None:
         super().__init__()
-        self.n = n
-        fracs = [Fraction(q0) for q0 in points]
-        if any(q0 < 0 for q0 in fracs):
+        q0 = Fraction(q0)
+        if q0 < 0:
             raise ValueError("q must be nonnegative")
-        self.points = tuple((q0.numerator, q0.denominator) for q0 in fracs)
-        self.brackets = tuple(_brackets(n, u, v) for u, v in self.points)
-        self.scale = _Lane(lcm(*br[1:]) for br in self.brackets)
+        self.n = n
+        self.u, self.v = q0.numerator, q0.denominator
+        self.brackets = _brackets(n, self.u, self.v)
+        self.scale = lcm(*self.brackets[1:])
         # the product B_1 ... B_n is [n]!(q0) at an integer point q0
-        self.fact = tuple(prod(br[1:]) for br in self.brackets)
+        self.fact = prod(self.brackets[1:])
 
-    def __missing__(self, pair: int) -> tuple[_Lane, _Lane]:
+    def __missing__(self, pair: int) -> tuple[int, int]:
         a, b = divmod(pair, self.n + 1)
-        left, right = [], []
-        for (u, v), br, scale in zip(self.points, self.brackets, self.scale):
-            unit = scale // br[a + b]
-            left.append(u**a * br[b] * unit)
-            right.append(v**b * br[a] * unit)
-        lanes = self[pair] = _Lane(left), _Lane(right)
-        return lanes
+        br = self.brackets
+        unit = self.scale // br[a + b]
+        weights = self[pair] = self.u**a * br[b] * unit, self.v**b * br[a] * unit
+        return weights
 
 
 @lru_cache(maxsize=None)
 def _oracle_weights(n: int) -> _Weights:
-    """The weights on n sites at q = 0..n(n-1)/2, one instance per n for every walk.
-
-    remixed_exact and the sweep (_lane_weights) both read it, and a pair
-    weight is built when the first of them looks it up.
-    """
-    return _Weights(n, range(n * (n - 1) // 2 + 1))
+    """The weights on n sites at x = kronecker_point(n!), one instance per n for remixed_exact."""
+    return _Weights(n, kronecker_point(factorial(n)))
 
 
 def _drop(
-    dist: dict[int, Lane],
+    dist: dict[int, Mass],
     s: int,
     n: int,
-    weights: Mapping[int, tuple[Lane, Lane]],
-    scale: Lane,
-) -> dict[int, Lane]:
+    weights: Mapping[int, tuple[Mass, Mass]],
+    scale: Mass,
+) -> dict[int, Mass]:
     """Drop one ball at site s onto every occupancy mask in dist.
 
-    Each mask carries a lane of masses, one per point: a _Lane of Python
-    integers for the exact oracle, an int64 array of residues for the
-    sweep.  weights maps a pair number (see _Weights) to its left and right
-    weight lanes, and scale is the lane of the weights' scales.  A ball on
-    a free site multiplies the lane by its scale, a bounce by the weight of
-    its branch, and a branch that would land off the line is lost mass.  The
-    only arithmetic is lane * scale, lane * weight and the sum of the
-    lanes that reach one mask, so the caller decides when to reduce.
+    Each mask carries its mass: a Python integer for the exact walks, an
+    int64 array of residues, one lane per prime and point, for the sweep.
+    weights maps a pair number (see _Weights) to its left and right
+    weights, and scale is the weights' scale.  A ball on a free site
+    multiplies the mass by the scale, a bounce by the weight of its
+    branch, and a branch that would land off the line is lost mass.  The
+    only arithmetic is mass * scale, mass * weight and the sum of the
+    masses that reach one mask, so the caller decides when to reduce.
     """
     bit = 1 << (s - 1)
-    out: dict[int, Lane] = {}
+    out: dict[int, Mass] = {}
 
-    def put(mask: int, lane: Lane) -> None:
+    def put(mask: int, mass: Mass) -> None:
         got = out.get(mask)
-        out[mask] = lane if got is None else got + lane
+        out[mask] = mass if got is None else got + mass
 
-    for mask, lane in dist.items():
+    for mask, mass in dist.items():
         if not mask & bit:
-            put(mask | bit, lane * scale)
+            put(mask | bit, mass * scale)
             continue
         # bit j - 1 is site j; left holds the free sites below s, right those
         # above it, where every site past n reads free, so a = s or
@@ -192,38 +165,28 @@ def _drop(
         b = (right & -right).bit_length()
         lw, rw = weights[a * (n + 1) + b]
         if left:
-            put(mask | bit >> a, lane * lw)
+            put(mask | bit >> a, mass * lw)
         if s + b <= n:
-            put(mask | bit << b, lane * rw)
+            put(mask | bit << b, mass * rw)
     return out
 
 
-def _success_for_order(n: int, order: tuple[int, ...], weights: _Weights) -> _Lane:
-    """Chance that dropping balls at the given sites fills [1, n], at every point.
+def _success_for_order(n: int, order: tuple[int, ...], weights: _Weights) -> int:
+    """Chance that dropping balls at the given sites fills [1, n], at the weights' point.
 
-    One walk carries all points of the weights.  Returned unreduced, as the
-    integer mass of the full state in each lane, over L_i**n in lane i.
+    Returned unreduced, as the integer mass of the full state over
+    weights.scale**n.
     """
-    width = len(weights.scale)
-    dist = {0: _Lane((1,) * width)}
+    dist = {0: 1}
     for s in order:
         dist = _drop(dist, s, n, weights, weights.scale)
-    return dist.get((1 << n) - 1, _Lane((0,) * width))
+    return dist.get((1 << n) - 1, 0)
 
 
 def _probability(n: int, order: tuple[int, ...], q0: Fraction) -> Fraction:
-    """_success_for_order at the single point q0, as a fraction."""
-    weights = _Weights(n, (q0,))
-    (mass,) = _success_for_order(n, order, weights)
-    return Fraction(mass, weights.scale[0] ** n)
-
-
-def _integer_value(factv: int, mass: int, scale_n: int, q0: int) -> int:
-    """[n]!(q0) times the success chance mass / scale_n, an integer at integer q0."""
-    num = factv * mass
-    if num % scale_n:
-        raise InvariantViolation(f"non-integer value at q={q0}")
-    return num // scale_n
+    """_success_for_order at the point q0, as a fraction."""
+    weights = _Weights(n, q0)
+    return Fraction(_success_for_order(n, order, weights), weights.scale**n)
 
 
 def success_probability(c: Configuration, q0: Fraction) -> Fraction:
@@ -238,21 +201,25 @@ def success_probability(c: Configuration, q0: Fraction) -> Fraction:
 def remixed_exact(c: Configuration) -> QPoly:
     """The configuration polynomial via the probability definition.
 
-    Evaluates bracket factorial times success probability at the integer
-    points 0..n(n-1)/2 and interpolates.  The result must have nonnegative
-    integer coefficients; anything else is an internal defect.
+    Evaluates bracket factorial times success probability at the one point
+    x = kronecker_point(n!) and reads the coefficients off its base-x
+    digits.  The value must be an integer of degree at most n(n-1)/2 whose
+    digits are nonnegative and sum to at most n!; anything else is an
+    internal defect.
     """
     n = c.n
     weights = _oracle_weights(n)
-    masses = _success_for_order(n, left_to_right_order(c), weights)
-    vals = [
-        _integer_value(factv, mass, scale**n, q0)
-        for q0, (factv, mass, scale) in enumerate(zip(weights.fact, masses, weights.scale))
-    ]
+    mass = _success_for_order(n, left_to_right_order(c), weights)
+    value, rest = divmod(weights.fact * mass, weights.scale**n)
+    if rest:
+        raise InvariantViolation(f"non-integer value for {c.c}")
+    bound, big_d = factorial(n), n * (n - 1) // 2
     try:
-        poly = interpolate(vals)
-    except NonIntegerCoefficients as exc:
-        raise InvariantViolation(f"{exc} for {c.c}") from exc
+        poly = kronecker_read(value, bound, big_d + 1)
+    except DegreeTooHigh:
+        raise InvariantViolation(f"value of degree above {big_d} for {c.c}") from None
+    if sum(poly.coeffs) > bound:
+        raise InvariantViolation(f"coefficients of {c.c} outside [0, {bound}]")
     return require_nonnegative(poly, c.c)
 
 
@@ -315,7 +282,7 @@ def remixed_induction(c: Configuration) -> QPoly:
 def _lane_weights(
     n: int,
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
-    """The weights of _oracle_weights(n) at every lane of the sweep, as residues.
+    """The weights at every lane of the sweep, as residues of one _Weights per point q0.
 
     Lane k * (D + 1) + q0, with D = n(n-1)/2, holds values at q = q0 modulo
     _PRIMES[k].  Returns the left and right weight lanes by pair number
@@ -325,21 +292,18 @@ def _lane_weights(
     """
     import numpy as np
 
-    big_d = n * (n - 1) // 2
-    weights = _oracle_weights(n)
+    points = [_Weights(n, q0) for q0 in range(n * (n - 1) // 2 + 1)]
 
-    def residues(values: Iterable[int]) -> np.ndarray:
+    def residues(values: Sequence[int]) -> np.ndarray:
         return np.array([[v % p for v in values] for p in _PRIMES], np.int64).ravel()
 
     pairs = {
-        pair: tuple(map(residues, weights[pair]))
+        pair: tuple(map(residues, zip(*(w[pair] for w in points))))
         for pair in (a * (n + 1) + b for a in range(1, n) for b in range(1, n - a + 1))
     }
-    unit = np.array(
-        [[f * pow(scale, -n, p) % p for f, scale in zip(weights.fact, weights.scale)] for p in _PRIMES],
-        np.int64,
-    ).ravel()
-    return pairs, residues(weights.scale), unit, np.repeat(np.array(_PRIMES, np.int64), big_d + 1)
+    unit = np.array([[w.fact * pow(w.scale, -n, p) % p for w in points] for p in _PRIMES], np.int64).ravel()
+    mod = np.repeat(np.array(_PRIMES, np.int64), len(points))
+    return pairs, residues([w.scale for w in points]), unit, mod
 
 
 def _sweep_residues(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -387,21 +351,25 @@ def _sweep_residues(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
 def _interp_matrix(big_d: int) -> np.ndarray:
     """The linear map from values at q = 0..D to coefficients, mod each prime.
 
-    Entry [k, q0, i] is what a unit value at q0 adds to the coefficient of
-    q**i, mod _PRIMES[k]: qcalc.interpolate of D! times the unit vector at
-    q0, which has integer coefficients, times the inverse of D! mod p.
+    Entry [k, j, i] is the coefficient of q**i in the Lagrange basis
+    polynomial of the node j, prod over m != j of (q - m) / (j - m), mod
+    _PRIMES[k].  Its numerator is prod over m of (q - m), divided
+    synthetically by q - j, and its denominator is (-1)**(D - j) j! (D - j)!,
+    which no prime above D divides.
     """
     import numpy as np
 
-    scaled = factorial(big_d)
     out = np.empty((len(_PRIMES), big_d + 1, big_d + 1), np.int64)
-    for q0 in range(big_d + 1):
-        unit = [0] * (big_d + 1)
-        unit[q0] = scaled
-        poly = interpolate(unit)
-        for k, p in enumerate(_PRIMES):
-            inv = pow(scaled, -1, p)
-            out[k, q0] = [poly.coeff(i) * inv % p for i in range(big_d + 1)]
+    for k, p in enumerate(_PRIMES):
+        full = [1]
+        for m in range(big_d + 1):
+            full = [(lo - m * hi) % p for lo, hi in zip([0, *full], [*full, 0])]
+        for j in range(big_d + 1):
+            inv = pow((-1) ** (big_d - j) * factorial(j) * factorial(big_d - j), -1, p)
+            acc = 0
+            for i in range(big_d, -1, -1):
+                acc = (full[i + 1] + j * acc) % p
+                out[k, j, i] = acc * inv % p
     out.setflags(write=False)
     return out
 

@@ -17,6 +17,8 @@ in two's complement.  The stride holds a bound on every coefficient of
 the sum, so the read-back is exact.  Packing and unpacking go through
 signed machine-word arrays, so both are linear and run at C speed.
 A product of two polynomials and a bracket product are one-term sums.
+kronecker_read reads a polynomial back the same way from its value at
+kronecker_point(bound), which is how the exact oracle lifts its one value.
 
 Truncated t-series are multiplied by the Pochhammer product (t;q)_n one
 linear factor (1 - t q**i) at a time, in place on coefficient lists
@@ -31,16 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 class DegreeTooHigh(ValueError):
-    """Raised when a reversal window is smaller than the degree."""
-
-
-class NonIntegerCoefficients(ValueError):
-    """Raised when interpolation does not land in integer coefficients."""
+    """Raised when a polynomial does not fit its degree window: a reversal, or a read-back of digits."""
 
 
 class InvariantViolation(RuntimeError):
@@ -258,6 +256,35 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
     return QPoly(_unpack(total, width, length, bias))
 
 
+def kronecker_point(bound: int) -> int:
+    """x = 2**(8w) for the stride w of bound (see _stride), as poly_sum picks it.
+
+    A polynomial whose coefficients have magnitude <= bound is read back
+    off its value at x by kronecker_read.
+    """
+    return 1 << 8 * _stride(bound)
+
+
+def kronecker_read(value: int, bound: int, length: int) -> QPoly:
+    """The polynomial of degree below length whose value at kronecker_point(bound) is value.
+
+    Its coefficients are the signed base-x digits of value, each in
+    [-x/2, x/2), so they are exact for every polynomial with coefficients
+    of magnitude <= bound.  Raises DegreeTooHigh when value needs more than
+    length such digits.
+
+    >>> x = kronecker_point(6)
+    >>> kronecker_read(1 + 5 * x - 2 * x**2, 6, 3).coeffs
+    (1, 5, -2)
+    """
+    width = _stride(bound)
+    bias = int.from_bytes(_radix(width, 0)[0] * length, "little")
+    try:
+        return QPoly(_unpack(value, width, length, bias))
+    except OverflowError:
+        raise DegreeTooHigh(f"value needs more than {length} digits") from None
+
+
 def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:
     """p times the product of the brackets [a] for a in sizes.
 
@@ -336,52 +363,6 @@ def poly_reverse(a: QPoly, d: int) -> QPoly:
     out = [0] * (d + 1)
     for i, c in enumerate(a.coeffs):
         out[d - i] = c
-    return QPoly(tuple(out))
-
-
-@lru_cache(maxsize=None)
-def _falling_basis(big_d: int) -> tuple[tuple[int, ...], ...]:
-    """(D!/j!) x(x-1)...(x-j+1) for j = 0..D, coefficients lowest first."""
-    out = []
-    ff = [1]
-    for j in range(big_d + 1):
-        m = factorial(big_d) // factorial(j)
-        out.append(tuple(m * co for co in ff))
-        nxt = [0] * (len(ff) + 1)
-        for i, co in enumerate(ff):
-            nxt[i] -= j * co
-            nxt[i + 1] += co
-        ff = nxt
-    return tuple(out)
-
-
-def interpolate(vals: Sequence[int]) -> QPoly:
-    """The polynomial of degree at most D through (i, vals[i]), i = 0..D.
-
-    Newton forward differences on the falling factorial basis, scaled by
-    D! so that all arithmetic stays in the integers; the basis is built
-    once per D.  Raises NonIntegerCoefficients when the result does not
-    have integer coefficients.
-
-    >>> interpolate([1, 3, 7]).coeffs
-    (1, 1, 1)
-    """
-    if not vals:
-        raise ValueError("no interpolation points")
-    big_d = len(vals) - 1
-    den = factorial(big_d)
-    acc = [0] * (big_d + 1)
-    row = list(vals)
-    for ff in _falling_basis(big_d):
-        if row[0]:
-            for i, co in enumerate(ff):
-                acc[i] += row[0] * co
-        row = [y - x for x, y in zip(row, row[1:])]
-    out = []
-    for co in acc:
-        if co % den:
-            raise NonIntegerCoefficients(f"coefficient {co}/{den} is not an integer")
-        out.append(co // den)
     return QPoly(tuple(out))
 
 

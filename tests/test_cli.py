@@ -419,26 +419,40 @@ BROKEN_ROUTES = {
         "argv = ['eval', '0,1,2,2,0']\n",
         "invariant violated: negative coefficient",
     ),
+    # the read-back of the oracle's one value
     "oracle": (
         "from remixed import engine\n"
-        "engine.interpolate = lambda vals: QPoly((1, -1))\n"
+        "engine.kronecker_read = lambda value, bound, length: QPoly((1, -1))\n"
         "argv = ['eval', '2,0', '--method', 'exact']\n",
         "invariant violated: negative coefficient",
     ),
     # a free-site scale one too large, over pair weights built with the true
-    # scale, leaves every value a non-integer
+    # scale, leaves the value a non-integer
     "oracle_weights": (
         "from remixed import engine\n"
         "class Bumped(engine._Weights):\n"
-        "    def __init__(self, n, points):\n"
-        "        super().__init__(n, points)\n"
+        "    def __init__(self, n, q0):\n"
+        "        super().__init__(n, q0)\n"
         "        for a in range(1, n):\n"
         "            for b in range(1, n - a + 1):\n"
         "                self[a * (n + 1) + b]\n"
-        "        self.scale = [scale + 1 for scale in self.scale]\n"
+        "        self.scale += 1\n"
         "engine._Weights = Bumped\n"
         "argv = ['eval', '2,0', '--method', 'exact']\n",
-        "invariant violated: non-integer value at q=0",
+        "invariant violated: non-integer value for (2, 0)",
+    ),
+    # both branches of a bounce carry the full scale, so a bounce copies
+    # mass instead of splitting it: two ways to fill the line give 2 [3]!,
+    # whose digits sum to 12 > 3!
+    "oracle_range": (
+        "from remixed import engine\n"
+        "class Copying(engine._Weights):\n"
+        "    def __missing__(self, pair):\n"
+        "        weights = self[pair] = self.scale, self.scale\n"
+        "        return weights\n"
+        "engine._Weights = Copying\n"
+        "argv = ['eval', '0,3,0', '--method', 'exact']\n",
+        "invariant violated: coefficients of (0, 3, 0) outside [0, 6]",
     ),
 }
 

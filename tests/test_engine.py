@@ -17,7 +17,7 @@ from remixed.engine import (
     remixed_induction,
     success_probability,
 )
-from remixed.qcalc import InvariantViolation, poly_reverse, q_factorial
+from remixed.qcalc import InvariantViolation, kronecker_point, poly_reverse, q_factorial
 
 
 def _landing(occupied, s, n):
@@ -37,69 +37,61 @@ def _landing(occupied, s, n):
     return lt, rt, (a, b)
 
 
-def _lists(dist):
-    """A drop step's masks with their lanes as plain lists."""
-    return {mask: list(lane) for mask, lane in dist.items()}
-
-
 def test_bounce_table_examples():
     # a ball bounced off a lone occupied site 1 can only go right
     assert _landing({1}, 1, 2) == (-1, 0b11, (1, 1))
     # free site: no entry, the drop step settles the ball there with the full scale
     assert _landing(set(), 3, 5) is None
-    weights = engine._Weights(5, (2,))
-    one = engine._Lane((1,))
-    assert _lists(engine._drop({0: one}, 3, 5, weights, weights.scale)) == {0b00100: list(weights.scale)}
+    weights = engine._Weights(5, 2)
+    assert engine._drop({0: 1}, 3, 5, weights, weights.scale) == {0b00100: weights.scale}
     # both branches live, into the holes at sites 1 and 4
     assert _landing({2, 3}, 3, 4) == (0b0111, 0b1110, (2, 1))
     # at q = 2: left q^2 [1] / [3] = 4/7, right [2] / [3] = 3/7
-    weights = engine._Weights(4, (2,))
-    (scale,) = weights.scale
-    got = _lists(engine._drop({0b0110: one}, 3, 4, weights, weights.scale))
-    assert got == {0b0111: [4 * scale // 7], 0b1110: [3 * scale // 7]}
+    weights = engine._Weights(4, 2)
+    got = engine._drop({0b0110: 1}, 3, 4, weights, weights.scale)
+    assert got == {0b0111: 4 * weights.scale // 7, 0b1110: 3 * weights.scale // 7}
 
 
 def test_drop_lands_in_the_scanned_holes():
-    # every state a drop can meet for n <= 10, at a point with v != 1
-    points = (Fraction(2), Fraction(1, 3))
-
+    # every state a drop can meet for n <= 10, at points with v = 1 and v != 1
     def bracket(k, q0):
         return sum(q0**i for i in range(k))
 
-    one = engine._Lane((1, 1))
-    for n in range(1, 11):
-        weights = engine._Weights(n, points)
-        for mask in range(1 << n):
-            occupied = {j for j in range(1, n + 1) if mask >> (j - 1) & 1}
-            if len(occupied) == n:
-                continue
-            for s in range(1, n + 1):
-                got = _lists(engine._drop({mask: one}, s, n, weights, weights.scale))
-                entry = _landing(occupied, s, n)
-                if entry is None:
-                    assert got == {mask | 1 << (s - 1): list(weights.scale)}
+    for q0 in (Fraction(2), Fraction(1, 3)):
+        for n in range(1, 11):
+            weights = engine._Weights(n, q0)
+            scale = weights.scale
+            for mask in range(1 << n):
+                occupied = {j for j in range(1, n + 1) if mask >> (j - 1) & 1}
+                if len(occupied) == n:
                     continue
-                lt, rt, (a, b) = entry
-                # q^a [b]/[a+b] to the left and [a]/[a+b] to the right, times the scale
-                lw = [q0**a * bracket(b, q0) / bracket(a + b, q0) * L for q0, L in zip(points, weights.scale)]
-                rw = [bracket(a, q0) / bracket(a + b, q0) * L for q0, L in zip(points, weights.scale)]
-                want = {lt: lw, rt: rw}
-                want.pop(-1, None)
-                assert got == want, (n, mask, s)
+                for s in range(1, n + 1):
+                    got = engine._drop({mask: 1}, s, n, weights, scale)
+                    entry = _landing(occupied, s, n)
+                    if entry is None:
+                        assert got == {mask | 1 << (s - 1): scale}
+                        continue
+                    lt, rt, (a, b) = entry
+                    # q^a [b]/[a+b] to the left and [a]/[a+b] to the right, times the scale
+                    want = {
+                        lt: q0**a * bracket(b, q0) / bracket(a + b, q0) * scale,
+                        rt: bracket(a, q0) / bracket(a + b, q0) * scale,
+                    }
+                    want.pop(-1, None)
+                    assert got == want, (n, mask, s, q0)
 
 
 def test_bounce_weights_conserve_mass():
     # q^a [b] + [a] == [a+b]: a bounce loses no mass while both holes are on the line
-    points = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2))
-    for n in range(1, 8):
-        weights = engine._Weights(n, points)
-        for a in range(1, n):
-            for b in range(1, n - a + 1):
-                lw, rw = weights[a * (n + 1) + b]
-                for q0, scale, wl, wr in zip(points, weights.scale, lw, rw):
-                    assert wl + wr == scale
+    for q0 in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2)):
+        for n in range(1, 8):
+            weights = engine._Weights(n, q0)
+            for a in range(1, n):
+                for b in range(1, n - a + 1):
+                    wl, wr = weights[a * (n + 1) + b]
+                    assert wl + wr == weights.scale
                     left = q0**a * sum(q0**i for i in range(b)) / sum(q0**i for i in range(a + b))
-                    assert Fraction(wl, scale) == left
+                    assert Fraction(wl, weights.scale) == left
 
 
 @given(st.integers(0, 12), st.integers(0, 6), st.integers(0, 6))
@@ -109,24 +101,31 @@ def test_brackets_match_defining_sum(n, u, v):
 
 
 def test_drop_lanes_do_not_interact():
-    # v != 1 at 1/3 and 5/2; every left weight is 0 at q = 0
-    points = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2))
+    # the sweep's residue lanes, walked together and reduced after every
+    # drop, hold the exact single-point walks mod p, for any drop order
     rng = random.Random(29)
     for n in range(1, 8):
+        pairs, scale, _, mod = engine._lane_weights(n)
+        points = [engine._Weights(n, q0) for q0 in range(n * (n - 1) // 2 + 1)]
         cfgs = list(all_configurations(n))
         for c in rng.sample(cfgs, min(6, len(cfgs))):
             order = list(left_to_right_order(c))
             shuffled = order[:]
             rng.shuffle(shuffled)
             for walk in (tuple(order), tuple(shuffled)):
-                together = list(engine._success_for_order(n, walk, engine._Weights(n, points)))
-                alone = [list(engine._success_for_order(n, walk, engine._Weights(n, (q0,)))) for q0 in points]
-                assert together == [mass for (mass,) in alone], (c.c, walk)
-        # a ball per site never bounces, so its walk builds no pair lanes
-        weights = engine._Weights(n, points)
-        masses = list(engine._success_for_order(n, tuple(range(1, n + 1)), weights))
-        assert masses == [scale**n for scale in weights.scale]
-        assert len(weights) == 0
+                dist = {0: np.ones(mod.size, np.int64)}
+                for s in walk:
+                    dist = engine._drop(dist, s, n, pairs, scale)
+                    for lane in dist.values():
+                        lane %= mod
+                together = dist.get((1 << n) - 1, np.zeros(mod.size, np.int64)).tolist()
+                alone = [engine._success_for_order(n, walk, w) % p for p in engine._PRIMES for w in points]
+                assert together == alone, (c.c, walk)
+        # a ball per site never bounces, so its walk builds no pair weights
+        for q0 in (Fraction(0), Fraction(1, 3), Fraction(5, 2)):
+            weights = engine._Weights(n, q0)
+            assert engine._success_for_order(n, tuple(range(1, n + 1)), weights) == weights.scale**n
+            assert len(weights) == 0
 
 
 def test_success_probability_examples():
@@ -167,11 +166,14 @@ def test_oracle_agreement_small(oracle):
 
 
 def test_oracle_agreement_sampled_large():
+    # strides of 4, 8 and 9 bytes at n = 12, 13 and 21; 9 bytes takes the
+    # per-digit read path of the one-point oracle
     rng = random.Random(11)
-    for n in (9, 10):
-        cfgs = []
-        # build a few random weak compositions of n into n parts
-        while len(cfgs) < 2:
+    for n in (9, 10, 12, 13, 21):
+        cfgs = [(n,) + (0,) * (n - 1), (0,) * (n - 1) + (n,)]
+        # and a few random weak compositions of n into n parts, below n = 21
+        # where a random walk takes the oracle a few hundred ms
+        while len(cfgs) < 4 and n < 21:
             cuts = sorted(rng.sample(range(1, 2 * n), n - 1))
             parts = []
             prev = 0
@@ -199,24 +201,19 @@ def test_exact_sweep_matches_per_config_evaluator(oracle):
 
 
 def test_oracle_weights_shared_per_n():
-    # remixed_exact and the sweep read one set of weights per n, in either
-    # order, and no walk can write into the lanes they share
-    walks = {
-        "exact": lambda: remixed_exact(Configuration((0, 2, 1, 1))),
-        "sweep": lambda: engine._lane_weights(4),
-    }
-    for order in (("exact", "sweep"), ("sweep", "exact")):
-        engine._oracle_weights.cache_clear()
-        for name in order:
-            walks[name]()
-        info = engine._oracle_weights.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        weights = engine._oracle_weights(4)
-        assert set(weights) == {a * 5 + b for a in range(1, 4) for b in range(1, 5 - a)}
-        for lane in (weights.scale, *(lane for pair in weights.values() for lane in pair)):
-            assert type(lane) is engine._Lane
-            with pytest.raises(TypeError):
-                lane[0] = 0
+    # every remixed_exact on n sites reads one set of weights, at the one
+    # point x whose digits hold the coefficients; the sweep builds its own
+    engine._oracle_weights.cache_clear()
+    engine._lane_weights(4)
+    assert engine._oracle_weights.cache_info().currsize == 0
+    for ct in ((0, 2, 1, 1), (4, 0, 0, 0), (1, 1, 1, 1)):
+        remixed_exact(Configuration(ct))
+    info = engine._oracle_weights.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    weights = engine._oracle_weights(4)
+    assert (weights.u, weights.v) == (kronecker_point(factorial(4)), 1)
+    # only the pairs the walks met; (2, 2) never comes up
+    assert set(weights) == {a * 5 + b for a, b in ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1))}
 
 
 def test_oracle_weights_memo_independent_of_query_order():

@@ -6,15 +6,16 @@ the exact engine it checks, and the closed formulas take from the engine
 only the recursion they fall back on.  The scalar reference the tests
 check the simulator against imports nothing from the package.  Inside the
 engine, one drop step moves every ball and is the one place that searches
-for a hole, for the single-order oracle and the sweep alike, and one
-function builds the weights at the points both of them interpolate from.
-The identity suites, which check every route, are imported by the command
-line front end only.  In qcalc, one kernel reads packed sums back, and no
-module takes a private name of qcalc but the Pochhammer step of the
-formulas.  No module of the package holds an assert statement, which
-python -O strips.  numpy is imported inside the functions that build
-arrays, the sweep's and the simulator's, so the commands that need no
-array never load it.
+for a hole, for the single-order oracle and the sweep alike, and each
+purpose has one builder of weights: the oracle's one point, the sweep's
+points and the single rational point of a probability.  The identity
+suites, which check every route, are imported by the command line front
+end only.  In qcalc, one digit reader serves the packed evaluator and the
+oracle's read-back, and no module takes a private name of qcalc but the
+Pochhammer step of the formulas.  No module of the package holds an
+assert statement, which python -O strips.  numpy is imported inside the
+functions that build arrays, the sweep's and the simulator's, so the
+commands that need no array never load it.
 """
 
 import ast
@@ -104,7 +105,7 @@ def test_one_packed_evaluator():
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(isinstance(node, ast.Name) and node.id == "_unpack" for node in ast.walk(func))
     }
-    assert readers == {"poly_sum"}
+    assert readers == {"poly_sum", "kronecker_read"}
     private = {
         (path.stem, name)
         for path in PACKAGE.glob("*.py")
@@ -115,19 +116,16 @@ def test_one_packed_evaluator():
 
 
 def test_one_builder_of_the_oracle_weights():
-    # every other caller of _Weights asks for a tuple of points it names
+    # remixed_exact takes its weights from _oracle_weights only
     tree = ast.parse((PACKAGE / "engine.py").read_text())
     builders = {
         func.name
         for func in ast.walk(tree)
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "_Weights"
-        and not (len(node.args) == 2 and isinstance(node.args[1], ast.Tuple))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Weights"
     }
-    assert builders == {"_oracle_weights"}
+    assert builders == {"_oracle_weights", "_lane_weights", "_probability"}
 
 
 def test_only_the_cli_imports_the_identity_suites():

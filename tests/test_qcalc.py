@@ -9,10 +9,10 @@ from remixed.qcalc import (
     ZERO,
     DegreeTooHigh,
     InvariantViolation,
-    NonIntegerCoefficients,
     QPoly,
     bracket_product,
-    interpolate,
+    kronecker_point,
+    kronecker_read,
     poly_reverse,
     poly_sum,
     q_binomial,
@@ -117,22 +117,19 @@ def test_poly_reverse_involution(a, d):
     assert poly_reverse(poly_reverse(a, d), d) == a
 
 
-def test_interpolate_examples():
-    assert interpolate([1, 2]) == QPoly((1, 1))
-    assert interpolate([1, 3, 7]) == QPoly((1, 1, 1))
-    assert interpolate([0]) == ZERO
-    # x/2 + x^2/2 takes integer values at 0, 1, 2 without integer coefficients
-    with pytest.raises(NonIntegerCoefficients):
-        interpolate([0, 1, 3])
-    with pytest.raises(ValueError):
-        interpolate([])
-
-
-@given(small_polys, st.integers(0, 3))
-def test_interpolate_round_trip(p, extra):
-    deg = p.degree()
-    vals = [int(p.evaluate(x)) for x in range((deg or 0) + 1 + extra)]
-    assert interpolate(vals) == p
+@given(st.lists(st.integers(-(2**70), 2**70), max_size=6), st.integers(0, 2**80), st.integers(0, 2))
+def test_kronecker_read_round_trip(cs, bound, extra):
+    # bounds on both sides of the 8-byte word, so both read paths run
+    bound = max([bound, *map(abs, cs)])
+    p = QPoly(tuple(cs))
+    x = kronecker_point(bound)
+    value = sum(c * x**i for i, c in enumerate(p.coeffs))
+    length = len(p.coeffs) + extra
+    assert kronecker_read(value, bound, length) == p
+    if p:
+        # one digit short: the top coefficient does not fit
+        with pytest.raises(DegreeTooHigh):
+            kronecker_read(value, bound, len(p.coeffs) - 1)
 
 
 def test_pochhammer_examples():
