@@ -158,9 +158,15 @@ def _stride(bound: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _radix(width: int, top: int) -> tuple[bytes, int]:
-    """The bias digit 2**(8*width - 1) as width bytes, and (x - 1)**top at x = 2**(8*width)."""
-    return (1 << 8 * width - 1).to_bytes(width, "little"), ((1 << 8 * width) - 1) ** top
+def _radix(width: int, top: int) -> int:
+    """(x - 1)**top at x = 2**(8*width)."""
+    return ((1 << 8 * width) - 1) ** top
+
+
+@lru_cache(maxsize=64)
+def _bias(width: int, length: int) -> int:
+    """The bias digit 2**(8*width - 1) at each of length digits, as one int (see _unpack)."""
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * length, "little")
 
 
 def _pack(cs: Sequence[int], width: int, bias: int) -> int:
@@ -238,8 +244,8 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
         return ZERO
     width = _stride(bound)
     bits = 8 * width
-    half, divisor = _radix(width, top)
-    bias = int.from_bytes(half * length, "little")
+    divisor = _radix(width, top)
+    bias = _bias(width, length)
     total = 0
     for sign, shift, factors, sizes in kept:
         x = 1
@@ -278,9 +284,8 @@ def kronecker_read(value: int, bound: int, length: int) -> QPoly:
     (1, 5, -2)
     """
     width = _stride(bound)
-    bias = int.from_bytes(_radix(width, 0)[0] * length, "little")
     try:
-        return QPoly(_unpack(value, width, length, bias))
+        return QPoly(_unpack(value, width, length, _bias(width, length)))
     except OverflowError:
         raise DegreeTooHigh(f"value needs more than {length} digits") from None
 

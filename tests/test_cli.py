@@ -426,31 +426,31 @@ BROKEN_ROUTES = {
         "argv = ['eval', '2,0', '--method', 'exact']\n",
         "invariant violated: negative coefficient",
     ),
-    # a free-site scale one too large, over pair weights built with the true
-    # scale, leaves the value a non-integer
+    # a step denominator one too large, over masses built with the true one,
+    # leaves the value a non-integer
     "oracle_weights": (
         "from remixed import engine\n"
-        "class Bumped(engine._Weights):\n"
-        "    def __init__(self, n, q0):\n"
-        "        super().__init__(n, q0)\n"
-        "        for a in range(1, n):\n"
-        "            for b in range(1, n - a + 1):\n"
-        "                self[a * (n + 1) + b]\n"
-        "        self.scale += 1\n"
-        "engine._Weights = Bumped\n"
+        "real = engine._drop\n"
+        "def bumped(*args):\n"
+        "    out, den = real(*args)\n"
+        "    return out, den + 1\n"
+        "engine._drop = bumped\n"
         "argv = ['eval', '2,0', '--method', 'exact']\n",
         "invariant violated: non-integer value for (2, 0)",
     ),
-    # both branches of a bounce carry the full scale, so a bounce copies
-    # mass instead of splitting it: two ways to fill the line give 2 [3]!,
-    # whose digits sum to 12 > 3!
+    # both branches of a bounce carry the full step, so a bounce copies mass
+    # instead of splitting it: two ways to fill the line give 2 [3]!, whose
+    # digits sum to 12 > 3!; the drop step is rebuilt from its own source
+    # with both branch weights replaced
     "oracle_range": (
+        "import inspect\n"
         "from remixed import engine\n"
-        "class Copying(engine._Weights):\n"
-        "    def __missing__(self, pair):\n"
-        "        weights = self[pair] = self.scale, self.scale\n"
-        "        return weights\n"
-        "engine._Weights = Copying\n"
+        "src = inspect.getsource(engine._drop)\n"
+        "for weight in ('ups[a] * brackets[b]', 'vps[b] * brackets[a]'):\n"
+        "    if weight not in src:\n"
+        "        sys.exit(98)\n"
+        "    src = src.replace(weight, 'brackets[a + b]')\n"
+        "exec(src, vars(engine))\n"
         "argv = ['eval', '0,3,0', '--method', 'exact']\n",
         "invariant violated: coefficients of (0, 3, 0) outside [0, 6]",
     ),

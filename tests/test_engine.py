@@ -1,14 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from remixed import engine
-from remixed.config import Configuration, all_configurations, left_to_right_order, reverse
+from remixed.config import Configuration, all_configurations, left_to_right_order
 from remixed.engine import (
     BadContent,
     drop_order_check,
@@ -37,95 +36,82 @@ def _landing(occupied, s, n):
     return lt, rt, (a, b)
 
 
+def bracket(k, q0):
+    return sum(q0**i for i in range(k))
+
+
 def test_bounce_table_examples():
     # a ball bounced off a lone occupied site 1 can only go right
     assert _landing({1}, 1, 2) == (-1, 0b11, (1, 1))
-    # free site: no entry, the drop step settles the ball there with the full scale
+    # free site: no bounce, the drop step settles the ball there over a step of 1
     assert _landing(set(), 3, 5) is None
-    weights = engine._Weights(5, 2)
-    assert engine._drop({0: 1}, 3, 5, weights, weights.scale) == {0b00100: weights.scale}
+    assert engine._drop({0: 7}, 3, 5, engine._point(5, 2)) == ({0b00100: 7}, 1)
     # both branches live, into the holes at sites 1 and 4
     assert _landing({2, 3}, 3, 4) == (0b0111, 0b1110, (2, 1))
     # at q = 2: left q^2 [1] / [3] = 4/7, right [2] / [3] = 3/7
-    weights = engine._Weights(4, 2)
-    got = engine._drop({0b0110: 1}, 3, 4, weights, weights.scale)
-    assert got == {0b0111: 4 * weights.scale // 7, 0b1110: 3 * weights.scale // 7}
+    assert engine._drop({0b0110: 1}, 3, 4, engine._point(4, 2)) == ({0b0111: 4, 0b1110: 3}, 7)
+    # a free site in the same step as a bounce takes the full step
+    got = engine._drop({0b0110: 1, 0b0001: 2}, 3, 4, engine._point(4, 2))
+    assert got == ({0b0111: 4, 0b1110: 3, 0b0101: 14}, 7)
 
 
 def test_drop_lands_in_the_scanned_holes():
     # every state a drop can meet for n <= 10, at points with v = 1 and v != 1
-    def bracket(k, q0):
-        return sum(q0**i for i in range(k))
-
     for q0 in (Fraction(2), Fraction(1, 3)):
         for n in range(1, 11):
-            weights = engine._Weights(n, q0)
-            scale = weights.scale
+            point = engine._point(n, q0)
             for mask in range(1 << n):
                 occupied = {j for j in range(1, n + 1) if mask >> (j - 1) & 1}
                 if len(occupied) == n:
                     continue
                 for s in range(1, n + 1):
-                    got = engine._drop({mask: 1}, s, n, weights, scale)
+                    got, step = engine._drop({mask: 1}, s, n, point)
                     entry = _landing(occupied, s, n)
                     if entry is None:
-                        assert got == {mask | 1 << (s - 1): scale}
+                        assert (got, step) == ({mask | 1 << (s - 1): 1}, 1)
                         continue
                     lt, rt, (a, b) = entry
-                    # q^a [b]/[a+b] to the left and [a]/[a+b] to the right, times the scale
+                    # q^a [b]/[a+b] to the left and [a]/[a+b] to the right, over the step
                     want = {
-                        lt: q0**a * bracket(b, q0) / bracket(a + b, q0) * scale,
-                        rt: bracket(a, q0) / bracket(a + b, q0) * scale,
+                        lt: q0**a * bracket(b, q0) / bracket(a + b, q0),
+                        rt: bracket(a, q0) / bracket(a + b, q0),
                     }
                     want.pop(-1, None)
-                    assert got == want, (n, mask, s, q0)
+                    assert {to: Fraction(mass, step) for to, mass in got.items()} == want, (n, mask, s, q0)
 
 
 def test_bounce_weights_conserve_mass():
-    # q^a [b] + [a] == [a+b]: a bounce loses no mass while both holes are on the line
+    # q^a [b] + [a] == [a+b]: a bounce loses no mass while both holes are on
+    # the line; here the holes are sites 1 and a + b + 1 around a ball at a + 1
     for q0 in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2)):
-        for n in range(1, 8):
-            weights = engine._Weights(n, q0)
-            for a in range(1, n):
-                for b in range(1, n - a + 1):
-                    wl, wr = weights[a * (n + 1) + b]
-                    assert wl + wr == weights.scale
-                    left = q0**a * sum(q0**i for i in range(b)) / sum(q0**i for i in range(a + b))
-                    assert Fraction(wl, weights.scale) == left
+        for n in range(2, 9):
+            point = engine._point(n, q0)
+            for a in range(1, n - 1):
+                for b in range(1, n - a):
+                    mask = (1 << (a + b)) - 2
+                    got, step = engine._drop({mask: 1}, a + 1, n, point)
+                    assert got.keys() == {mask | 1, mask | 1 << (a + b)}
+                    assert sum(got.values()) == step
+                    assert Fraction(got[mask | 1], step) == q0**a * bracket(b, q0) / bracket(a + b, q0)
+
+
+def test_one_ball_per_site_never_bounces():
+    # every drop of this walk lands on a free site, so every step is 1
+    for n in range(1, 9):
+        for q0 in (Fraction(0), Fraction(1, 3), Fraction(5, 2), kronecker_point(factorial(n))):
+            point = engine._point(n, q0)
+            dist = {0: 1}
+            for s in range(1, n + 1):
+                dist, step = engine._drop(dist, s, n, point)
+                assert step == 1
+            assert dist == {(1 << n) - 1: 1}
+            assert engine._success_for_order(n, tuple(range(1, n + 1)), point) == (1, 1)
 
 
 @given(st.integers(0, 12), st.integers(0, 6), st.integers(0, 6))
 def test_brackets_match_defining_sum(n, u, v):
     want = [sum(u**i * v ** (k - 1 - i) for i in range(k)) for k in range(n + 1)]
     assert engine._brackets(n, u, v) == want
-
-
-def test_drop_lanes_do_not_interact():
-    # the sweep's residue lanes, walked together and reduced after every
-    # drop, hold the exact single-point walks mod p, for any drop order
-    rng = random.Random(29)
-    for n in range(1, 8):
-        pairs, scale, _, mod = engine._lane_weights(n)
-        points = [engine._Weights(n, q0) for q0 in range(n * (n - 1) // 2 + 1)]
-        cfgs = list(all_configurations(n))
-        for c in rng.sample(cfgs, min(6, len(cfgs))):
-            order = list(left_to_right_order(c))
-            shuffled = order[:]
-            rng.shuffle(shuffled)
-            for walk in (tuple(order), tuple(shuffled)):
-                dist = {0: np.ones(mod.size, np.int64)}
-                for s in walk:
-                    dist = engine._drop(dist, s, n, pairs, scale)
-                    for lane in dist.values():
-                        lane %= mod
-                together = dist.get((1 << n) - 1, np.zeros(mod.size, np.int64)).tolist()
-                alone = [engine._success_for_order(n, walk, w) % p for p in engine._PRIMES for w in points]
-                assert together == alone, (c.c, walk)
-        # a ball per site never bounces, so its walk builds no pair weights
-        for q0 in (Fraction(0), Fraction(1, 3), Fraction(5, 2)):
-            weights = engine._Weights(n, q0)
-            assert engine._success_for_order(n, tuple(range(1, n + 1)), weights) == weights.scale**n
-            assert len(weights) == 0
 
 
 def test_success_probability_examples():
@@ -169,22 +155,20 @@ def test_oracle_agreement_sampled_large():
     # strides of 4, 8 and 9 bytes at n = 12, 13 and 21; 9 bytes takes the
     # per-digit read path of the one-point oracle
     rng = random.Random(11)
-    for n in (9, 10, 12, 13, 21):
+    for n, count in ((9, 2), (10, 2), (12, 2), (13, 2), (16, 10), (21, 10)):
         cfgs = [(n,) + (0,) * (n - 1), (0,) * (n - 1) + (n,)]
-        # and a few random weak compositions of n into n parts, below n = 21
-        # where a random walk takes the oracle a few hundred ms
-        while len(cfgs) < 4 and n < 21:
+        # and count random weak compositions of n into n parts
+        while len(cfgs) < 2 + count:
             cuts = sorted(rng.sample(range(1, 2 * n), n - 1))
             parts = []
             prev = 0
             for x in cuts + [2 * n]:
                 parts.append(x - prev - 1)
                 prev = x
-            if sum(parts) == n:
-                cfgs.append(tuple(parts))
+            cfgs.append(tuple(parts))
         for ct in cfgs:
             c = Configuration(ct)
-            assert remixed_exact(c) == remixed_induction(c)
+            assert remixed_exact(c) == remixed_induction(c), ct
 
 
 def test_exact_sweep_matches_per_config_evaluator(oracle):
@@ -200,81 +184,26 @@ def test_exact_sweep_matches_per_config_evaluator(oracle):
             assert remixed_exact(Configuration(ct)) == table[ct]
 
 
-def test_oracle_weights_shared_per_n():
-    # every remixed_exact on n sites reads one set of weights, at the one
-    # point x whose digits hold the coefficients; the sweep builds its own
-    engine._oracle_weights.cache_clear()
-    engine._lane_weights(4)
-    assert engine._oracle_weights.cache_info().currsize == 0
-    for ct in ((0, 2, 1, 1), (4, 0, 0, 0), (1, 1, 1, 1)):
-        remixed_exact(Configuration(ct))
-    info = engine._oracle_weights.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    weights = engine._oracle_weights(4)
-    assert (weights.u, weights.v) == (kronecker_point(factorial(4)), 1)
-    # only the pairs the walks met; (2, 2) never comes up
-    assert set(weights) == {a * 5 + b for a, b in ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1))}
-
-
-def test_oracle_weights_memo_independent_of_query_order():
-    cfgs = [c for n in range(1, 7) for c in all_configurations(n)]
-    runs = []
-    for order in (cfgs, cfgs[::-1]):
-        engine._oracle_weights.cache_clear()
-        runs.append({c.c: remixed_exact(c) for c in order})
-    assert runs[0] == runs[1]
-
-
-def test_sweep_primes_fit_every_allowed_n():
-    p1, p2 = engine._PRIMES
-    for n in range(1, engine.SWEEP_MAX_N + 1):
-        assert factorial(n) < p1 * p2
-        big_d = n * (n - 1) // 2
-        for p in engine._PRIMES:
-            # at most n products of two residues reach one mask in a drop,
-            # and a row of the interpolation matrix sums D + 1 of them
-            assert n * (p - 1) ** 2 < 2**63
-            assert (big_d + 1) * (p - 1) ** 2 < 2**63
-        for q0 in range(big_d + 1):
-            for bracket in engine._brackets(n, q0)[1:]:
-                assert bracket % p1 and bracket % p2, (n, q0)
-
-
-def test_modular_interpolation_every_allowed_degree():
-    # every D the sweep uses; at D = 45 the sums of D + 1 products come nearest 2**63
-    rng = random.Random(53)
-    for n in range(1, engine.SWEEP_MAX_N + 1):
-        big_d, bound = n * (n - 1) // 2, factorial(n)
-        polys = [[rng.randint(0, bound) for _ in range(big_d + 1)] for _ in range(6)]
-        values = [[sum(c * q0**i for i, c in enumerate(cs)) for q0 in range(big_d + 1)] for cs in polys]
-        vals = np.array([[[v % p for v in row] for p in engine._PRIMES] for row in values], np.int64)
-        assert engine._crt(engine._interpolate_mod(vals)).tolist() == polys
-        # the largest residue at every point is the constant polynomial p - 1
-        top = np.array([[[p - 1] * (big_d + 1) for p in engine._PRIMES]], np.int64)
-        want = [[p - 1] + [0] * big_d for p in engine._PRIMES]
-        assert engine._interpolate_mod(top)[0].tolist() == want
-
-
 def test_exact_sweep_rejects_n_above_cap(monkeypatch):
-    def refuse(n):
+    def refuse(*args):
         raise AssertionError("the sweep was started")
 
-    monkeypatch.setattr(engine, "_sweep_residues", refuse)
+    monkeypatch.setattr(engine, "_drop", refuse)
     with pytest.raises(ValueError, match=f"at most {engine.SWEEP_MAX_N} sites"):
         exact_sweep(engine.SWEEP_MAX_N + 1)
 
 
-def test_corrupt_residue_fails_range_check(monkeypatch):
-    real = engine._sweep_residues
+def test_corrupt_leaf_mass_fails_integrality_check(monkeypatch):
+    # one more unit of mass at one leaf: its denominator does not divide
+    # [5]!(x), so the value is no longer an integer
+    real = engine._lift
+    target = (1, 0, 4, 0, 0)
 
-    def corrupt(n):
-        keys, res = real(n)
-        # one lane: the value mod the first prime at q = 2 of one configuration
-        res[7, 0, 2] = (res[7, 0, 2] + 1) % engine._PRIMES[0]
-        return keys, res
+    def corrupt(ct, mass, den, fact):
+        return real(ct, mass + (ct == target), den, fact)
 
-    monkeypatch.setattr(engine, "_sweep_residues", corrupt)
-    with pytest.raises(InvariantViolation, match=r"outside \[0, 120\]"):
+    monkeypatch.setattr(engine, "_lift", corrupt)
+    with pytest.raises(InvariantViolation, match=r"non-integer value for \(1, 0, 4, 0, 0\)"):
         exact_sweep(5)
 
 

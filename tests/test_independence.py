@@ -6,16 +6,15 @@ the exact engine it checks, and the closed formulas take from the engine
 only the recursion they fall back on.  The scalar reference the tests
 check the simulator against imports nothing from the package.  Inside the
 engine, one drop step moves every ball and is the one place that searches
-for a hole, for the single-order oracle and the sweep alike, and each
-purpose has one builder of weights: the oracle's one point, the sweep's
-points and the single rational point of a probability.  The identity
-suites, which check every route, are imported by the command line front
-end only.  In qcalc, one digit reader serves the packed evaluator and the
-oracle's read-back, and no module takes a private name of qcalc but the
-Pochhammer step of the formulas.  No module of the package holds an
-assert statement, which python -O strips.  numpy is imported inside the
-functions that build arrays, the sweep's and the simulator's, so the
-commands that need no array never load it.
+for a hole, for the single-order oracle and the sweep alike, and the point
+a walk runs at is built only by the oracle, the sweep and the probability
+of one order.  The identity suites, which check every route, are imported
+by the command line front end only.  In qcalc, one digit reader serves the
+packed evaluator and the oracle's read-back, and no module takes a private
+name of qcalc but the Pochhammer step of the formulas.  No module of the
+package holds an assert statement, which python -O strips.  numpy is
+imported only inside the simulator's array kernels, so every exact route,
+the sweep and the identity suites included, runs without loading it.
 """
 
 import ast
@@ -116,16 +115,17 @@ def test_one_packed_evaluator():
 
 
 def test_one_builder_of_the_oracle_weights():
-    # remixed_exact takes its weights from _oracle_weights only
+    # the point a walk runs at is built by the oracle, the sweep and the
+    # probability of one order only
     tree = ast.parse((PACKAGE / "engine.py").read_text())
     builders = {
         func.name
         for func in ast.walk(tree)
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Weights"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_point"
     }
-    assert builders == {"_oracle_weights", "_lane_weights", "_probability"}
+    assert builders == {"remixed_exact", "exact_sweep", "_probability"}
 
 
 def test_only_the_cli_imports_the_identity_suites():
@@ -206,7 +206,8 @@ def test_import_time_reader_sees_every_form(tmp_path):
 
 
 def test_numpy_stays_unloaded_until_an_array_kernel_runs():
-    # a fresh interpreter: the test process itself has numpy loaded
+    # a fresh interpreter: the test process itself has numpy loaded; every
+    # exact route, the sweep and the identity suites included, runs first
     script = """
 import contextlib, io, json, sys
 from fractions import Fraction
@@ -217,17 +218,19 @@ from remixed.engine import exact_sweep, remixed_exact
 from remixed.simulate import simulate_batch
 argvs = [
     ["eval", "0,0,2,1,1,3,0,2,0,0,0,4,0", "--crosscheck"],
+    ["eval", "0,2,1,0,3,0", "--method", "exact", "--crosscheck"],
     ["classify", "0,0,2,1,1,3,0,2,0,0,0,4,0"],
     ["table", "hit", "--lambda", "4,2,1", "--n", "7"],
     ["table", "cs", "--x", "2", "--y", "3", "--rsmax", "3"],
+    ["verify", "all", "--nmax", "4"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in argvs]
-before = "numpy" in sys.modules
 table = exact_sweep(3)
 sweep = sorted(table) == sorted(c.c for c in all_configurations(3)) and all(
     table[ct] == remixed_exact(Configuration(ct)) for ct in table
 )
+before = "numpy" in sys.modules
 flags = simulate_batch(Configuration((1, 1, 1)), Fraction(1), 40, 3)
 print(json.dumps({"codes": codes, "before": before, "sweep": sweep,
                   "simulated": int(flags.sum()), "after": "numpy" in sys.modules}))
@@ -237,7 +240,7 @@ print(json.dumps({"codes": codes, "before": before, "sweep": sweep,
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "codes": [0, 0, 0, 0],
+        "codes": [0, 0, 0, 0, 0, 0],
         "before": False,
         "sweep": True,
         "simulated": 40,
