@@ -4,7 +4,8 @@ Each command returns its result payload and exit code, and `main` alone
 wraps the payload in the one JSON envelope it prints: the command, the
 inputs, the result and the tool version.  The inputs echo every parsed
 argument of the command, defaults included, in `--help` order.  Only
-`table --format csv` prints rows in place of an envelope.
+`table --format csv` prints rows in place of an envelope.  main may be
+called any number of times in one process, and builds its parser once.
 
 Exit codes: 0 success, 2 usage or parse error, 3 cross check mismatch,
 4 verification failure, 5 internal invariant violated (a defect in the
@@ -245,8 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one parser of the process, built on the first main call rather than
+# at import.  parse_args keeps no state on the parser (each call fills a new
+# Namespace), so every later call parses with it as with a fresh one.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result, code = args.func(args)
     except InvariantViolation as exc:

@@ -16,9 +16,12 @@ A_c(1) <= n!, so its value at the one point x = qcalc.kronecker_point(n!)
 holds every coefficient as a base-x digit.  remixed_exact walks its drop
 order once, at x, and exact_sweep walks the tree of every left to right
 drop order on n sites at x, sharing the drops of common prefixes.  Both
-read a full state through _lift, which checks that the value is an
-integer of degree at most n(n-1)/2 whose digits are nonnegative and sum
-to at most n!, and reads the digits back by qcalc.kronecker_read.
+turn a full state into its value by _value, which checks that the value
+is an integer, and read it through _lift, which checks that it has degree
+at most n(n-1)/2 and digits that are nonnegative and sum to at most n!,
+and reads the digits back by qcalc.kronecker_read.  exact_sweep also
+checks that the values of its table sum to Cat_n [n]!(x), the sum of the
+A_c over all c being Cat_n [n]!.
 success_probability and drop_order_check run the same walk at a rational
 point.  The second evaluator runs the final ball recursion with
 memoization and never touches probabilities.  Agreement of the two is the
@@ -155,17 +158,24 @@ def success_probability(c: Configuration, q0: Fraction) -> Fraction:
     return _probability(c.n, left_to_right_order(c), q0)
 
 
-def _lift(ct: tuple[int, ...], mass: int, den: int, fact: int) -> QPoly:
-    """A_c read off fact * mass / den, its value at x = kronecker_point(n!).
+def _value(ct: tuple[int, ...], mass: int, den: int, fact: int) -> int:
+    """fact * mass / den, the value of A_c at x = kronecker_point(n!).
 
     mass and den are a full state's mass and denominator at x, and fact is
-    [n]!(x).  The value must be an integer of degree at most n(n-1)/2
-    whose digits are nonnegative and sum to at most n!; anything else is
-    an internal defect.
+    [n]!(x).  A value that is not an integer is an internal defect.
     """
     value, rest = divmod(fact * mass, den)
     if rest:
         raise InvariantViolation(f"non-integer value for {ct}")
+    return value
+
+
+def _lift(ct: tuple[int, ...], value: int) -> QPoly:
+    """A_c read off value, its value at x = kronecker_point(n!).
+
+    The value must have degree at most n(n-1)/2 and digits that are
+    nonnegative and sum to at most n!; anything else is an internal defect.
+    """
     n = len(ct)
     bound, big_d = factorial(n), n * (n - 1) // 2
     try:
@@ -186,7 +196,7 @@ def remixed_exact(c: Configuration) -> QPoly:
     """
     point = _point(c.n, kronecker_point(factorial(c.n)))
     mass, den = _success_for_order(c.n, left_to_right_order(c), point)
-    return _lift(c.c, mass, den, prod(point[0][1:]))
+    return _lift(c.c, _value(c.c, mass, den, prod(point[0][1:])))
 
 
 def drop_order_check(c: Configuration, order: tuple[int, ...], q0: Fraction) -> Fraction:
@@ -253,7 +263,9 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     configuration it contains at its lowest sites, so those share the
     drops of the common prefix.  Each branch carries the product of its
     steps' denominators, and each leaf is read by _lift, with [n]!(x)
-    computed once for the table.
+    computed once for the table.  The values read must sum to
+    Cat_n [n]!(x), which catches an error in one leaf's mass that leaves
+    its digits plausible.
 
     Raises ValueError for n above SWEEP_MAX_N.
     """
@@ -266,12 +278,16 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     full = (1 << n) - 1
     counts = [0] * (n + 1)
     table: dict[tuple[int, ...], QPoly] = {}
+    total = 0
 
     def rec(min_site: int, k: int, dist: dict[int, int], den: int) -> None:
+        nonlocal total
         if k == n:
             if full in dist:
                 ct = tuple(counts[1:])
-                table[ct] = _lift(ct, dist[full], den, fact)
+                value = _value(ct, dist[full], den, fact)
+                total += value
+                table[ct] = _lift(ct, value)
             return
         for s in range(min_site, n + 1):
             nd, step = _drop(dist, s, n, point)
@@ -285,4 +301,6 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     missing = comb(2 * n - 1, n) - len(table)
     if missing:
         raise InvariantViolation(f"{missing} configurations never filled the line")
+    if total != comb(2 * n, n) // (n + 1) * fact:
+        raise InvariantViolation(f"the values of the table for n = {n} do not sum to Cat_{n} [{n}]!(x)")
     return table

@@ -187,20 +187,30 @@ def _pack(cs: Sequence[int], width: int, bias: int) -> int:
     return u - ((u & bias) << 1)
 
 
-def _unpack(packed: int, width: int, n: int, bias: int) -> list[int]:
-    """The n signed digits of packed at a stride of width bytes (see _stride).
+def _unpack(packed: int, width: int, n: int, bias: int) -> QPoly:
+    """The polynomial of the n signed digits of packed at a stride of width bytes (see _stride).
 
     Adding bias, the bias digit at each of the n digits, makes every digit
     nonnegative; XOR-ing it back leaves each digit in two's complement.
+    The digits are ints by construction, so the result skips the public
+    constructor's type scan and only has its trailing zeros trimmed.
     """
     raw = ((packed + bias) ^ bias).to_bytes(width * n, "little")
     code = _WORDS.get(width)
     if code is None:
-        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
-    words = array(code, raw)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words.tolist()
+        digits = [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    else:
+        words = array(code, raw)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        digits = words.tolist()
+    end = len(digits)
+    while end and not digits[end - 1]:
+        end -= 1
+    del digits[end:]
+    p = object.__new__(QPoly)
+    object.__setattr__(p, "coeffs", tuple(digits))
+    return p
 
 
 def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -> QPoly:
@@ -259,7 +269,7 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
         total = total + x if sign > 0 else total - x
     if top:
         total //= divisor
-    return QPoly(_unpack(total, width, length, bias))
+    return _unpack(total, width, length, bias)
 
 
 def kronecker_point(bound: int) -> int:
@@ -285,7 +295,7 @@ def kronecker_read(value: int, bound: int, length: int) -> QPoly:
     """
     width = _stride(bound)
     try:
-        return QPoly(_unpack(value, width, length, _bias(width, length)))
+        return _unpack(value, width, length, _bias(width, length))
     except OverflowError:
         raise DegreeTooHigh(f"value needs more than {length} digits") from None
 

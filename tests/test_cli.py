@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -19,6 +20,14 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def python(*args):
+    """A fresh interpreter on this checkout's package, its output captured as text."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def envelope(out):
@@ -333,6 +342,52 @@ def test_single_suite_report_matches_verify_all(capsys):
         assert rc == 0 and envelope(out)["result"]["suites"] == [report]
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # importing the module builds no parser; the first main call builds it
+    proc = python("-c", "import sys, remixed.cli as cli; sys.exit(cli._parser.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    assert run(capsys, "classify", "1,1")[0] == 0
+    # the root parser and one per subcommand
+    assert len(built) == 6
+    built.clear()
+    for argv in (["classify", "1,1"], ["eval", "2,0", "--crosscheck"], ["verify", "all", "--nmax", "2"]):
+        assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit):
+        cli.main(["eval"])
+    assert built == []
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    rc, out, _ = run(capsys, "eval", "0,3,0,2,0", "--crosscheck", "--pretty", "--q", "2")
+    assert rc == 0 and envelope(out)["inputs"]["q"] == "2"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "0,3,0,2,0", "--method", "fast"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    last = run(capsys, "eval", "0,3,0,2,0")
+    inputs = envelope(last[1])["inputs"]
+    assert inputs == {"config": "0,3,0,2,0", "method": "auto", "crosscheck": False, "q": None, "pretty": False}
+    fresh = python("-m", "remixed.cli", "eval", "0,3,0,2,0")
+    assert last == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["tabulate"])
@@ -459,7 +514,6 @@ BROKEN_ROUTES = {
 
 @pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
 def test_invariant_violation_survives_optimize(route):
-    src = Path(__file__).resolve().parent.parent / "src"
     script = (
         "import sys\n"
         "from remixed import cli\n"
@@ -469,11 +523,7 @@ def test_invariant_violation_survives_optimize(route):
         "    sys.exit(99)\n"
         "sys.exit(cli.main(argv))\n"
     )
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = python("-O", "-c", script)
     assert proc.returncode == 5, proc.stderr
     assert proc.stdout == ""
     assert BROKEN_ROUTES[route][1] in proc.stderr

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +16,7 @@ from remixed.engine import (
     remixed_induction,
     success_probability,
 )
-from remixed.qcalc import InvariantViolation, kronecker_point, poly_reverse, q_factorial
+from remixed.qcalc import InvariantViolation, QPoly, kronecker_point, poly_reverse, q_factorial
 
 
 def _landing(occupied, s, n):
@@ -196,15 +196,56 @@ def test_exact_sweep_rejects_n_above_cap(monkeypatch):
 def test_corrupt_leaf_mass_fails_integrality_check(monkeypatch):
     # one more unit of mass at one leaf: its denominator does not divide
     # [5]!(x), so the value is no longer an integer
-    real = engine._lift
+    real = engine._value
     target = (1, 0, 4, 0, 0)
 
     def corrupt(ct, mass, den, fact):
         return real(ct, mass + (ct == target), den, fact)
 
-    monkeypatch.setattr(engine, "_lift", corrupt)
+    monkeypatch.setattr(engine, "_value", corrupt)
     with pytest.raises(InvariantViolation, match=r"non-integer value for \(1, 0, 4, 0, 0\)"):
         exact_sweep(5)
+
+
+def test_one_unit_of_leaf_mass_fails_the_sweep(monkeypatch):
+    # one more unit of mass on the full state of one leaf, at each of the
+    # 126 leaves of n = 5 in turn: the value is no longer an integer, or it
+    # is off by [5]!(x) / den, which the table's sum check sees even where
+    # the leaf's digits stay plausible
+    n, full = 5, 0b11111
+    real = engine._drop
+
+    def bump_leaf(target):
+        """_drop with one more unit at the target-th leaf it reaches, and the leaves reached."""
+        leaves = []
+
+        def drop(*args):
+            out, den = real(*args)
+            if full in out:
+                if len(leaves) == target:
+                    out[full] += 1
+                leaves.append(den)
+            return out, den
+
+        return drop, leaves
+
+    drop, leaves = bump_leaf(None)
+    monkeypatch.setattr(engine, "_drop", drop)
+    exact_sweep(n)
+    assert len(leaves) == comb(2 * n - 1, n) == 126
+    for target in range(126):
+        drop, leaves = bump_leaf(target)
+        monkeypatch.setattr(engine, "_drop", drop)
+        with pytest.raises(InvariantViolation):
+            exact_sweep(n)
+        assert len(leaves) > target
+
+
+def test_table_sums_to_catalan_times_q_factorial(oracle):
+    # the identity exact_sweep checks at one point, as polynomials
+    for n in range(1, 8):
+        total = sum(oracle.table(n).values(), QPoly())
+        assert total == q_factorial(n) * (comb(2 * n, n) // (n + 1)), n
 
 
 def test_palindromic_via_reverse(oracle):
