@@ -5,7 +5,8 @@ wraps the payload in the one JSON envelope it prints: the command, the
 inputs, the result and the tool version.  The inputs echo every parsed
 argument of the command, defaults included, in `--help` order.  Only
 `table --format csv` prints rows in place of an envelope.  main may be
-called any number of times in one process, and builds its parser once.
+called any number of times in one process, and builds its parser on the
+first call.
 
 Exit codes: 0 success, 2 usage or parse error, 3 cross check mismatch,
 4 verification failure, 5 internal invariant violated (a defect in the
@@ -248,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The one parser of the process, built on the first main call rather than
 # at import.  parse_args keeps no state on the parser (each call fills a new
-# Namespace), so every later call parses with it as with a fresh one.
+# Namespace), so every later call parses with it as with a fresh one.  The
+# build binds the cmd_* functions and the suite choices as they are then: code
+# that replaces either must call _parser.cache_clear() before main sees it.
 _parser = lru_cache(maxsize=1)(build_parser)
 
 

@@ -75,12 +75,23 @@ class QPoly:
         cs = tuple(self.coeffs)
         if not set(map(type, cs)) <= {int}:
             raise TypeError("coefficients must be int")
+        self._store(cs)
+
+    @classmethod
+    def _of_ints(cls, cs: Sequence[int]) -> QPoly:
+        """The polynomial of cs, which holds only ints: the constructor without its type scan."""
+        p = object.__new__(cls)
+        p._store(cs)
+        return p
+
+    def _store(self, cs: Sequence[int]) -> None:
+        """Set coeffs to cs with its trailing zeros trimmed."""
         if cs and not cs[-1]:
             end = len(cs) - 1
             while end and not cs[end - 1]:
                 end -= 1
             cs = cs[:end]
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
@@ -187,30 +198,20 @@ def _pack(cs: Sequence[int], width: int, bias: int) -> int:
     return u - ((u & bias) << 1)
 
 
-def _unpack(packed: int, width: int, n: int, bias: int) -> QPoly:
-    """The polynomial of the n signed digits of packed at a stride of width bytes (see _stride).
+def _unpack(packed: int, width: int, n: int, bias: int) -> list[int]:
+    """The n signed digits of packed at a stride of width bytes (see _stride).
 
     Adding bias, the bias digit at each of the n digits, makes every digit
     nonnegative; XOR-ing it back leaves each digit in two's complement.
-    The digits are ints by construction, so the result skips the public
-    constructor's type scan and only has its trailing zeros trimmed.
     """
     raw = ((packed + bias) ^ bias).to_bytes(width * n, "little")
     code = _WORDS.get(width)
     if code is None:
-        digits = [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
-    else:
-        words = array(code, raw)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        digits = words.tolist()
-    end = len(digits)
-    while end and not digits[end - 1]:
-        end -= 1
-    del digits[end:]
-    p = object.__new__(QPoly)
-    object.__setattr__(p, "coeffs", tuple(digits))
-    return p
+        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    words = array(code, raw)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -> QPoly:
@@ -269,7 +270,7 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
         total = total + x if sign > 0 else total - x
     if top:
         total //= divisor
-    return _unpack(total, width, length, bias)
+    return QPoly._of_ints(_unpack(total, width, length, bias))
 
 
 def kronecker_point(bound: int) -> int:
@@ -295,7 +296,7 @@ def kronecker_read(value: int, bound: int, length: int) -> QPoly:
     """
     width = _stride(bound)
     try:
-        return _unpack(value, width, length, _bias(width, length))
+        return QPoly._of_ints(_unpack(value, width, length, _bias(width, length)))
     except OverflowError:
         raise DegreeTooHigh(f"value needs more than {length} digits") from None
 

@@ -30,6 +30,14 @@ def python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
+@pytest.fixture
+def fresh_parser():
+    """main builds its parser anew, so a patched cmd_* function or suite list is bound; so do later tests."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
 def envelope(out):
     env = json.loads(out)
     assert set(env) == {"command", "inputs", "result", "version"}
@@ -342,7 +350,7 @@ def test_single_suite_report_matches_verify_all(capsys):
         assert rc == 0 and envelope(out)["result"]["suites"] == [report]
 
 
-def test_main_builds_its_parser_once(capsys, monkeypatch):
+def test_main_builds_its_parser_once(capsys, monkeypatch, fresh_parser):
     # importing the module builds no parser; the first main call builds it
     proc = python("-c", "import sys, remixed.cli as cli; sys.exit(cli._parser.cache_info().currsize)")
     assert proc.returncode == 0, proc.stderr
@@ -354,7 +362,6 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli._parser.cache_clear()
     assert run(capsys, "classify", "1,1")[0] == 0
     # the root parser and one per subcommand
     assert len(built) == 6
@@ -381,6 +388,12 @@ def test_repeated_main_calls_share_no_state(capsys):
     assert inputs == {"config": "0,3,0,2,0", "method": "auto", "crosscheck": False, "q": None, "pretty": False}
     fresh = python("-m", "remixed.cli", "eval", "0,3,0,2,0")
     assert last == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_patched_command_is_bound_by_a_fresh_parser(capsys, monkeypatch, fresh_parser):
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: ({"patched": args.config}, 0))
+    rc, out, _ = run(capsys, "classify", "1,1")
+    assert rc == 0 and envelope(out)["result"] == {"patched": "1,1"}
 
 
 def test_build_parser_returns_a_new_parser():
