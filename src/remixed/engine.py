@@ -23,9 +23,9 @@ and reads the digits back by qcalc.kronecker_read.  exact_sweep also
 checks that the values of its table sum to Cat_n [n]!(x), the sum of the
 A_c over all c being Cat_n [n]!.
 success_probability and drop_order_check run the same walk at a rational
-point.  The second evaluator runs the final ball recursion with
-memoization and never touches probabilities.  Agreement of the two is the
-backbone of the test suite.
+point.  The second evaluator runs the final ball recursion at the same x,
+one memoized integer per node, and reads its value through _lift; it never
+touches probabilities.  Agreement of the two is the test suite's backbone.
 """
 
 from __future__ import annotations
@@ -36,15 +36,12 @@ from math import comb, factorial, lcm, prod
 
 from .config import Configuration, left_to_right_order
 from .qcalc import (
-    ONE,
     DegreeTooHigh,
     InvariantViolation,
     QPoly,
-    ZERO,
-    bracket_product,
     kronecker_point,
     kronecker_read,
-    poly_sum,
+    kronecker_value,
     q_binomial,
     require_nonnegative,
 )
@@ -211,48 +208,46 @@ def drop_order_check(c: Configuration, order: tuple[int, ...], q0: Fraction) -> 
 
 
 @lru_cache(maxsize=None)
-def _wt(n: int, j: int, u: int) -> QPoly:
-    """Weight of the last ball, from start site u to landing site j.
+def _wt(n: int, j: int, u: int, x: int) -> int:
+    """Weight of the last ball from start site u to landing site j, memoised per point x.
 
-    Memoised: there are at most n**3 distinct arguments for n sites, and the
-    recursion asks for each of them many times.
+    [u] qbin(n, j) for j >= u, else q**(u - j) [n + 1 - u] qbin(n, j - 1).
     """
-    if j >= u:
-        return bracket_product((u,), q_binomial(n, j))
-    return poly_sum([(1, u - j, (q_binomial(n, j - 1),), (n + 1 - u,))])
+    k, size, shift = (j, u, 0) if j >= u else (j - 1, n + 1 - u, u - j)
+    return x**shift * kronecker_value((1,) * size, x) * kronecker_value(q_binomial(n, k).coeffs, x)
 
 
 @lru_cache(maxsize=None)
-def _induction(ct: tuple[int, ...]) -> QPoly:
+def _induction(ct: tuple[int, ...], x: int) -> int:
     n = len(ct)
     if sum(ct) != n:
-        return ZERO
+        return 0
     if n == 0:
-        return ONE
-    u = max(i for i, x in enumerate(ct, start=1) if x > 0)
+        return 1
+    u = max(i for i, k in enumerate(ct, start=1) if k > 0)
     d = list(ct)
     d[u - 1] -= 1
-    splits = []
-    pref = 0
+    total = pref = 0
     for j in range(1, n + 1):
         if d[j - 1] == 0 and pref == j - 1:
-            left = _induction(tuple(d[: j - 1]))
-            right = _induction(tuple(d[j:]))
-            splits.append((1, 0, (_wt(n, j, u), left, right), ()))
+            # both halves before the weight, so a recursion too deep fails before any weight
+            left = _induction(tuple(d[: j - 1]), x)
+            right = _induction(tuple(d[j:]), x)
+            total += left * right * _wt(n, j, u, x)
         pref += d[j - 1]
-    return poly_sum(splits)
+    return total
 
 
 def remixed_induction(c: Configuration) -> QPoly:
     """The configuration polynomial via the last ball recursion.
 
-    The ball at the largest occupied site is dropped last.  With it
-    removed, each site j that is empty and has exactly j-1 of the other
-    balls starting to its left splits the dynamics into independent left
-    and right halves; the split is weighted by the landing distribution of
-    that last ball.  Results are memoized on the sub-tuple.
+    The ball at the largest occupied site is dropped last.  With it removed,
+    each empty site j with exactly j-1 of the other balls to its left splits
+    the dynamics into independent halves, weighted by where the last ball
+    lands.  Each node is one integer, its value at the oracle's point x,
+    memoized on the sub-tuple and x; _lift reads the result.
     """
-    return _induction(c.c)
+    return _lift(c.c, _induction(c.c, kronecker_point(factorial(c.n))))
 
 
 def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:

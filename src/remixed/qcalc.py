@@ -18,7 +18,7 @@ the sum, so the read-back is exact.  Packing and unpacking go through
 signed machine-word arrays, so both are linear and run at C speed.
 A product of two polynomials and a bracket product are one-term sums.
 kronecker_read reads a polynomial back the same way from its value at
-kronecker_point(bound), which is how the exact oracle lifts its one value.
+kronecker_point(bound), and kronecker_value packs it into that value.
 
 Truncated t-series are multiplied by the Pochhammer product (t;q)_n one
 linear factor (1 - t q**i) at a time, in place on coefficient lists
@@ -299,6 +299,11 @@ def kronecker_read(value: int, bound: int, length: int) -> QPoly:
         return QPoly._of_ints(_unpack(value, width, length, _bias(width, length)))
     except OverflowError:
         raise DegreeTooHigh(f"value needs more than {length} digits") from None
+
+
+def kronecker_value(cs: Sequence[int], x: int) -> int:
+    """sum of cs[i] * x**i at x = kronecker_point(bound), for cs[i] in [0, bound]: kronecker_read undone."""
+    return _pack(cs, (x.bit_length() - 1) // 8, 0)
 
 
 def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:

@@ -522,6 +522,15 @@ BROKEN_ROUTES = {
         "argv = ['eval', '0,3,0', '--method', 'exact']\n",
         "invariant violated: coefficients of (0, 3, 0) outside [0, 6]",
     ),
+    # a doubled weight doubles each level of the recursion: 2 [1] for (2, 0)
+    # at the last ball and 2 for the (1,) below it give 4 > 2!
+    "recursion": (
+        "from remixed import engine\n"
+        "real = engine._wt\n"
+        "engine._wt = lambda *args: 2 * real(*args)\n"
+        "argv = ['eval', '2,0', '--method', 'induction']\n",
+        "invariant violated: coefficients of (2, 0) outside [0, 2]",
+    ),
 }
 
 

@@ -171,6 +171,46 @@ def test_oracle_agreement_sampled_large():
             assert remixed_exact(c) == remixed_induction(c), ct
 
 
+def _halves(ct):
+    """The configurations the last ball recursion splits ct into, and theirs, recursively."""
+    n = len(ct)
+    u = max(i for i, k in enumerate(ct, start=1) if k)
+    d = list(ct)
+    d[u - 1] -= 1
+    out = set()
+    for j in range(1, n + 1):
+        if d[j - 1] == 0 and sum(d[: j - 1]) == j - 1:
+            for half in (tuple(d[: j - 1]), tuple(d[j:])):
+                if half and sum(half) == len(half):
+                    out |= {half} | _halves(half)
+    return out
+
+
+def test_induction_memo_keeps_each_point_apart():
+    # the recursion values every node of a call at that call's point, so a
+    # split of a 13-site call (x = 2^64) is in the memo at 2^64 when it is
+    # asked for again as a configuration of its own, at 2^32, 2^16 or 2^8
+    engine._induction.cache_clear()
+    top = Configuration((1, 0, 2, 0, 1, 1, 1, 2, 0, 1, 3, 0, 1))
+    want = remixed_exact(top)
+    halves = sorted(_halves(top.c))
+    assert {kronecker_point(factorial(len(h))) for h in halves} == {2**8, 2**16, 2**32}
+    assert remixed_induction(top) == want
+    for half in halves:
+        c = Configuration(half)
+        assert remixed_induction(c) == remixed_exact(c), half
+        assert remixed_induction(top) == want
+    rng = random.Random(24)
+    cfgs = [(n,) + (0,) * (n - 1) for n in (20, 21)] + [(0,) * (n - 1) + (n,) for n in (20, 21)]
+    for n in range(11, 17):
+        for _ in range(20):
+            bars = sorted(rng.sample(range(2 * n - 1), n - 1))
+            cfgs.append(tuple(b - a - 1 for a, b in zip([-1, *bars], [*bars, 2 * n - 1])))
+    for ct in cfgs:
+        c = Configuration(ct)
+        assert remixed_induction(c) == remixed_exact(c), ct
+
+
 def test_exact_sweep_matches_per_config_evaluator(oracle):
     for n in range(1, 7):
         table = oracle.table(n)
