@@ -180,18 +180,14 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     if q0 < 0:
         raise ValueError(f"--q must be nonnegative, got {args.q!r}")
     res = estimate_success(c, q0, args.trials, args.seed)
-    result: dict = {"sim": res.to_json()}
-    if c.n <= 10:
-        exact = success_probability(c, q0)
-        result["exact"] = str(exact)
-        p = float(exact)
-        sigma = math.sqrt(p * (1 - p) / res.trials)
-        if sigma == 0:
-            dev = "0.0000" if res.estimate == exact else "inf"
-        else:
-            dev = f"{abs(res.successes / res.trials - p) / sigma:.4f}"
-        result["sigma_deviation"] = dev
-    return result, 0
+    exact = success_probability(c, q0)
+    p = float(exact)
+    sigma = math.sqrt(p * (1 - p) / res.trials)
+    if sigma == 0:
+        dev = "0.0000" if res.estimate == exact else "inf"
+    else:
+        dev = f"{abs(res.successes / res.trials - p) / sigma:.4f}"
+    return {"sim": res.to_json(), "exact": str(exact), "sigma_deviation": dev}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -66,13 +66,14 @@ class CoreDecomposition:
 
 @dataclass(frozen=True)
 class ConfigFlags:
-    """Family membership for one configuration."""
+    """Family membership for one configuration, and the core that decided it."""
 
     is_lukasiewicz: bool
     almost_defect: int | None
     is_connected: bool
     is_one_hole: bool
     is_weakly_lukasiewicz: bool
+    core: CoreDecomposition
 
     def to_json(self) -> dict:
         return {
@@ -191,6 +192,7 @@ def classify(c: Configuration) -> ConfigFlags:
         is_connected=holes == 0,
         is_one_hole=holes == 1,
         is_weakly_lukasiewicz=dec.left_zeros <= _weak_bound(dec.gamma, c.n),
+        core=dec,
     )
 
 

@@ -10,9 +10,11 @@ of the two sided Eulerian triangle, and dispatches a configuration to the
 cheapest applicable method.
 
 Which family formula applies to a configuration is said once, in ROUTES:
-dispatch takes the first route whose family test its flags pass, and the
-families suite of the CLI checks every route that applies.  Both sum the
-terms of a route through sum_terms, which rejects a negative coefficient.
+dispatch takes the first route whose family test its flags pass, the
+families suite of the CLI checks every route that applies, and the a_*
+formulas of a configuration look theirs up by name.  Each sums the terms
+of a route, built from c and its flags, through sum_terms, which rejects
+a negative coefficient.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .config import (
     ConfigFlags,
     Configuration,
     classify,
-    core,
     max_weakly_shift,
     mset,
     NoWeaklyShift,
@@ -121,7 +122,16 @@ def _render(terms: Sequence[_Term]) -> str:
     return " ".join(out)
 
 
-def _luka_terms(c: Configuration) -> list[_Term]:
+def _by_route(method: str, c: Configuration, outside: str) -> QPoly:
+    """c's polynomial by the route named method; WrongFamily(outside) if c fails its test."""
+    flags = classify(c)
+    applies, build = {name: (a, b) for name, a, b in ROUTES}[method]
+    if not applies(flags):
+        raise WrongFamily(outside.format(c.c))
+    return sum_terms(build(c, flags), c.c)
+
+
+def _luka_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
     return [_Term(1, 0, tuple(mset(c.c)))]
 
 
@@ -134,13 +144,11 @@ def a_lukasiewicz(c: Configuration) -> QPoly:
     >>> a_lukasiewicz(Configuration((3, 0, 0, 2, 0))).coeffs
     (1, 2, 3, 4, 3, 2, 1)
     """
-    if not classify(c).is_lukasiewicz:
-        raise WrongFamily(f"{c.c} has a negative height")
-    return sum_terms(_luka_terms(c), c.c)
+    return _by_route("lukasiewicz", c, "{} has a negative height")
 
 
-def _almost_terms(c: Configuration, j: int) -> list[_Term]:
-    ms = tuple(mset(c.c))
+def _almost_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
+    j, ms = flags.almost_defect, tuple(mset(c.c))
     k = bisect_left(ms, j)  # no ball starts at the defect site j
     return [
         _Term(1, 0, ms),
@@ -155,10 +163,7 @@ def a_almost_lukasiewicz(c: Configuration) -> QPoly:
     >>> p.coeffs
     (0, 2, 6, 12, 16, 18, 16, 12, 6, 2)
     """
-    j = classify(c).almost_defect
-    if j is None:
-        raise WrongFamily(f"{c.c} does not have exactly one negative height")
-    return sum_terms(_almost_terms(c, j), c.c)
+    return _by_route("almost_lukasiewicz", c, "{} does not have exactly one negative height")
 
 
 def _shifted_sum_terms(gamma: tuple[int, ...], i: int, n: int) -> list[_Term]:
@@ -283,9 +288,8 @@ def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> 
     return tuple(coeffs)
 
 
-def _one_hole_terms(c: Configuration) -> list[_Term]:
-    dec = core(c)
-    gamma, i, n = dec.gamma, dec.left_zeros, c.n
+def _one_hole_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
+    gamma, i, n = flags.core.gamma, flags.core.left_zeros, c.n
     terms = _shifted_sum_terms(gamma, i, n)
     z = gamma.index(0)
     alpha, beta = gamma[:z], gamma[z + 1 :]
@@ -303,9 +307,7 @@ def a_one_hole(c: Configuration) -> QPoly:
     >>> a_one_hole(Configuration((0, 2, 1, 0, 3, 0))).coeffs
     (0, 0, 2, 8, 19, 36, 56, 72, 78, 72, 56, 36, 19, 8, 2)
     """
-    if not classify(c).is_one_hole:
-        raise WrongFamily(f"core of {c.c} does not have exactly one hole")
-    return sum_terms(_one_hole_terms(c), c.c)
+    return _by_route("one_hole", c, "core of {} does not have exactly one hole")
 
 
 @dataclass(frozen=True)
@@ -423,22 +425,17 @@ def carlitz_scoville_q(p: CSParams) -> QPoly:
 
 
 def _core_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
-    dec = core(c)
-    return _shifted_sum_terms(dec.gamma, dec.left_zeros, c.n)
+    return _shifted_sum_terms(flags.core.gamma, flags.core.left_zeros, c.n)
 
 
 # The closed formula routes by expected term count, fewest first.  Each is
-# (method name, family test on the flags of classify, terms of the formula
-# for a configuration in the family and its flags).
+# (method name, family test on the flags of classify, builder of the terms
+# of the formula for a configuration in the family and its flags).
 ROUTES = (
-    ("lukasiewicz", lambda f: f.is_lukasiewicz, lambda c, f: _luka_terms(c)),
-    (
-        "almost_lukasiewicz",
-        lambda f: f.almost_defect is not None,
-        lambda c, f: _almost_terms(c, f.almost_defect),
-    ),
+    ("lukasiewicz", lambda f: f.is_lukasiewicz, _luka_terms),
+    ("almost_lukasiewicz", lambda f: f.almost_defect is not None, _almost_terms),
     ("connected", lambda f: f.is_connected, _core_terms),
-    ("one_hole", lambda f: f.is_one_hole, lambda c, f: _one_hole_terms(c)),
+    ("one_hole", lambda f: f.is_one_hole, _one_hole_terms),
     ("weakly_lukasiewicz", lambda f: f.is_weakly_lukasiewicz, _core_terms),
 )
 

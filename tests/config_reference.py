@@ -39,4 +39,5 @@ def classify_reference(c: Configuration) -> ConfigFlags:
         is_connected=holes == 0,
         is_one_hole=holes == 1,
         is_weakly_lukasiewicz=dec.left_zeros <= weak_bound_reference(dec.gamma, c.n),
+        core=dec,
     )

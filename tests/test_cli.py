@@ -4,14 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import remixed.cli as cli
 from remixed import __version__, formulas, verify
-from remixed.config import Configuration, classify
-from remixed.engine import SWEEP_MAX_N
+from remixed.config import Configuration, classify, parse_config
+from remixed.engine import SWEEP_MAX_N, success_probability
 from remixed.formulas import HitIndex, q_hit
 from remixed.qcalc import QPoly
 
@@ -415,6 +416,16 @@ def test_simulate_envelope(capsys):
     assert sim["trials"] == 50 and sim["successes"] == 50
     assert env["result"]["exact"] == "1"
     assert env["result"]["sigma_deviation"] == "0.0000"
+
+
+def test_simulate_compares_with_the_exact_value_above_ten_sites(capsys):
+    config = "0,0,0,1,0,0,6,0,0,1,0,3,2"
+    rc, out, _ = run(capsys, "simulate", config, "--q", "1/3", "--trials", "200", "--seed", "3")
+    result = envelope(out)["result"]
+    assert rc == 0
+    exact = success_probability(parse_config(config), Fraction(1, 3))
+    assert result["exact"] == str(exact)
+    assert float(result["sigma_deviation"]) >= 0
 
 
 def test_simulate_deterministic(capsys):

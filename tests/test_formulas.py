@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import prod
@@ -5,7 +6,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remixed import formulas
+from remixed import config, formulas
 from remixed.config import Configuration, all_configurations, classify, core
 from remixed.engine import remixed_exact, remixed_induction
 from remixed.formulas import (
@@ -465,6 +466,44 @@ def test_dispatch_renders_lazily(monkeypatch):
         with pytest.raises(RuntimeError, match="rendered"):
             rep.pretty
     assert methods == {name for name, _, _ in formulas.ROUTES}
+
+
+def test_dispatch_finds_the_core_once(monkeypatch):
+    configs = [c for n in range(1, 8) for c in all_configurations(n)]
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return core(c)
+
+    # every module of the package that holds config.core under that name
+    for name, module in list(sys.modules.items()):
+        if (name == "remixed" or name.startswith("remixed.")) and getattr(module, "core", None) is core:
+            monkeypatch.setattr(module, "core", counted)
+    assert config.core is counted
+    for c in configs:
+        dispatch(c)
+    assert len(calls) == len(configs)
+
+
+@pytest.mark.parametrize(
+    "formula, method",
+    [
+        (a_lukasiewicz, "lukasiewicz"),
+        (a_almost_lukasiewicz, "almost_lukasiewicz"),
+        (a_one_hole, "one_hole"),
+    ],
+)
+def test_a_formulas_agree_with_routes(formula, method):
+    applies, build = {name: (a, b) for name, a, b in formulas.ROUTES}[method]
+    for n in range(1, 8):
+        for c in all_configurations(n):
+            flags = classify(c)
+            if applies(flags):
+                assert formula(c) == formulas.sum_terms(build(c, flags), c.c)
+            else:
+                with pytest.raises(WrongFamily):
+                    formula(c)
 
 
 @given(st.integers(1, 6), st.data())
