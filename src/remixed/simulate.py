@@ -15,11 +15,14 @@ output i + 1 of the master stream on seed, so batches can be cut
 anywhere without changing outcomes.  A move draws the next output of the
 trial's stream and steps left when it is below left_threshold(q).
 
-simulate_batch cuts the trials into chunks of _CHUNK and advances each
-chunk in lockstep on a padded board of shape (rows, n + 2), whose columns
-0 and n + 1 catch a ball that leaves the line.  A chunk holds at most
-_CHUNK * (n + 2) site counts, so the board does not grow with the number
-of trials; the success flags it returns do, at one byte a trial.
+simulate_batch walks the trials on a chain of board states that it builds
+as trials reach them.  A trial holds the id of its state, and a move is
+one gather from a table of next ids by the direction drawn; the first
+trial to take a move explores it in Python.  Two absorbing ids end a
+trial: a ball left [1, n], or the board settled on [1, n].  Trials run in
+chunks of _CHUNK, and the chain is rebuilt from the states live trials
+hold whenever it grows past _CHUNK states, so neither grows with the
+number of trials; the success flags returned do, at one byte a trial.
 """
 
 from __future__ import annotations
@@ -71,8 +74,97 @@ class SimResult:
         }
 
 
-# Trials advanced together; a chunk's board holds _CHUNK * (n + 2) counts.
+# Trials advanced together, and the states the chain holds before it is
+# rebuilt from the ones its live trials stand on.  A rebuild keeps at most
+# one state a trial and a move adds at most one, so the chain never holds
+# more than 2 * _CHUNK + 3 ids.
 _CHUNK = 1 << 15
+
+# Chain state ids: a ball left [1, n], the board settled on [1, n], and the
+# configuration itself.  The table holds ids doubled, so a move adds its
+# direction bit to the doubled id and gathers; a move no trial took reads -1.
+_FAIL, _SETTLED, _START = 0, 1, 2
+_UNSEEN = -1
+
+
+class _Chain:
+    """The board states trials have reached, numbered, and a table of their moves.
+
+    A board is one integer with a cell of n.bit_length() bits a site, so it
+    is its own dict key and a move is two additions.  Each state also keeps
+    the leftmost site holding two balls or more.  Entry 2 i + d of table is
+    twice the id a left (d = 0) or right (d = 1) move from state i leads to.
+    """
+
+    def __init__(self, row: tuple[int, ...]) -> None:
+        import numpy as np
+
+        self.n = len(row)
+        self.w = self.n.bit_length()
+        self.unit = [1 << (self.w * k) for k in range(self.n)]
+        # every bit of a cell but its lowest: set in the cells holding two balls or more
+        self.high = sum(self.unit) * ((1 << self.w) - 2)
+        board = sum(x * u for x, u in zip(row, self.unit))
+        self.boards = [0, 0, board]
+        self.sites = [-1, -1, self._site(board & self.high)]
+        self.ids = {board: _START}
+        self.table = np.full(4 * len(self.boards), _UNSEEN, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.boards)
+
+    def _site(self, over: int) -> int:
+        """The leftmost site whose cell has a bit in over."""
+        return ((over & -over).bit_length() - 1) // self.w
+
+    def explore(self, edges: np.ndarray) -> None:
+        """Fill the table at the moves e = 2 i + d in edges, adding the states they reach."""
+        import numpy as np
+
+        n, boards, sites, ids, unit, high = self.n, self.boards, self.sites, self.ids, self.unit, self.high
+        # many trials share a move early in a chunk: count them when that is
+        # cheaper than a set, which costs a Python step a trial
+        if 16 * edges.size > len(boards):
+            edges = np.flatnonzero(np.bincount(edges)).tolist()
+        else:
+            edges = list(set(edges.tolist()))
+        found = []
+        for e in edges:
+            i = e >> 1
+            s = sites[i]
+            t = s - 1 + 2 * (e & 1)
+            if not 0 <= t < n:
+                found.append(2 * _FAIL)
+                continue
+            board = boards[i] - unit[s] + unit[t]
+            over = board & high
+            if not over:
+                found.append(2 * _SETTLED)
+                continue
+            j = ids.get(board)
+            if j is None:
+                j = ids[board] = len(boards)
+                boards.append(board)
+                sites.append(self._site(over))
+            found.append(2 * j)
+        if 2 * len(boards) > self.table.size:
+            grown = np.full(4 * len(boards), _UNSEEN, dtype=np.intp)
+            grown[: self.table.size] = self.table
+            self.table = grown
+        self.table[edges] = found
+
+    def rebuild(self, cur: np.ndarray) -> np.ndarray:
+        """Keep the start and the states of the doubled ids in cur; return cur renumbered."""
+        import numpy as np
+
+        # the start is the least id a trial can hold, so it stays at _START
+        kept, where = np.unique(np.append(cur >> 1, _START), return_inverse=True)
+        kept = kept.tolist()
+        self.boards = self.boards[:_START] + [self.boards[i] for i in kept]
+        self.sites = self.sites[:_START] + [self.sites[i] for i in kept]
+        self.ids = {board: i for i, board in enumerate(self.boards) if i >= _START}
+        self.table = np.full(4 * len(self.boards), _UNSEEN, dtype=np.intp)
+        return 2 * (where.reshape(-1)[:-1] + _START)
 
 
 def _mix_np(z: np.ndarray) -> np.ndarray:
@@ -86,67 +178,61 @@ def _mix_np(z: np.ndarray) -> np.ndarray:
 
 
 def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np.ndarray:
-    """Per-trial success flags, trials advanced in lockstep chunks.
+    """Per-trial success flags, trials walked in chunks on a chain of board states.
 
     Each trial runs the dynamics of the module docstring on its own
     stream.  A trial stops as soon as a ball leaves [1, n]: occupied
     sites never empty again, so the final support can no longer be
     [1, n].
 
-    Trials run in chunks of _CHUNK on a padded board of shape
-    (rows, n + 2): columns 0 and n + 1 catch a ball that leaves the line,
-    so a move is two flat-index updates with no bounds check.  A chunk
-    holds at most _CHUNK * (n + 2) counts, so the board does not grow with
-    trials; the flags returned take one byte a trial.  Since a trial's
-    stream depends only on (seed, index), the flags do not depend on the
-    chunk size.
+    A move draws from each live trial's stream, adds the direction to the
+    trial's doubled state id and gathers the next one from the chain's
+    table, which explores the moves no trial took before.  Since a
+    trial's stream depends only on (seed, index), the flags do not depend
+    on the chunk size.
     """
     import numpy as np
 
     if trials < 1:
         raise ValueError("need at least one trial")
-    n = c.n
-    width = n + 2
     thr = np.uint64(left_threshold(q0))
     seed_u = np.uint64(seed & _MASK)
-    # a site never holds more than the n balls
-    row = np.zeros(width, dtype=np.min_scalar_type(n))
-    row[1 : n + 1] = c.c
+    if max(c.c) < 2:
+        # one ball a site: settled before the first move
+        return np.ones(trials, dtype=bool)
+    chain = _Chain(c.c)
     success = np.zeros(trials, dtype=bool)
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
         idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
         states = _mix_np(seed_u + np.uint64(_GOLD) * idx)
-        board = np.tile(row, (stop - start, 1))
         orig = np.arange(start, stop)
-        bases = np.arange(0, board.size, width)
-        gone = np.zeros(stop - start, dtype=bool)
-        while True:
-            over = board >= 2
-            col = np.argmax(over, axis=1)
-            # a row with no overloaded site picks padding column 0, which
-            # never holds two balls
-            live = over.reshape(-1).take(bases[: col.size] + col)
-            keep = live & ~gone
-            if not keep.all():
-                # settled rows succeeded unless their last move left the line
-                success[orig[~(live | gone)]] = True
-                kept = np.flatnonzero(keep)
-                if not kept.size:
-                    break
-                board = board.take(kept, axis=0)
+        cur = np.full(stop - start, 2 * _START, dtype=np.intp)
+        while cur.size:
+            states += np.uint64(_GOLD)
+            edge = cur + (_mix_np(states) >= thr)
+            cur = chain.table.take(edge)
+            if cur.min() >= 2 * _START:
+                continue
+            # trials that reached an end or took a move no trial took before
+            low = (cur < 2 * _START).nonzero()[0]
+            to = cur.take(low)
+            if to.min() == _UNSEEN:
+                moves = edge.take(low)
+                chain.explore(moves[to == _UNSEEN])
+                to = chain.table.take(moves)
+                cur[low] = to
+            ended = to < 2 * _START
+            if ended.any():
+                success[orig.take(low[to == 2 * _SETTLED])] = True
+                live = np.ones(cur.size, dtype=bool)
+                live[low[ended]] = False
+                kept = live.nonzero()[0]
+                cur = cur.take(kept)
                 states = states.take(kept)
                 orig = orig.take(kept)
-                col = col.take(kept)
-            states += np.uint64(_GOLD)
-            step = np.where(_mix_np(states) < thr, -1, 1)
-            src = bases[: col.size] + col
-            flat = board.reshape(-1)
-            flat[src] -= 1
-            flat[src + step] += 1
-            col += step
-            # a ball that left the line fails its row at the next compaction
-            gone = (col == 0) | (col == width - 1)
+            if len(chain) > _CHUNK:
+                cur = chain.rebuild(cur)
     return success
 
 

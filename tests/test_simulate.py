@@ -150,6 +150,33 @@ def test_batch_replays_a_site_beyond_int8(q0):
     assert simulate_batch(c, q0, 8, 21).tolist() == replay(c.c, q0, 8, 21)
 
 
+@pytest.mark.parametrize("q0", [Fraction(1, 1000), Fraction(1000)])
+def test_batch_replays_a_count_beyond_one_byte(q0):
+    # 256 balls on one site need board cells wider than a byte; a cell one
+    # bit too narrow carries into its neighbour and moves the first pick
+    c = Configuration((256,) + (0,) * 255)
+    assert simulate_batch(c, q0, 4, 21).tolist() == replay(c.c, q0, 4, 21)
+
+
+def test_chain_rebuilds_keep_the_flags(monkeypatch):
+    # 12 balls in the middle of 12 sites reach far more than 16 board states
+    # within one chunk of 16 trials, so the chain is rebuilt again and again
+    sizes = []
+    rebuild = remixed.simulate._Chain.rebuild
+
+    def counted(chain, cur):
+        sizes.append(len(chain))
+        return rebuild(chain, cur)
+
+    monkeypatch.setattr(remixed.simulate, "_CHUNK", 16)
+    monkeypatch.setattr(remixed.simulate._Chain, "rebuild", counted)
+    ct = (0,) * 5 + (12,) + (0,) * 6
+    assert simulate_batch(Configuration(ct), Fraction(1), 200, 8).tolist() == replay(ct, Fraction(1), 200, 8)
+    # a rebuild keeps the two ends, the start and one state a trial, and a
+    # move adds at most one state a trial
+    assert sizes and max(sizes) <= 2 * 16 + 3
+
+
 def test_batch_argument_validation():
     c = Configuration((2, 0))
     with pytest.raises(ValueError):
