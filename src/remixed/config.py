@@ -2,8 +2,8 @@
 
 A configuration places c_i balls on site i with as many balls as sites in
 total.  This module owns parsing, the height profile, the left to right
-ball order, core extraction, reversal, and classification into the
-families with closed formulas.
+ball order, core extraction, the check of a core placed at a shift,
+reversal, and classification into the families with closed formulas.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ class Negative(ValueError):
 
 class Empty(ValueError):
     """No sites at all."""
+
+
+class ShiftOutOfRange(ValueError):
+    """Shift index outside [0, n - m]."""
 
 
 class NoWeaklyShift(ValueError):
@@ -196,14 +200,6 @@ def classify(c: Configuration) -> ConfigFlags:
     )
 
 
-def shifted_config(gamma: tuple[int, ...], i: int, n: int) -> Configuration:
-    """The configuration with i zeros, then gamma, then trailing zeros."""
-    m = len(gamma)
-    if i < 0 or i > n - m:
-        raise ValueError(f"shift {i} outside [0, {n - m}]")
-    return Configuration((0,) * i + gamma + (0,) * (n - m - i))
-
-
 def _check_core(gamma: tuple[int, ...], n: int) -> None:
     if not gamma:
         raise Empty("empty core")
@@ -215,6 +211,23 @@ def _check_core(gamma: tuple[int, ...], n: int) -> None:
         raise BadSum(f"core holds {sum(gamma)} balls, configuration needs {n}")
     if len(gamma) > n:
         raise BadSum(f"core spans {len(gamma)} sites but only {n} exist")
+
+
+def shifted_config(gamma: tuple[int, ...], i: int, n: int) -> Configuration:
+    """The configuration with i zeros, then the core gamma, then trailing zeros.
+
+    The one check of a (core, shift, n) triple: gamma is a core of n balls
+    on at most n sites, and the shift lies in [0, n - len(gamma)].
+
+    >>> shifted_config((3, 0, 1), 1, 4).c
+    (0, 3, 0, 1)
+    """
+    gamma = tuple(gamma)
+    _check_core(gamma, n)
+    m = len(gamma)
+    if not 0 <= i <= n - m:
+        raise ShiftOutOfRange(f"shift {i} outside [0, {n - m}]")
+    return Configuration((0,) * i + gamma + (0,) * (n - m - i))
 
 
 def max_weakly_shift(gamma: tuple[int, ...], n: int) -> int:

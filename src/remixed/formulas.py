@@ -11,10 +11,11 @@ cheapest applicable method.
 
 Which family formula applies to a configuration is said once, in ROUTES:
 dispatch takes the first route whose family test its flags pass, the
-families suite of the CLI checks every route that applies, and the a_*
-formulas of a configuration look theirs up by name.  Each sums the terms
-of a route, built from c and its flags, through sum_terms, which rejects
-a negative coefficient.
+families suite of verify checks every route that applies, and each a_*
+formula looks its route up by name.  Each sums the terms of a route,
+built from c and its flags, through sum_terms, which rejects a negative
+coefficient.  The formulas of a core at a shift build c with
+config.shifted_config, which checks the core and the shift.
 """
 
 from __future__ import annotations
@@ -24,14 +25,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .config import (
-    ConfigFlags,
-    Configuration,
-    classify,
-    max_weakly_shift,
-    mset,
-    NoWeaklyShift,
-)
+from .config import ConfigFlags, Configuration, classify, mset, shifted_config
+from .config import ShiftOutOfRange  # re-exported: a_connected and a_weakly_lukasiewicz raise it
 from .engine import remixed_induction
 from .qcalc import (
     InvariantViolation,
@@ -47,14 +42,6 @@ from .qcalc import (
 
 class WrongFamily(ValueError):
     """The configuration or core is outside the formula's family."""
-
-
-class ShiftOutOfRange(ValueError):
-    """Shift index outside [0, n - m]."""
-
-
-class ShiftBeyondWeaklyBound(ValueError):
-    """Shift exceeds the largest weakly placed position of the core."""
 
 
 class BadPartition(ValueError):
@@ -185,16 +172,7 @@ def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
     >>> a_connected((1, 2, 2), 1, 5).coeffs
     (0, 0, 1, 5, 12, 18, 18, 12, 5, 1)
     """
-    gamma = tuple(gamma)
-    if not gamma:
-        raise WrongFamily("empty core")
-    if any(x < 1 for x in gamma):
-        raise WrongFamily(f"core {gamma} has a hole or a negative entry")
-    if sum(gamma) != n:
-        raise WrongFamily(f"core {gamma} holds {sum(gamma)} balls, not {n}")
-    if i < 0 or i > n - len(gamma):
-        raise ShiftOutOfRange(f"shift {i} outside [0, {n - len(gamma)}]")
-    return sum_terms(_shifted_sum_terms(gamma, i, n), f"{gamma} at {i}")
+    return _by_route("connected", shifted_config(gamma, i, n), "core of {} has a hole")
 
 
 def _bracket_series(sizes: Sequence[int], n: int, trunc: int) -> tuple[QPoly, ...]:
@@ -222,16 +200,7 @@ def a_weakly_lukasiewicz(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
     >>> a_weakly_lukasiewicz((3, 0, 2), 1, 5).coeffs
     (0, 2, 6, 12, 17, 17, 12, 6, 2)
     """
-    gamma = tuple(gamma)
-    if i < 0:
-        raise ShiftOutOfRange(f"negative shift {i}")
-    try:
-        k = max_weakly_shift(gamma, n)
-    except NoWeaklyShift as exc:
-        raise ShiftBeyondWeaklyBound(f"core {gamma} is nowhere weakly placed") from exc
-    if i > k:
-        raise ShiftBeyondWeaklyBound(f"shift {i} exceeds the bound {k} for {gamma}")
-    return sum_terms(_shifted_sum_terms(gamma, i, n), f"{gamma} at {i}")
+    return _by_route("weakly_lukasiewicz", shifted_config(gamma, i, n), "{} is not weakly placed")
 
 
 def one_hole_prefactor(

@@ -204,11 +204,20 @@ def test_table_one_hole(capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_table_one_hole_rejects_a_core_with_outer_zeros(capsys):
+    # (0,2,0,2) is no core: a table of its shifts would be one of core (2,0,2)
+    rc, out, err = run(capsys, "table", "one-hole", "--gamma", "0,2,0,2", "--n", "4")
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 def test_table_impossible_sizes(capsys):
-    # an empty range of shifts or sizes is a usage error, not an empty table
+    # an empty range of shifts or sizes, or a gamma that is no core, is a
+    # usage error, not an empty table
     for argv in (
         ("connected", "--gamma", "1,2", "--n", "1"),
         ("connected", "--gamma", "1,2", "--n", "0"),
+        ("connected", "--gamma", "0,2,0,2", "--n", "4"),
+        ("weakly", "--gamma", "0,2,0,2", "--n", "4"),
         ("cs", "--x", "1", "--y", "1", "--rsmax", "-1"),
     ):
         rc, out, err = run(capsys, "table", *argv)
@@ -256,6 +265,10 @@ PINNED_OUTPUTS = {
         "e9ee4352e6b6c5b9f7f91d499d516d0f9dce4974c7056b5ff363723d517535a4",
     "table connected --gamma 1,2,2 --n 5 --format csv":
         "4805170726afdf41ff5dd38536fa799d331be250abab2d728a37e10be2c96139",
+    "table weakly --gamma 3,0,2 --n 5":
+        "bc51e860240582683c3a429c919f1c365582fdf598990235e379b1a3971f25c2",
+    "table one-hole --gamma 2,0,2 --n 4":
+        "9c9e509e0a843e7d5512ccf77f5925cf80f9ff1f79d70c392caed40429107cc2",
     "table hit --lambda 2,1 --n 3":
         "0d9749a0f0da544da7f38ee788eff2ae5ebd719226385bfbef12d6c267ffb061",
     "table cs --x 1 --y 2 --rsmax 2":

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from remixed import config, formulas
-from remixed.config import Configuration, all_configurations, classify, core
+from remixed.config import BadSum, Configuration, all_configurations, classify, core
 from remixed.engine import remixed_exact, remixed_induction
 from remixed.formulas import (
     BadPartition,
     CSParams,
     HitIndex,
     NoMatch,
-    ShiftBeyondWeaklyBound,
     ShiftOutOfRange,
     WrongFamily,
     a_almost_lukasiewicz,
@@ -86,7 +85,8 @@ def test_connected_examples():
         a_connected((1, 2, 2), -1, 5)
     with pytest.raises(WrongFamily):
         a_connected((1, 0, 2), 0, 3)
-    with pytest.raises(WrongFamily):
+    # a core with too few balls is not a core of n balls at all
+    with pytest.raises(BadSum):
         a_connected((1, 2), 0, 4)
 
 
@@ -141,9 +141,10 @@ def test_almost_vs_oracle(oracle):
 
 def test_weakly_examples():
     assert a_weakly_lukasiewicz((3, 0, 2), 1, 5).coeffs == (0, 2, 6, 12, 17, 17, 12, 6, 2)
-    with pytest.raises(ShiftBeyondWeaklyBound):
+    # past the largest weakly placed shift, and a core placed weakly nowhere
+    with pytest.raises(WrongFamily):
         a_weakly_lukasiewicz((3, 0, 2), 2, 5)
-    with pytest.raises(ShiftBeyondWeaklyBound):
+    with pytest.raises(WrongFamily):
         a_weakly_lukasiewicz((1, 0, 2), 0, 3)
     with pytest.raises(ShiftOutOfRange):
         a_weakly_lukasiewicz((3, 0, 2), -1, 5)
@@ -492,18 +493,28 @@ def test_dispatch_finds_the_core_once(monkeypatch):
         (a_lukasiewicz, "lukasiewicz"),
         (a_almost_lukasiewicz, "almost_lukasiewicz"),
         (a_one_hole, "one_hole"),
+        (a_connected, "connected"),
+        (a_weakly_lukasiewicz, "weakly_lukasiewicz"),
     ],
 )
 def test_a_formulas_agree_with_routes(formula, method):
     applies, build = {name: (a, b) for name, a, b in formulas.ROUTES}[method]
+
+    def call(c):
+        # the formulas of a core at a shift take the core and shift of c
+        if formula in (a_connected, a_weakly_lukasiewicz):
+            dec = core(c)
+            return formula(dec.gamma, dec.left_zeros, c.n)
+        return formula(c)
+
     for n in range(1, 8):
         for c in all_configurations(n):
             flags = classify(c)
             if applies(flags):
-                assert formula(c) == formulas.sum_terms(build(c, flags), c.c)
+                assert call(c) == formulas.sum_terms(build(c, flags), c.c)
             else:
                 with pytest.raises(WrongFamily):
-                    formula(c)
+                    call(c)
 
 
 @given(st.integers(1, 6), st.data())
