@@ -33,7 +33,6 @@ from .qcalc import (
     QPoly,
     ZERO,
     _times_pochhammer,
-    bracket_product,
     poly_sum,
     q_binomial,
     require_nonnegative,
@@ -177,8 +176,9 @@ def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
 
 def _bracket_series(sizes: Sequence[int], n: int, trunc: int) -> tuple[QPoly, ...]:
     """(t;q)_{n+1} times the sum of t**j prod [j+a] over a in sizes, mod t**trunc."""
-    rows = [list(bracket_product([j + a for a in sizes]).coeffs) for j in range(trunc)]
-    return _times_pochhammer(rows, n + 1)
+    if n < 0 or trunc < 0:
+        raise ValueError("negative n or truncation")
+    return _times_pochhammer([[j + a for a in sizes] for j in range(trunc)], n + 1)
 
 
 def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> tuple[QPoly, ...]:
@@ -186,8 +186,11 @@ def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> tuple[QPoly, ...]
 
     No family restriction on gamma; this is the raw left-hand side that
     the connected identity, the weak congruence and the corrective series
-    are all measured against.
+    are all measured against.  Raises ValueError for a negative n, trunc
+    or core entry.
     """
+    if min(gamma, default=0) < 0:
+        raise ValueError(f"negative entry in core {gamma}")
     return _bracket_series(mset(tuple(gamma)), n, trunc)
 
 

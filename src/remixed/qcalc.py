@@ -20,8 +20,8 @@ A product of two polynomials and a bracket product are one-term sums.
 kronecker_read reads a polynomial back the same way from its value at
 kronecker_point(bound), and kronecker_value packs it into that value.
 
-Truncated t-series are multiplied by the Pochhammer product (t;q)_n one
-linear factor (1 - t q**i) at a time, in place on coefficient lists
+A t-series of bracket products is multiplied by (t;q)_n at such a point
+too, one int per t-row, each row read back at its own length
 (_times_pochhammer); that is the only t-series product the package takes.
 """
 
@@ -387,22 +387,30 @@ def poly_reverse(a: QPoly, d: int) -> QPoly:
     return QPoly(tuple(out))
 
 
-def _times_pochhammer(rows: list[list[int]], n: int) -> tuple[QPoly, ...]:
-    """The t-series with q-coefficient rows[m] at t**m, times (t;q)_n, mod t**len(rows).
+def _times_pochhammer(rows: Sequence[Sequence[int]], n: int) -> tuple[QPoly, ...]:
+    """The t-series with the bracket product over rows[m] at t**m, times (t;q)_n, mod t**len(rows).
 
-    The factors (1 - t q**i), i = 0..n-1, are applied one at a time: each
-    subtracts q**i times row m - 1 from row m.  Rows are updated from the
-    top down, so row m - 1 still holds its value before that factor.  The
-    lists in rows are overwritten.
+    Each row is one int at x = 2**(8w), its brackets [a] the shift-and-
+    subtract (x**a - 1) over one division by (x - 1)**k.  A factor
+    (1 - t q**i) subtracts row m - 1, shifted i digits, from row m, top row
+    first.  As |qbin(n, i)|_1 = comb(n, i), comb(n, n // 2) times the sum of
+    prod(sizes) over the rows bounds every output digit, and w is its
+    stride; so a row of L digits has a bit length in [8w(L - 1), 8wL), and
+    kronecker_read reads it back at that length.
     """
+    bound = comb(n, n // 2) * sum(map(prod, rows))
+    width = _stride(bound)
+    bits = 8 * width
+    values = []
+    for sizes in rows:
+        x = 1
+        for a in sizes:
+            x = (x << bits * a) - x
+        values.append(x // _radix(width, len(sizes)))
     for i in range(n):
-        for m in range(len(rows) - 1, 0, -1):
-            lower, row = rows[m - 1], rows[m]
-            end = i + len(lower)
-            if len(row) < end:
-                row += repeat(0, end - len(row))
-            row[i:end] = map(sub, row[i:end], lower)
-    return tuple(QPoly(tuple(r)) for r in rows)
+        for m in range(len(values) - 1, 0, -1):
+            values[m] -= values[m - 1] << bits * i
+    return tuple(kronecker_read(v, bound, abs(v).bit_length() // bits + 1) for v in values)
 
 
 def q_pochhammer(n: int, trunc: int) -> tuple[QPoly, ...]:
@@ -411,6 +419,7 @@ def q_pochhammer(n: int, trunc: int) -> tuple[QPoly, ...]:
     >>> [c.coeffs for c in q_pochhammer(2, 3)]
     [(1,), (-1, -1), (0, 1)]
     """
-    if n < 0:
-        raise ValueError("negative factor count")
-    return _times_pochhammer([[1] if m == 0 else [] for m in range(trunc)], n)
+    if n < 0 or trunc < 0:
+        raise ValueError("negative factor count or truncation")
+    # row 0 is the empty bracket product 1, every other row holds [0] = 0
+    return _times_pochhammer([(0,) if m else () for m in range(trunc)], n)

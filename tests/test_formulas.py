@@ -1,7 +1,7 @@
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +40,7 @@ from remixed.qcalc import (
     q_int,
     q_pochhammer,
 )
+from remixed.qcalc import _stride
 from series_reference import pochhammer_reference, series_mul_reference
 
 
@@ -258,6 +259,11 @@ def hit_series(h, trunc):
     return series_mul_reference(pochhammer_reference(h.n + 1, trunc), tuple(rhs))
 
 
+def _core_series_reference(gamma, n, trunc):
+    rows = tuple(bracket_product([j + a for a in mset(gamma)]) for j in range(trunc))
+    return series_mul_reference(pochhammer_reference(n + 1, trunc), rows)
+
+
 @settings(deadline=None)
 @given(st.integers(0, 9), st.data())
 def test_pochhammer_products_match_schoolbook(n, data):
@@ -266,9 +272,7 @@ def test_pochhammer_products_match_schoolbook(n, data):
     trunc = data.draw(st.one_of(st.just(0), st.just(n + 1), above, below), label="trunc")
     assert q_pochhammer(n, trunc) == pochhammer_reference(n, trunc)
     gamma = tuple(data.draw(st.lists(st.integers(0, 2), max_size=3), label="gamma"))
-    rows = tuple(bracket_product([j + a for a in mset(gamma)]) for j in range(trunc))
-    want = series_mul_reference(pochhammer_reference(n + 1, trunc), rows)
-    assert core_series(gamma, n, trunc) == want
+    assert core_series(gamma, n, trunc) == _core_series_reference(gamma, n, trunc)
     if n:
         # clamped to the staircase, parts often reach it, and then hit offsets are 0
         parts = sorted(data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), reverse=True)
@@ -277,6 +281,40 @@ def test_pochhammer_products_match_schoolbook(n, data):
         rows = tuple(bracket_product([j + e for e in offsets]) for j in range(n + 1))
         want = series_mul_reference(pochhammer_reference(n + 1, n + 1), rows)
         assert [q_hit(HitIndex(lam, i, n)) for i in range(n + 1)] == list(want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 10), st.data())
+def test_core_series_matches_schoolbook_up_to_n_balls(n, data):
+    """Up to n balls on up to n sites and trunc up to n + 3: bounds past 2**31 take the 8-byte stride."""
+    balls = data.draw(st.integers(0, n), label="balls")
+    sites = data.draw(st.lists(st.integers(1, n), min_size=balls, max_size=balls), label="ball sites")
+    gamma = tuple(sites.count(s) for s in range(1, max(sites, default=0) + 1))
+    trunc = data.draw(st.integers(0, n + 3), label="trunc")
+    assert core_series(gamma, n, trunc) == _core_series_reference(gamma, n, trunc)
+
+
+@pytest.mark.parametrize(
+    "gamma, n, trunc, width",
+    [((1, 2, 1, 0, 0, 1, 2), 7, 8, 4), ((2, 2, 4, 1, 0, 1), 10, 3, 8)],
+)
+def test_core_series_either_side_of_the_word_stride(gamma, n, trunc, width):
+    # the bound comb(n + 1, (n + 1) // 2) * sum of the row sizes' products sits
+    # just below 2**31 in the first case and just above it in the second
+    sizes = mset(gamma)
+    bound = comb(n + 1, (n + 1) // 2) * sum(prod(j + a for a in sizes) for j in range(trunc))
+    assert abs(bound - 2**31) < 2**31 // 1000
+    assert _stride(bound) == width
+    assert core_series(gamma, n, trunc) == _core_series_reference(gamma, n, trunc)
+
+
+@pytest.mark.parametrize(
+    "gamma, n, trunc",
+    [((1, 2), -3, 2), ((1, 2), -1, 2), ((1, -2), 3, 2), ((1, 2), 3, -2)],
+)
+def test_core_series_rejects_negative_arguments(gamma, n, trunc):
+    with pytest.raises(ValueError):
+        core_series(gamma, n, trunc)
 
 
 def _staircase_partitions(n):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from remixed.qcalc import (
     require_nonnegative,
 )
 from remixed.qcalc import _stride
-from series_reference import schoolbook
+from series_reference import pochhammer_reference, schoolbook
 
 small_polys = st.lists(st.integers(-20, 20), max_size=6).map(lambda cs: QPoly(tuple(cs)))
 
@@ -138,10 +139,21 @@ def test_pochhammer_examples():
     assert q_pochhammer(3, 1) == (ONE,)
 
 
+@pytest.mark.parametrize("n, trunc", [(-1, 3), (3, -1)])
+def test_pochhammer_rejects_negative_arguments(n, trunc):
+    with pytest.raises(ValueError):
+        q_pochhammer(n, trunc)
+
+
+@pytest.mark.parametrize("n, width", [(33, 4), (34, 8)])
+def test_pochhammer_either_side_of_the_word_stride(n, width):
+    # comb(n, n // 2) bounds the coefficients: below 2**31 at n = 33, above it at n = 34
+    assert _stride(comb(n, n // 2)) == width
+    assert q_pochhammer(n, 5) == pochhammer_reference(n, 5)
+
+
 @given(st.integers(0, 9), st.integers(1, 12))
 def test_pochhammer_coefficients_are_signed_binomials(n, trunc):
-    from math import comb
-
     got = q_pochhammer(n, trunc)
     for j in range(trunc):
         want = q_binomial(n, j).shift(comb(j, 2))
