@@ -9,13 +9,15 @@ numbers, matches them to connected configurations, evaluates a q-analog
 of the two sided Eulerian triangle, and dispatches a configuration to the
 cheapest applicable method.
 
-Which family formula applies to a configuration is said once, in ROUTES:
-dispatch takes the first route whose family test its flags pass, the
-families suite of verify checks every route that applies, and each a_*
-formula looks its route up by name.  Each sums the terms of a route,
-built from c and its flags, through sum_terms, which rejects a negative
-coefficient.  The formulas of a core at a shift build c with
-config.shifted_config, which checks the core and the shift.
+Every formula is a signed sum of one term type, _Term: a power of q times
+Gaussian binomials times brackets, added up by sum_terms in one poly_sum
+that rejects a negative coefficient.  Which family formula applies to a
+configuration is said once, in ROUTES, the dict from a method name to its
+family test and term builder in dispatch's precedence: dispatch takes the
+first route whose test its flags pass, the families suite of verify checks
+every route that applies, and each a_* formula looks its route up by name.
+The formulas of a core at a shift build c with config.shifted_config,
+which checks the core and the shift.
 """
 
 from __future__ import annotations
@@ -52,12 +54,12 @@ class NoMatch(ValueError):
 
 
 class _Term(NamedTuple):
-    """One summand sign * q**qexp * qbin(bin_n, bin_k) * prod of brackets."""
+    """One summand sign * q**qexp * prod of qbin(n, k) over binoms * prod of brackets."""
 
     sign: int
     qexp: int
     brackets: tuple[int, ...]
-    binom: tuple[int, int] | None = None
+    binoms: tuple[tuple[int, int], ...] = ()
 
     def render(self) -> str:
         pieces = []
@@ -65,8 +67,7 @@ class _Term(NamedTuple):
             pieces.append("q")
         elif self.qexp > 1:
             pieces.append(f"q^{self.qexp}")
-        if self.binom is not None:
-            bn, bk = self.binom
+        for bn, bk in self.binoms:
             bk = min(bk, bn - bk)
             if bk == 1:
                 pieces.append(f"[{bn}]")
@@ -87,8 +88,7 @@ def _assemble(terms: Sequence[_Term]) -> QPoly:
         if t.qexp < 0:
             raise InvariantViolation(f"negative q exponent {t.qexp} in a formula term")
     return poly_sum(
-        (t.sign, t.qexp, () if t.binom is None else (q_binomial(*t.binom),), t.brackets)
-        for t in terms
+        (t.sign, t.qexp, [q_binomial(*b) for b in t.binoms], t.brackets) for t in terms
     )
 
 
@@ -111,14 +111,19 @@ def _render(terms: Sequence[_Term]) -> str:
 def _by_route(method: str, c: Configuration, outside: str) -> QPoly:
     """c's polynomial by the route named method; WrongFamily(outside) if c fails its test."""
     flags = classify(c)
-    applies, build = {name: (a, b) for name, a, b in ROUTES}[method]
+    applies, build = ROUTES[method]
     if not applies(flags):
         raise WrongFamily(outside.format(c.c))
     return sum_terms(build(c, flags), c.c)
 
 
-def _luka_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
-    return [_Term(1, 0, tuple(mset(c.c)))]
+def _dip_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
+    ms, j = tuple(mset(c.c)), flags.almost_defect
+    terms = [_Term(1, 0, ms)]
+    if j is not None:
+        k = bisect_left(ms, j)  # no ball starts at the defect site j
+        terms.append(_Term(-1, 0, (*ms[:k], *[a - j for a in ms[k:]]), ((c.n + 1, j),)))
+    return terms
 
 
 def a_lukasiewicz(c: Configuration) -> QPoly:
@@ -133,15 +138,6 @@ def a_lukasiewicz(c: Configuration) -> QPoly:
     return _by_route("lukasiewicz", c, "{} has a negative height")
 
 
-def _almost_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
-    j, ms = flags.almost_defect, tuple(mset(c.c))
-    k = bisect_left(ms, j)  # no ball starts at the defect site j
-    return [
-        _Term(1, 0, ms),
-        _Term(-1, 0, (*ms[:k], *[a - j for a in ms[k:]]), (c.n + 1, j)),
-    ]
-
-
 def a_almost_lukasiewicz(c: Configuration) -> QPoly:
     """Bracket product minus one binomial correction at the defect.
 
@@ -152,14 +148,14 @@ def a_almost_lukasiewicz(c: Configuration) -> QPoly:
     return _by_route("almost_lukasiewicz", c, "{} does not have exactly one negative height")
 
 
-def _shifted_sum_terms(gamma: tuple[int, ...], i: int, n: int) -> list[_Term]:
-    ms = mset(gamma)
+def _core_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
+    i, ms = flags.core.left_zeros, mset(flags.core.gamma)
     return [
         _Term(
             1 if (i + j) % 2 == 0 else -1,
             comb(i - j, 2),
             tuple([j + a for a in ms]),
-            (n + 1, i - j),
+            ((c.n + 1, i - j),),
         )
         for j in range(i, -1, -1)
     ]
@@ -234,7 +230,7 @@ def _corrective_term(p: int, r: int, k: int, prefactor: tuple[int, tuple[int, ..
     """
     exp, brackets = prefactor
     qexp = comb(p, 2) + p * k + comb(k + 1, 2) + exp
-    return _Term(-1 if k % 2 else 1, qexp, brackets, (p + r + 1, r - k))
+    return _Term(-1 if k % 2 else 1, qexp, brackets, ((p + r + 1, r - k),))
 
 
 def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> tuple[QPoly, ...]:
@@ -262,14 +258,14 @@ def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> 
 
 def _one_hole_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
     gamma, i, n = flags.core.gamma, flags.core.left_zeros, c.n
-    terms = _shifted_sum_terms(gamma, i, n)
+    terms = _core_terms(c, flags)
     z = gamma.index(0)
     alpha, beta = gamma[:z], gamma[z + 1 :]
     ell, p = len(alpha), sum(alpha)
     if i >= p - ell:
         # minus the corrective series coefficient of t**i
         t = _corrective_term(p, n - p, i + ell - p, one_hole_prefactor(alpha, beta))
-        terms.append(_Term(-t.sign, t.qexp, t.brackets, t.binom))
+        terms.append(_Term(-t.sign, t.qexp, t.brackets, t.binoms))
     return terms
 
 
@@ -384,32 +380,29 @@ def carlitz_scoville_q(p: CSParams) -> QPoly:
     (0, 2, 2)
     """
     rs = p.r + p.s
-    total = poly_sum(
-        (
+    terms = [
+        _Term(
             -1 if (p.r + j) % 2 else 1,
             comb(p.r - j, 2),
-            (q_binomial(j + p.x + p.y - 1, j), q_binomial(rs + p.x + p.y, p.r - j)),
             (j + p.y,) * rs,
+            ((j + p.x + p.y - 1, j), (rs + p.x + p.y, p.r - j)),
         )
         for j in range(p.r + 1)
-    )
-    return require_nonnegative(total, p)
+    ]
+    return sum_terms(terms, p)
 
 
-def _core_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
-    return _shifted_sum_terms(flags.core.gamma, flags.core.left_zeros, c.n)
-
-
-# The closed formula routes by expected term count, fewest first.  Each is
-# (method name, family test on the flags of classify, builder of the terms
-# of the formula for a configuration in the family and its flags).
-ROUTES = (
-    ("lukasiewicz", lambda f: f.is_lukasiewicz, _luka_terms),
-    ("almost_lukasiewicz", lambda f: f.almost_defect is not None, _almost_terms),
-    ("connected", lambda f: f.is_connected, _core_terms),
-    ("one_hole", lambda f: f.is_one_hole, _one_hole_terms),
-    ("weakly_lukasiewicz", lambda f: f.is_weakly_lukasiewicz, _core_terms),
-)
+# The closed formula routes by expected term count, fewest first, which is
+# dispatch's precedence: method name -> (family test on the flags of
+# classify, builder of the terms for c in the family and its flags).
+# Routes of one formula shape share a builder.
+ROUTES = {
+    "lukasiewicz": (lambda f: f.is_lukasiewicz, _dip_terms),
+    "almost_lukasiewicz": (lambda f: f.almost_defect is not None, _dip_terms),
+    "connected": (lambda f: f.is_connected, _core_terms),
+    "one_hole": (lambda f: f.is_one_hole, _one_hole_terms),
+    "weakly_lukasiewicz": (lambda f: f.is_weakly_lukasiewicz, _core_terms),
+}
 
 
 @dataclass(frozen=True)
@@ -434,7 +427,7 @@ def dispatch(c: Configuration) -> EvalReport:
     family goes to the memoized recursion, which has no factored form.
     """
     flags = classify(c)
-    for method, applies, build in ROUTES:
+    for method, (applies, build) in ROUTES.items():
         if applies(flags):
             terms = tuple(build(c, flags))
             return EvalReport(method, sum_terms(terms, c.c), flags, terms)

@@ -302,8 +302,14 @@ def kronecker_read(value: int, bound: int, length: int) -> QPoly:
 
 
 def kronecker_value(cs: Sequence[int], x: int) -> int:
-    """sum of cs[i] * x**i at x = kronecker_point(bound), for cs[i] in [0, bound]: kronecker_read undone."""
-    return _pack(cs, (x.bit_length() - 1) // 8, 0)
+    """sum of cs[i] * x**i at x = kronecker_point(bound), for cs[i] in [0, bound]: kronecker_read undone.
+
+    Raises ValueError for an x that is not 2**(8w) with w >= 1.
+    """
+    width = (x.bit_length() - 1) // 8
+    if width < 1 or x != 1 << 8 * width:
+        raise ValueError(f"{x} is not 2**(8w) for any w >= 1")
+    return _pack(cs, width, 0)
 
 
 def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:

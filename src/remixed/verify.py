@@ -55,8 +55,7 @@ def verify_families(nmax: int, table: Table) -> dict:
     terms is summed once per configuration: the route dispatch chose
     reuses its polynomial, and routes that share a builder share its sum.
     """
-    families = [(_FAMILY_CHECKS.get(name, name), applies, build) for name, applies, build in ROUTES]
-    builders = {name: build for name, _, build in ROUTES}
+    families = [(_FAMILY_CHECKS.get(name, name), applies, build) for name, (applies, build) in ROUTES.items()]
     checks = {"induction": 0, **{family: 0 for family, _, _ in families}, "dispatch": 0}
     failures: list[dict] = []
 
@@ -76,7 +75,7 @@ def verify_families(nmax: int, table: Table) -> dict:
                 fail(ct, "dispatch")
             checks["dispatch"] += 1
             # polynomial by builder, for this configuration
-            sums = {builders[rep.method]: rep.poly} if rep.method in builders else {}
+            sums = {ROUTES[rep.method][1]: rep.poly} if rep.method in ROUTES else {}
             for family, applies, build in families:
                 if applies(rep.flags):
                     poly = sums.get(build)

@@ -273,6 +273,8 @@ PINNED_OUTPUTS = {
         "0d9749a0f0da544da7f38ee788eff2ae5ebd719226385bfbef12d6c267ffb061",
     "table cs --x 1 --y 2 --rsmax 2":
         "2fdd313b158a0dfbfa77cf296cef83a0d0c266a5c4806241a36ae06be6573b80",
+    "table cs --x 2 --y 3 --rsmax 5":
+        "7f4b15ba8d76f24dc4d960ab3b5c54c0a6a1be3ae3b9ce31f26e36843dab06eb",
     "simulate 0,3,0,2,0 --q 1/3 --trials 2000 --seed 7":
         "42742dce81604c7bc11589c5cb3366327b39aa355f82ee793b8c52c6fd81b998",
 }
@@ -469,11 +471,14 @@ def test_broken_route_fails_every_check_it_feeds(oracle, monkeypatch):
     # and reuses what dispatch computed; a defect in the shared terms must
     # still fail every check that reads them, with unchanged check counts.
     clean = verify.verify_families(5, oracle.table)
-    real = formulas._shifted_sum_terms
+    real = formulas._core_terms
     # one extra term adds 1 to every connected, weakly and one hole sum
-    monkeypatch.setattr(
-        formulas, "_shifted_sum_terms", lambda *a: real(*a) + [formulas._Term(1, 0, ())]
-    )
+    def broken_core(*a):
+        return real(*a) + [formulas._Term(1, 0, ())]
+
+    monkeypatch.setattr(formulas, "_core_terms", broken_core)
+    for name in ("connected", "weakly_lukasiewicz"):
+        monkeypatch.setitem(formulas.ROUTES, name, (formulas.ROUTES[name][0], broken_core))
     broken = verify.verify_families(5, oracle.table)
     failed = {f["family"] for f in broken["failures"]}
     assert {"dispatch", "connected", "weakly", "one_hole"} <= failed
@@ -486,7 +491,7 @@ def test_broken_route_fails_every_check_it_feeds(oracle, monkeypatch):
     for n in range(1, 6):
         for ct in sorted(oracle.table(n)):
             flags = classify(Configuration(ct))
-            routes = [name for name, applies, _ in formulas.ROUTES if applies(flags)]
+            routes = [name for name, (applies, _) in formulas.ROUTES.items() if applies(flags)]
             if routes and routes[0] in patched:
                 want.append({"config": list(ct), "family": "dispatch"})
             for name in routes:

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from remixed import config, formulas
 from remixed.config import BadSum, Configuration, all_configurations, classify, core
-from remixed.engine import remixed_exact, remixed_induction
+from remixed.engine import remixed_exact, remixed_induction, success_probability
 from remixed.formulas import (
     BadPartition,
     CSParams,
@@ -454,6 +455,9 @@ def test_dispatch_method_selection():
         else:
             assert rep.pretty
     assert dispatch(Configuration((2, 0))).poly == ONE
+    # dispatch tries the routes in the order ROUTES lists them
+    precedence = ["lukasiewicz", "almost_lukasiewicz", "connected", "one_hole", "weakly_lukasiewicz"]
+    assert list(formulas.ROUTES) == precedence
 
 
 def test_dispatch_pretty_strings():
@@ -465,6 +469,14 @@ def test_dispatch_pretty_strings():
         dispatch(Configuration((0, 2, 1, 0, 3, 0))).pretty
         == "[2]^2 [3] [5]^3 - [7] [2] [4]^3 - q qbin(7,3) [2]^2"
     )
+    assert (
+        dispatch(Configuration((0, 1, 2, 2, 0))).pretty
+        == "[2] [3]^2 [4]^2 - [6] [2]^2 [3]^2"
+    )
+    assert (
+        dispatch(Configuration((0, 0, 5, 0, 0, 1))).pretty
+        == "[3]^5 [6] - [7] [2]^5 [5] + q qbin(7,2) [4]"
+    )
 
 
 _terms = st.lists(
@@ -473,7 +485,7 @@ _terms = st.lists(
         st.sampled_from([1, -1]),
         st.integers(0, 6),
         st.lists(st.integers(0, 5), max_size=4).map(tuple),
-        st.none() | st.tuples(st.integers(0, 7), st.integers(-1, 8)),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(-1, 8)), max_size=2).map(tuple),
     ),
     max_size=6,
 )
@@ -485,7 +497,9 @@ def test_assemble_matches_term_by_term_sum(terms):
     # the reference: each term as a QPoly, shifted, signed and added
     want = ZERO
     for t in terms:
-        base = ONE if t.binom is None else q_binomial(*t.binom)
+        base = ONE
+        for b in t.binoms:
+            base = base * q_binomial(*b)
         p = bracket_product(t.brackets, base).shift(t.qexp)
         want = want + (p if t.sign > 0 else -p)
     assert formulas._assemble(terms) == want
@@ -504,7 +518,7 @@ def test_dispatch_renders_lazily(monkeypatch):
         assert rep.poly == remixed_induction(Configuration(ct))
         with pytest.raises(RuntimeError, match="rendered"):
             rep.pretty
-    assert methods == {name for name, _, _ in formulas.ROUTES}
+    assert methods == set(formulas.ROUTES)
 
 
 def test_dispatch_finds_the_core_once(monkeypatch):
@@ -536,7 +550,7 @@ def test_dispatch_finds_the_core_once(monkeypatch):
     ],
 )
 def test_a_formulas_agree_with_routes(formula, method):
-    applies, build = {name: (a, b) for name, a, b in formulas.ROUTES}[method]
+    applies, build = formulas.ROUTES[method]
 
     def call(c):
         # the formulas of a core at a shift take the core and shift of c
@@ -560,3 +574,23 @@ def test_a_formulas_agree_with_routes(formula, method):
 def test_dispatch_always_agrees_with_recursion(n, data):
     c = data.draw(st.sampled_from(list(all_configurations(n))))
     assert dispatch(c).poly == remixed_induction(c)
+
+
+def test_routes_agree_with_the_oracle_walk_at_integer_points():
+    # [n]! P(success) at q0, from the drop walk at a rational point and
+    # brackets summed in integers, reads no base-x digits; the exact routes
+    # all read theirs, so a digit misread there fails here
+    rng = random.Random(30)
+    cfgs = [c for n in range(1, 7) for c in all_configurations(n)]
+    for n in (12, 20):
+        for _ in range(20):
+            bars = sorted(rng.sample(range(2 * n - 1), n - 1))
+            parts = tuple(b - a - 1 for a, b in zip([-1, *bars], [*bars, 2 * n - 1]))
+            cfgs.append(Configuration(parts))
+    for c in cfgs:
+        q0 = rng.randrange(2, 2**61)
+        fact = prod((q0**k - 1) // (q0 - 1) for k in range(1, c.n + 1))
+        want = success_probability(c, Fraction(q0)) * fact
+        assert want.denominator == 1, c.c
+        assert dispatch(c).poly.evaluate(q0) == want, c.c
+        assert remixed_induction(c).evaluate(q0) == want, c.c
