@@ -19,10 +19,12 @@ simulate_batch walks the trials on a chain of board states that it builds
 as trials reach them.  A trial holds the id of its state, and a move is
 one gather from a table of next ids by the direction drawn; the first
 trial to take a move explores it in Python.  Two absorbing ids end a
-trial: a ball left [1, n], or the board settled on [1, n].  Trials run in
-chunks of _CHUNK, and the chain is rebuilt from the states live trials
-hold whenever it grows past _CHUNK states, so neither grows with the
-number of trials; the success flags returned do, at one byte a trial.
+trial: a ball left [1, n], or the board settled on [1, n].  Both moves of
+an absorbing id lead back to it, so an ended trial stays parked on its id
+until the next compaction drops it.  Trials run in chunks of _CHUNK, and
+the chain is rebuilt from the states live trials hold whenever it grows
+past _CHUNK states, so neither grows with the number of trials; the
+success flags returned do, at one byte a trial.
 """
 
 from __future__ import annotations
@@ -82,9 +84,11 @@ _CHUNK = 1 << 15
 
 # Chain state ids: a ball left [1, n], the board settled on [1, n], and the
 # configuration itself.  The table holds ids doubled, so a move adds its
-# direction bit to the doubled id and gathers; a move no trial took reads -1.
+# direction bit to the doubled id and gathers; a move no trial took reads -1,
+# and both moves of an absorbing id lead back to it.
 _FAIL, _SETTLED, _START = 0, 1, 2
 _UNSEEN = -1
+_PARKED = (2 * _FAIL, 2 * _FAIL, 2 * _SETTLED, 2 * _SETTLED)
 
 
 class _Chain:
@@ -108,10 +112,18 @@ class _Chain:
         self.boards = [0, 0, board]
         self.sites = [-1, -1, self._site(board & self.high)]
         self.ids = {board: _START}
-        self.table = np.full(4 * len(self.boards), _UNSEEN, dtype=np.intp)
+        self.table = self._table()
 
     def __len__(self) -> int:
         return len(self.boards)
+
+    def _table(self) -> np.ndarray:
+        """A table for twice the states held, every move unseen but the absorbing ones."""
+        import numpy as np
+
+        table = np.full(4 * len(self.boards), _UNSEEN, dtype=np.intp)
+        table[: len(_PARKED)] = _PARKED
+        return table
 
     def _site(self, over: int) -> int:
         """The leftmost site whose cell has a bit in over."""
@@ -148,7 +160,7 @@ class _Chain:
                 sites.append(self._site(over))
             found.append(2 * j)
         if 2 * len(boards) > self.table.size:
-            grown = np.full(4 * len(boards), _UNSEEN, dtype=np.intp)
+            grown = self._table()
             grown[: self.table.size] = self.table
             self.table = grown
         self.table[edges] = found
@@ -163,18 +175,22 @@ class _Chain:
         self.boards = self.boards[:_START] + [self.boards[i] for i in kept]
         self.sites = self.sites[:_START] + [self.sites[i] for i in kept]
         self.ids = {board: i for i, board in enumerate(self.boards) if i >= _START}
-        self.table = np.full(4 * len(self.boards), _UNSEEN, dtype=np.intp)
+        self.table = self._table()
         return 2 * (where.reshape(-1)[:-1] + _START)
 
 
-def _mix_np(z: np.ndarray) -> np.ndarray:
+def _mix_np(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64's output function of x, written to out (which may be x); tmp is scratch."""
     import numpy as np
 
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    np.right_shift(x, 30, out=tmp)
+    np.bitwise_xor(x, tmp, out=out)
+    out *= _MIX1
+    np.right_shift(out, 27, out=tmp)
+    out ^= tmp
+    out *= _MIX2
+    np.right_shift(out, 31, out=tmp)
+    out ^= tmp
 
 
 def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np.ndarray:
@@ -185,54 +201,56 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
     sites never empty again, so the final support can no longer be
     [1, n].
 
-    A move draws from each live trial's stream, adds the direction to the
+    A move draws from each trial's stream, adds the direction to the
     trial's doubled state id and gathers the next one from the chain's
-    table, which explores the moves no trial took before.  Since a
-    trial's stream depends only on (seed, index), the flags do not depend
-    on the chunk size.
+    table, which explores the moves no trial took before.  A trial that
+    ended keeps stepping on its absorbing id, until a quarter of the
+    rows still walked have ended, no trial is live or the chain needs a
+    rebuild; then its flag is recorded and its row dropped.  The draws,
+    directions and moves go to buffers made once a batch.  Since a trial's
+    stream depends only on (seed, index), the flags do not depend on the
+    chunk size.
     """
     import numpy as np
 
     if trials < 1:
         raise ValueError("need at least one trial")
     thr = np.uint64(left_threshold(q0))
-    seed_u = np.uint64(seed & _MASK)
     if max(c.c) < 2:
         # one ball a site: settled before the first move
         return np.ones(trials, dtype=bool)
     chain = _Chain(c.c)
     success = np.zeros(trials, dtype=bool)
+    size = min(_CHUNK, trials)
+    z, tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    b, edge = np.empty(size, dtype=bool), np.empty(size, dtype=np.intp)
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        states = _mix_np(seed_u + np.uint64(_GOLD) * idx)
+        states = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        states *= _GOLD
+        states += np.uint64(seed & _MASK)
+        _mix_np(states, states, tmp[: stop - start])
         orig = np.arange(start, stop)
         cur = np.full(stop - start, 2 * _START, dtype=np.intp)
         while cur.size:
-            states += np.uint64(_GOLD)
-            edge = cur + (_mix_np(states) >= thr)
-            cur = chain.table.take(edge)
-            if cur.min() >= 2 * _START:
-                continue
-            # trials that reached an end or took a move no trial took before
-            low = (cur < 2 * _START).nonzero()[0]
-            to = cur.take(low)
-            if to.min() == _UNSEEN:
-                moves = edge.take(low)
-                chain.explore(moves[to == _UNSEEN])
-                to = chain.table.take(moves)
-                cur[low] = to
-            ended = to < 2 * _START
-            if ended.any():
-                success[orig.take(low[to == 2 * _SETTLED])] = True
-                live = np.ones(cur.size, dtype=bool)
-                live[low[ended]] = False
-                kept = live.nonzero()[0]
-                cur = cur.take(kept)
-                states = states.take(kept)
-                orig = orig.take(kept)
-            if len(chain) > _CHUNK:
-                cur = chain.rebuild(cur)
+            m = cur.size
+            zm, tm, bm, em = z[:m], tmp[:m], b[:m], edge[:m]
+            states += _GOLD
+            _mix_np(states, zm, tm)
+            np.greater_equal(zm, thr, out=bm)
+            np.add(cur, bm, out=em)
+            chain.table.take(em, out=cur)
+            if cur.min() == _UNSEEN:
+                chain.explore(em[cur == _UNSEEN])
+                chain.table.take(em, out=cur)
+            np.greater_equal(cur, 2 * _START, out=bm)
+            live = np.count_nonzero(bm)
+            if 4 * (m - live) >= m or len(chain) > _CHUNK or not live:
+                success[orig[cur == 2 * _SETTLED]] = True
+                kept = bm.nonzero()[0]
+                cur, states, orig = cur.take(kept), states.take(kept), orig.take(kept)
+                if len(chain) > _CHUNK:
+                    cur = chain.rebuild(cur)
     return success
 
 

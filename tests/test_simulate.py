@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -175,6 +176,89 @@ def test_chain_rebuilds_keep_the_flags(monkeypatch):
     # a rebuild keeps the two ends, the start and one state a trial, and a
     # move adds at most one state a trial
     assert sizes and max(sizes) <= 2 * 16 + 3
+
+
+def test_parked_trials_never_reach_a_rebuild(monkeypatch):
+    # an ended trial stays on its absorbing id until the rows are compacted,
+    # and the compaction comes first: a rebuild only sees live trials
+    seen = []
+    rebuild = remixed.simulate._Chain.rebuild
+
+    def checked(chain, cur):
+        seen.append(int(cur.min()) if cur.size else None)
+        return rebuild(chain, cur)
+
+    monkeypatch.setattr(remixed.simulate, "_CHUNK", 16)
+    monkeypatch.setattr(remixed.simulate._Chain, "rebuild", checked)
+    ct = (0,) * 5 + (12,) + (0,) * 6
+    assert simulate_batch(Configuration(ct), Fraction(1), 200, 8).tolist() == replay(ct, Fraction(1), 200, 8)
+    assert seen and all(low is None or low >= 2 * remixed.simulate._START for low in seen)
+    # every move from (0, 2) ends the trial: all rows park on the first move
+    # of each of two chunks, the second one short
+    for q0 in (Fraction(0), Fraction(1000)):
+        assert simulate_batch(Configuration((0, 2)), q0, 27, 5).tolist() == replay((0, 2), q0, 27, 5)
+
+
+def full_chain(ct):
+    """The simulator's chain of ct with every move from the start explored, and its states."""
+    chain = remixed.simulate._Chain(ct)
+    start = remixed.simulate._START
+    states, frontier = {start}, [start]
+    while frontier:
+        edges = np.array([2 * i + d for i in frontier for d in (0, 1)], dtype=np.intp)
+        chain.explore(edges)
+        reached = (chain.table[edges] >> 1).tolist()
+        frontier = [j for j in set(reached) if j >= start and j not in states]
+        states.update(frontier)
+    return chain, sorted(states)
+
+
+def absorption(chain, states, p):
+    """Chance the chain ends on the settled id from the start, stepping left with chance p."""
+    fail, settled = remixed.simulate._FAIL, remixed.simulate._SETTLED
+    col = {i: k for k, i in enumerate(states)}
+    rows = []
+    # x_i - p x_L - (1 - p) x_R = the weight of the moves into the settled id,
+    # the two absorbing ids read as x = 0 and 1 whatever their table rows hold
+    for i in states:
+        row = [Fraction(0)] * (len(states) + 1)
+        row[col[i]] += 1
+        for d, w in ((0, p), (1, 1 - p)):
+            j = int(chain.table[2 * i + d]) >> 1
+            assert chain.table[2 * i + d] != remixed.simulate._UNSEEN
+            if j == settled:
+                row[-1] += w
+            elif j != fail:
+                row[col[j]] -= w
+        rows.append(row)
+    for k in range(len(rows)):
+        pivot = next(r for r in range(k, len(rows)) if rows[r][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for r in range(len(rows)):
+            if r != k and rows[r][k]:
+                f = rows[r][k]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+    return rows[col[remixed.simulate._START]][-1]
+
+
+def test_chain_law_is_the_exact_success_probability():
+    # at q in {1, 1/3, 3}, q / (1 + q) is dyadic and left_threshold(q) / 2^64
+    # is exactly it, so the chain's absorption law must equal the oracle's
+    cells, largest = 0, 0
+    for n in range(1, 6):
+        for bars in itertools.combinations(range(2 * n - 1), n - 1):
+            c = from_bars(n, bars)
+            if max(c.c) < 2:
+                continue
+            chain, states = full_chain(c.c)
+            largest = max(largest, len(states))
+            for q0 in (Fraction(1), Fraction(1, 3), Fraction(3)):
+                p = Fraction(left_threshold(q0), 1 << 64)
+                assert p == q0 / (1 + q0)
+                assert absorption(chain, states, p) == success_probability(c, q0), (c.c, q0)
+                cells += 1
+    assert cells == 510 and largest <= 30
 
 
 def test_batch_argument_validation():
