@@ -9,7 +9,7 @@ reversal, and classification into the families with closed formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .qcalc import InvariantViolation
 
@@ -246,16 +246,12 @@ def max_weakly_shift(gamma: tuple[int, ...], n: int) -> int:
 
 
 def all_configurations(n: int):
-    """Iterate every configuration with n sites, lexicographically."""
+    """Iterate every configuration with n sites, lexicographically.
 
-    def rec(prefix: list[int], remaining: int, sites: int):
-        if sites == 1:
-            yield tuple(prefix + [remaining])
-            return
-        for x in range(remaining + 1):
-            yield from rec(prefix + [x], remaining - x, sites - 1)
-
+    Stars and bars: n - 1 bars among 2n - 1 slots, and the parts are the
+    gaps between them, so bars in lexicographic order give parts in it.
+    """
     if n < 1:
         return
-    for tup in rec([], n, n):
-        yield Configuration(tup)
+    for bars in combinations(range(2 * n - 1), n - 1):
+        yield Configuration(tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, 2 * n - 1))))

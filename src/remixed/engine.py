@@ -13,16 +13,16 @@ the full state over the product of its steps' denominators, exactly.
 
 A_c(q) = [n]! P(success) has nonnegative integer coefficients summing to
 A_c(1) <= n!, so its value at the one point x = qcalc.kronecker_point(n!)
-holds every coefficient as a base-x digit.  remixed_exact walks its drop
-order once, at x, and exact_sweep walks the tree of every left to right
-drop order on n sites at x, sharing the drops of common prefixes.  Both
+holds every coefficient as a base-x digit.  _walk drops the balls of a
+stream of drop orders, sharing the drops of common prefixes: remixed_exact
+walks its one order at x, and exact_sweep every nondecreasing order.  Both
 turn a full state into its value by _value, which checks that the value
 is an integer, and read it through _lift, which checks that it has degree
 at most n(n-1)/2 and digits that are nonnegative and sum to at most n!,
 and reads the digits back by qcalc.kronecker_read.  exact_sweep also
 checks that the values of its table sum to Cat_n [n]!(x), the sum of the
 A_c over all c being Cat_n [n]!.
-success_probability and drop_order_check run the same walk at a rational
+success_probability and drop_order_check walk one order at a rational
 point.  The second evaluator runs the final ball recursion at the same x,
 one memoized integer per node, and reads its value through _lift; it never
 touches probabilities.  Agreement of the two is the test suite's backbone.
@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, prod
+from typing import Iterable, Iterator
 
 from .config import Configuration, left_to_right_order
 from .qcalc import (
@@ -127,23 +129,36 @@ def _drop(dist: dict[int, int], s: int, n: int, point: Point) -> tuple[dict[int,
     return out, den
 
 
-def _success_for_order(n: int, order: tuple[int, ...], point: Point) -> tuple[int, int]:
-    """Chance that dropping balls at the given sites fills [1, n], at the point.
+def _walk(n: int, point: Point, words: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(word, mass, den) for each word of a stream of drop orders of n balls on n sites.
 
-    Returned unreduced, as the integer mass of the full state and the
-    product of the steps' denominators.
+    mass / den is the chance, at the point, that dropping balls at the
+    word's sites fills [1, n], unreduced: the mass of the full state and
+    the product of the steps' denominators.  A stack of (masses, den) after
+    each drop is cut back to the prefix a word shares with the one before,
+    so a lexicographic stream drops each prefix once.
     """
-    dist = {0: 1}
-    den = 1
-    for s in order:
-        dist, step = _drop(dist, s, n, point)
-        den *= step
-    return dist.get((1 << n) - 1, 0), den
+    full = (1 << n) - 1
+    stack = [({0: 1}, 1)]
+    prev: tuple[int, ...] = ()
+    for word in words:
+        k = 0
+        while k < len(prev) and prev[k] == word[k]:
+            k += 1
+        del stack[k + 1 :]
+        dist, den = stack[-1]
+        for s in word[k:]:
+            dist, step = _drop(dist, s, n, point)
+            den *= step
+            stack.append((dist, den))
+        yield word, dist.get(full, 0), den
+        prev = word
 
 
 def _probability(n: int, order: tuple[int, ...], q0: Fraction) -> Fraction:
-    """_success_for_order at the point q0, as a fraction."""
-    return Fraction(*_success_for_order(n, order, _point(n, q0)))
+    """The chance that dropping balls at the sites of order fills [1, n], at q0."""
+    ((_, mass, den),) = _walk(n, _point(n, q0), [order])
+    return Fraction(mass, den)
 
 
 def success_probability(c: Configuration, q0: Fraction) -> Fraction:
@@ -192,7 +207,7 @@ def remixed_exact(c: Configuration) -> QPoly:
     digits (_lift).
     """
     point = _point(c.n, kronecker_point(factorial(c.n)))
-    mass, den = _success_for_order(c.n, left_to_right_order(c), point)
+    ((_, mass, den),) = _walk(c.n, point, [left_to_right_order(c)])
     return _lift(c.c, _value(c.c, mass, den, prod(point[0][1:])))
 
 
@@ -253,12 +268,11 @@ def remixed_induction(c: Configuration) -> QPoly:
 def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     """remixed_exact for every configuration on n sites, as one table.
 
-    One walk of the tree of left to right drop orders, at the oracle's
-    point x: a configuration's order extends the order of every
-    configuration it contains at its lowest sites, so those share the
-    drops of the common prefix.  Each branch carries the product of its
-    steps' denominators, and each leaf is read by _lift, with [n]!(x)
-    computed once for the table.  The values read must sum to
+    One _walk of the nondecreasing drop orders in lexicographic order, at
+    the oracle's point x: the order of a configuration extends the order
+    of every configuration it contains at its lowest sites, so those share
+    the drops of the common prefix.  Each leaf is read by _lift, with
+    [n]!(x) computed once for the table.  The values read must sum to
     Cat_n [n]!(x), which catches an error in one leaf's mass that leaves
     its digits plausible.
 
@@ -270,28 +284,14 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
         raise ValueError(f"exact_sweep takes at most {SWEEP_MAX_N} sites, got {n}")
     point = _point(n, kronecker_point(factorial(n)))
     fact = prod(point[0][1:])
-    full = (1 << n) - 1
-    counts = [0] * (n + 1)
     table: dict[tuple[int, ...], QPoly] = {}
     total = 0
-
-    def rec(min_site: int, k: int, dist: dict[int, int], den: int) -> None:
-        nonlocal total
-        if k == n:
-            if full in dist:
-                ct = tuple(counts[1:])
-                value = _value(ct, dist[full], den, fact)
-                total += value
-                table[ct] = _lift(ct, value)
-            return
-        for s in range(min_site, n + 1):
-            nd, step = _drop(dist, s, n, point)
-            if nd:
-                counts[s] += 1
-                rec(s, k + 1, nd, den * step)
-                counts[s] -= 1
-
-    rec(1, 0, {0: 1}, 1)
+    for word, mass, den in _walk(n, point, combinations_with_replacement(range(1, n + 1), n)):
+        if mass:
+            ct = tuple(map(word.count, range(1, n + 1)))
+            value = _value(ct, mass, den, fact)
+            total += value
+            table[ct] = _lift(ct, value)
     # every configuration has a positive success chance at q = x
     missing = comb(2 * n - 1, n) - len(table)
     if missing:

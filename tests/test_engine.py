@@ -1,7 +1,8 @@
+import hashlib
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import comb, factorial
+from itertools import permutations, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,7 +106,56 @@ def test_one_ball_per_site_never_bounces():
                 dist, step = engine._drop(dist, s, n, point)
                 assert step == 1
             assert dist == {(1 << n) - 1: 1}
-            assert engine._success_for_order(n, tuple(range(1, n + 1)), point) == (1, 1)
+            word = tuple(range(1, n + 1))
+            assert list(engine._walk(n, point, [word])) == [(word, 1, 1)]
+
+
+def test_walk_drops_each_prefix_once(monkeypatch):
+    # the sweep's stream is lexicographic, so each of the C(k + 4, k)
+    # nondecreasing prefixes of length k = 1..5 is dropped once: 251 drops,
+    # where walking each of the 126 words from scratch would take 630
+    calls = []
+    real = engine._drop
+
+    def drop(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_drop", drop)
+    exact_sweep(5)
+    assert len(calls) == sum(comb(k + 4, k) for k in range(1, 6)) == 251
+
+
+@given(st.integers(1, 6), st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_a_fold_of_drops_on_any_stream(n, q0, data):
+    # words of n drops, in any order and with repeats, drawn from a small
+    # pool so that consecutive words often share a prefix; at q = 0 a left
+    # bounce carries no mass, so a word's mass can die out mid-word
+    word = st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple)
+    pool = data.draw(st.lists(word, min_size=1, max_size=4))
+    words = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    point = engine._point(n, q0)
+    want = []
+    for w in words:
+        dist, den = {0: 1}, 1
+        for s in w:
+            dist, step = engine._drop(dist, s, n, point)
+            den *= step
+        want.append((w, dist.get((1 << n) - 1, 0), den))
+    assert list(engine._walk(n, point, words)) == want
+
+
+def test_every_drop_word_gives_the_value_of_its_content(oracle):
+    # the success chance does not depend on the drop order: each of the
+    # n^n words for n <= 6, 50069 in all, read at the oracle's point x
+    for n in range(1, 7):
+        table = oracle.table(n)
+        point = engine._point(n, kronecker_point(factorial(n)))
+        fact = prod(point[0][1:])
+        for word, mass, den in engine._walk(n, point, product(range(1, n + 1), repeat=n)):
+            ct = tuple(map(word.count, range(1, n + 1)))
+            assert engine._lift(ct, engine._value(ct, mass, den, fact)) == table[ct], word
 
 
 @given(st.integers(0, 12), st.integers(0, 6), st.integers(0, 6))
@@ -279,6 +329,51 @@ def test_one_unit_of_leaf_mass_fails_the_sweep(monkeypatch):
         with pytest.raises(InvariantViolation):
             exact_sweep(n)
         assert len(leaves) > target
+
+
+def test_a_word_that_never_fills_the_line_fails_the_sweep(monkeypatch):
+    # the 40th leaf of n = 5 loses its full state: its word reads mass 0 and
+    # stays out of the table, so the count of configurations catches it
+    # before the Cat_n sum would
+    n, full = 5, 0b11111
+    real = engine._drop
+    leaves = []
+
+    def drop(*args):
+        out, den = real(*args)
+        if full in out:
+            leaves.append(den)
+            if len(leaves) == 40:
+                del out[full]
+        return out, den
+
+    monkeypatch.setattr(engine, "_drop", drop)
+    with pytest.raises(InvariantViolation, match="^1 configurations never filled the line$"):
+        exact_sweep(n)
+    assert len(leaves) == comb(2 * n - 1, n)
+
+
+# sha256 of each exact_sweep(n) table's canonical text, one line
+# "c_1,...,c_n:a_0,...,a_d" per configuration in sorted order, as
+# perfbench/workloads.table_digest writes it
+SWEEP_DIGESTS = {
+    1: "a18736e88910bc168ddfd39a413f4b9323802c5a4303d33f74dd50dd5cfca72a",
+    2: "07eef0891401a32005954ed14b41ce260b185e4bec993fc3a200260411619cc1",
+    3: "5aa4afe8e78571800aafc98191c3d74c825463cbea5552c2b48081ee7c59aaa2",
+    4: "c54ff870b61eee4a8ffdfc1af400517964f19597b21e2a5b820d61e2c8ff63e2",
+    5: "98c9117172584ae04e94e30207091ae0921a7676375c5d9725a6dd3a680da416",
+    6: "72e212abc1fc1379fb0c52dd0a41c3805ac7572bf0c8a4552af4191f81c6fb31",
+    7: "2376ddb3c17f02363f4a9ea7c1f64bd445cba7291035022f3bcd85ba1c2fa250",
+    8: "0295d63f5e4fa90edc6d440c6e5d3da15c493f4a2419734ddf0f219dd670bfb1",
+}
+
+
+def test_sweep_tables_are_pinned(oracle):
+    for n, want in SWEEP_DIGESTS.items():
+        table = oracle.table(n)
+        lines = (",".join(map(str, ct)) + ":" + ",".join(map(str, table[ct].coeffs)) + "\n" for ct in sorted(table))
+        text = "".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, n
 
 
 def test_table_sums_to_catalan_times_q_factorial(oracle):

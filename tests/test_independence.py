@@ -6,7 +6,8 @@ the exact engine it checks, and the closed formulas take from the engine
 only the recursion they fall back on.  The scalar reference the tests
 check the simulator against imports nothing from the package.  Inside the
 engine, one drop step moves every ball and is the one place that searches
-for a hole, for the single-order oracle and the sweep alike, and the point
+for a hole, one walk over a stream of drop orders is the only caller of
+that step, for the single-order oracle and the sweep alike, and the point
 a walk runs at is built only by the oracle, the sweep and the probability
 of one order.  The identity suites, which check every route, are imported
 by the command line front end only.  In qcalc, one digit reader serves the
@@ -89,11 +90,25 @@ def test_one_drop_kernel_finds_the_holes():
 
 def test_hole_search_outside_the_drop_kernel_is_caught():
     tree = ast.parse((PACKAGE / "engine.py").read_text())
-    (walk,) = [
-        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_success_for_order"
-    ]
+    (walk,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_walk"]
     walk.body[:0] = ast.parse("left = ~mask & (bit - 1)\na = s - left.bit_length()").body
-    assert hole_searchers(tree) == {"_drop", "_success_for_order"}
+    assert hole_searchers(tree) == {"_drop", "_walk"}
+
+
+def callers(tree: ast.AST, name: str) -> set[str]:
+    """Functions whose body calls the plain name, a module-level function."""
+    return {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    }
+
+
+def test_one_walk_drops_the_balls():
+    # the single orders and the sweep both drop their balls through _walk
+    assert callers(ast.parse((PACKAGE / "engine.py").read_text()), "_drop") == {"_walk"}
 
 
 def test_one_packed_evaluator():
@@ -117,14 +132,7 @@ def test_one_packed_evaluator():
 def test_one_builder_of_the_oracle_weights():
     # the point a walk runs at is built by the oracle, the sweep and the
     # probability of one order only
-    tree = ast.parse((PACKAGE / "engine.py").read_text())
-    builders = {
-        func.name
-        for func in ast.walk(tree)
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_point"
-    }
+    builders = callers(ast.parse((PACKAGE / "engine.py").read_text()), "_point")
     assert builders == {"remixed_exact", "exact_sweep", "_probability"}
 
 
