@@ -288,7 +288,10 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     total = 0
     for word, mass, den in _walk(n, point, combinations_with_replacement(range(1, n + 1), n)):
         if mass:
-            ct = tuple(map(word.count, range(1, n + 1)))
+            counts = [0] * (n + 1)
+            for s in word:
+                counts[s] += 1
+            ct = tuple(counts[1:])
             value = _value(ct, mass, den, fact)
             total += value
             table[ct] = _lift(ct, value)

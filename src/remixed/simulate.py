@@ -21,10 +21,10 @@ one gather from a table of next ids by the direction drawn; the first
 trial to take a move explores it in Python.  Two absorbing ids end a
 trial: a ball left [1, n], or the board settled on [1, n].  Both moves of
 an absorbing id lead back to it, so an ended trial stays parked on its id
-until the next compaction drops it.  Trials run in chunks of _CHUNK, and
-the chain is rebuilt from the states live trials hold whenever it grows
-past _CHUNK states, so neither grows with the number of trials; the
-success flags returned do, at one byte a trial.
+until the next compaction drops it and hands its row to the next trial
+in index order, so at most _CHUNK trials are walked at once.  The chain is
+rebuilt whenever it grows past _CHUNK states, from those live trials hold,
+so neither grows with the number of trials; the flags do, a byte a trial.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class SimResult:
         }
 
 
-# Trials advanced together, and the states the chain holds before it is
+# Trials walked at once, and the states the chain holds before it is
 # rebuilt from the ones its live trials stand on.  A rebuild keeps at most
 # one state a trial and a move adds at most one, so the chain never holds
 # more than 2 * _CHUNK + 3 ids.
@@ -101,8 +101,6 @@ class _Chain:
     """
 
     def __init__(self, row: tuple[int, ...]) -> None:
-        import numpy as np
-
         self.n = len(row)
         self.w = self.n.bit_length()
         self.unit = [1 << (self.w * k) for k in range(self.n)]
@@ -134,8 +132,8 @@ class _Chain:
         import numpy as np
 
         n, boards, sites, ids, unit, high = self.n, self.boards, self.sites, self.ids, self.unit, self.high
-        # many trials share a move early in a chunk: count them when that is
-        # cheaper than a set, which costs a Python step a trial
+        # many trials share a move just after they are seeded: count them
+        # when that is cheaper than a set, which costs a Python step a trial
         if 16 * edges.size > len(boards):
             edges = np.flatnonzero(np.bincount(edges)).tolist()
         else:
@@ -194,22 +192,24 @@ def _mix_np(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np.ndarray:
-    """Per-trial success flags, trials walked in chunks on a chain of board states.
+    """Per-trial success flags, trials walked in one pool on a chain of board states.
 
     Each trial runs the dynamics of the module docstring on its own
     stream.  A trial stops as soon as a ball leaves [1, n]: occupied
     sites never empty again, so the final support can no longer be
     [1, n].
 
-    A move draws from each trial's stream, adds the direction to the
-    trial's doubled state id and gathers the next one from the chain's
-    table, which explores the moves no trial took before.  A trial that
-    ended keeps stepping on its absorbing id, until a quarter of the
-    rows still walked have ended, no trial is live or the chain needs a
-    rebuild; then its flag is recorded and its row dropped.  The draws,
-    directions and moves go to buffers made once a batch.  Since a trial's
-    stream depends only on (seed, index), the flags do not depend on the
-    chunk size.
+    A move draws from each row's stream, adds the direction to the row's
+    doubled state id and gathers the next one from the chain's table,
+    which explores the moves no trial took before.  A trial that ended
+    keeps stepping on its absorbing id, until a quarter of the rows have
+    ended, no trial is live or the chain needs a rebuild; then the ended
+    rows' flags are recorded, the live rows move to the front and the next
+    trials, in index order, are seeded behind them, in a pool of
+    min(_CHUNK, trials) rows that drains once at the end.  The rows, draws,
+    directions and moves live in buffers made once a batch.  Since a
+    trial's stream depends only on (seed, index), the flags do not depend
+    on the pool size.
     """
     import numpy as np
 
@@ -222,35 +222,42 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
     chain = _Chain(c.c)
     success = np.zeros(trials, dtype=bool)
     size = min(_CHUNK, trials)
-    z, tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    b, edge = np.empty(size, dtype=bool), np.empty(size, dtype=np.intp)
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        states = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        states *= _GOLD
-        states += np.uint64(seed & _MASK)
-        _mix_np(states, states, tmp[: stop - start])
-        orig = np.arange(start, stop)
-        cur = np.full(stop - start, 2 * _START, dtype=np.intp)
-        while cur.size:
-            m = cur.size
-            zm, tm, bm, em = z[:m], tmp[:m], b[:m], edge[:m]
-            states += _GOLD
-            _mix_np(states, zm, tm)
+    z, tmp, states = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    cur, orig, edge = (np.empty(size, dtype=np.intp) for _ in range(3))
+    b = np.empty(size, dtype=bool)
+    m = start = 0
+    while m or start < trials:
+        new = min(size - m, trials - start)
+        if new:
+            orig[m : m + new], cur[m : m + new] = np.arange(start, start + new), 2 * _START
+            # trial i's stream starts at mix((i + 1) * _GOLD + seed)
+            s = states[m : m + new]
+            s[:] = orig[m : m + new]
+            s *= _GOLD
+            s += np.uint64((seed + _GOLD) & _MASK)
+            _mix_np(s, s, tmp[:new])
+            m, start = m + new, start + new
+        cm, sm, zm, tm, bm, em = cur[:m], states[:m], z[:m], tmp[:m], b[:m], edge[:m]
+        while True:
+            sm += _GOLD
+            _mix_np(sm, zm, tm)
             np.greater_equal(zm, thr, out=bm)
-            np.add(cur, bm, out=em)
-            chain.table.take(em, out=cur)
-            if cur.min() == _UNSEEN:
-                chain.explore(em[cur == _UNSEEN])
-                chain.table.take(em, out=cur)
-            np.greater_equal(cur, 2 * _START, out=bm)
+            np.add(cm, bm, out=em)
+            chain.table.take(em, out=cm)
+            if cm.min() == _UNSEEN:
+                chain.explore(em[cm == _UNSEEN])
+                chain.table.take(em, out=cm)
+            np.greater_equal(cm, 2 * _START, out=bm)
             live = np.count_nonzero(bm)
             if 4 * (m - live) >= m or len(chain) > _CHUNK or not live:
-                success[orig[cur == 2 * _SETTLED]] = True
-                kept = bm.nonzero()[0]
-                cur, states, orig = cur.take(kept), states.take(kept), orig.take(kept)
-                if len(chain) > _CHUNK:
-                    cur = chain.rebuild(cur)
+                break
+        success[orig[:m][cm == 2 * _SETTLED]] = True
+        kept = bm.nonzero()[0]
+        m = kept.size
+        for buf in (cur, states, orig):
+            buf[:m] = buf.take(kept)
+        if len(chain) > _CHUNK:
+            cur[:m] = chain.rebuild(cur[:m])
     return success
 
 

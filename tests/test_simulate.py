@@ -199,6 +199,24 @@ def test_parked_trials_never_reach_a_rebuild(monkeypatch):
         assert simulate_batch(Configuration((0, 2)), q0, 27, 5).tolist() == replay((0, 2), q0, 27, 5)
 
 
+def test_one_pool_runs_one_tail(monkeypatch):
+    # freed rows take the next trials, so the rows a move steps never rise:
+    # the batch drains once, not once a chunk of _CHUNK trials
+    sizes = []
+    mix = remixed.simulate._mix_np
+
+    def counted(x, out, tmp):
+        if out is not x:  # seeding mixes in place, a move does not
+            sizes.append(x.size)
+        mix(x, out, tmp)
+
+    monkeypatch.setattr(remixed.simulate, "_CHUNK", 16)
+    monkeypatch.setattr(remixed.simulate, "_mix_np", counted)
+    ct = (0,) * 5 + (12,) + (0,) * 6
+    assert simulate_batch(Configuration(ct), Fraction(1), 200, 8).tolist() == replay(ct, Fraction(1), 200, 8)
+    assert sizes and all(a >= b for a, b in zip(sizes, sizes[1:]))
+
+
 def full_chain(ct):
     """The simulator's chain of ct with every move from the start explored, and its states."""
     chain = remixed.simulate._Chain(ct)
@@ -259,6 +277,60 @@ def test_chain_law_is_the_exact_success_probability():
                 assert absorption(chain, states, p) == success_probability(c, q0), (c.c, q0)
                 cells += 1
     assert cells == 510 and largest <= 30
+
+
+# a Mersenne prime: the n = 6 chains are solved mod it, since dense Fraction
+# elimination (absorption) over their 1383 cells takes some 18 s, this 0.4 s
+_PRIME = (1 << 61) - 1
+
+
+def residue(x):
+    """The Fraction x mod _PRIME."""
+    return x.numerator * pow(x.denominator, -1, _PRIME) % _PRIME
+
+
+def absorption_mod(chain, states, p):
+    """absorption() mod _PRIME by Gauss-Jordan on sparse rows, p the residue of the left chance."""
+    fail, settled = remixed.simulate._FAIL, remixed.simulate._SETTLED
+    rows = {}
+    # row i maps a state to its coefficient and None to the right-hand side
+    for i in states:
+        row = {i: 1, None: 0}
+        for d, w in ((0, p), (1, 1 - p)):
+            j = int(chain.table[2 * i + d]) >> 1
+            if j == settled:
+                row[None] += w
+            elif j != fail:
+                row[j] = row.get(j, 0) - w
+        rows[i] = row
+    for k in states:
+        inv = pow(rows[k][k], -1, _PRIME)
+        pivot = rows[k] = {j: v * inv % _PRIME for j, v in rows[k].items()}
+        for i in states:
+            f = rows[i].pop(k, 0) if i != k else 0
+            if f:
+                row = rows[i]
+                for j, v in pivot.items():
+                    if j != k:
+                        row[j] = (row.get(j, 0) - f * v) % _PRIME
+    return rows[remixed.simulate._START][None] % _PRIME
+
+
+def test_chain_law_is_the_exact_success_probability_at_six_sites():
+    # the n <= 5 check above, on every n = 6 configuration with a pile
+    cells, largest = 0, 0
+    for bars in itertools.combinations(range(11), 5):
+        c = from_bars(6, bars)
+        if max(c.c) < 2:
+            continue
+        chain, states = full_chain(c.c)
+        largest = max(largest, len(states))
+        for q0 in (Fraction(1), Fraction(1, 3), Fraction(3)):
+            p = Fraction(left_threshold(q0), 1 << 64)
+            assert p == q0 / (1 + q0)
+            assert absorption_mod(chain, states, residue(p)) == residue(success_probability(c, q0)), (c.c, q0)
+            cells += 1
+    assert cells == 1383 and largest == 56
 
 
 def test_batch_argument_validation():
