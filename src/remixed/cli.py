@@ -248,9 +248,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: invariant violated: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, ArithmeticError, RecursionError) as exc:
-        # RecursionError: the last ball recursion takes one frame per site
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
+        # RecursionError: the last ball recursion takes one frame per site;
+        # MemoryError: simulate keeps a byte of flags a trial
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if result is not None:
         inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func")}

@@ -13,12 +13,17 @@ generator with published constants, which gives bit identical runs on
 every platform.  Trial i (from 0) owns a stream whose state starts at
 output i + 1 of the master stream on seed, so batches can be cut
 anywhere without changing outcomes.  A move draws the next output of the
-trial's stream and steps left when it is below left_threshold(q).
+trial's stream and steps left when it is below left_threshold(q).  The
+last round of the output, z ^= z >> 31, keeps the top 31 bits, so a move
+skips it when the threshold's low 33 bits are 0, as at q = 0, 1/3, 1, 3.
 
-simulate_batch walks the trials on a chain of board states that it builds
-as trials reach them.  A trial holds the id of its state, and a move is
-one gather from a table of next ids by the direction drawn; the first
-trial to take a move explores it in Python.  Two absorbing ids end a
+simulate_batch walks the trials on a chain of board states.  A trial
+holds the id of its state, and a move is one gather from a table of next
+ids by the direction drawn.  A move no trial took before is explored in
+Python, and while the chain holds fewer than _AHEAD states, exploring
+goes on breadth first past it: a chain that closes under _AHEAD states is
+complete after the first move of a batch, and past that, the first trial
+to take a move explores it.  Two absorbing ids end a
 trial: a ball left [1, n], or the board settled on [1, n].  Both moves of
 an absorbing id lead back to it, so an ended trial stays parked on its id
 until the next compaction drops it and hands its row to the next trial
@@ -82,6 +87,13 @@ class SimResult:
 # more than 2 * _CHUNK + 3 ids.
 _CHUNK = 1 << 15
 
+# The states explore fills the chain to ahead of the moves asked for; it
+# stops at _CHUNK if that is less, so the 2 * _CHUNK + 3 bound holds.  The
+# benchmark's chains close at 169 states or fewer and caps of 128 to 4096
+# timed alike on them, while a chain that never closes pays for this many
+# states no trial may reach, some 1.6 ms of Python.
+_AHEAD = 1 << 10
+
 # Chain state ids: a ball left [1, n], the board settled on [1, n], and the
 # configuration itself.  The table holds ids doubled, so a move adds its
 # direction bit to the doubled id and gathers; a move no trial took reads -1,
@@ -128,7 +140,13 @@ class _Chain:
         return ((over & -over).bit_length() - 1) // self.w
 
     def explore(self, edges: np.ndarray) -> None:
-        """Fill the table at the moves e = 2 i + d in edges, adding the states they reach."""
+        """Fill the table at the moves e = 2 i + d in edges, adding the states they reach.
+
+        Then go on breadth first, from the other move of each state asked
+        for and both moves of each state added, while the chain holds fewer
+        than min(_AHEAD, _CHUNK) states: a chain that closes under that is
+        complete after the first move of a batch.
+        """
         import numpy as np
 
         n, boards, sites, ids, unit, high = self.n, self.boards, self.sites, self.ids, self.unit, self.high
@@ -138,8 +156,15 @@ class _Chain:
             edges = np.flatnonzero(np.bincount(edges)).tolist()
         else:
             edges = list(set(edges.tolist()))
+        asked = len(edges)
+        cap = min(_AHEAD, _CHUNK)
+        if len(boards) < cap:
+            wanted = set(edges)
+            edges += [e ^ 1 for e in edges if e ^ 1 not in wanted and self.table[e ^ 1] == _UNSEEN]
         found = []
         for e in edges:
+            if len(found) >= asked and len(boards) >= cap:
+                break
             i = e >> 1
             s = sites[i]
             t = s - 1 + 2 * (e & 1)
@@ -156,12 +181,15 @@ class _Chain:
                 j = ids[board] = len(boards)
                 boards.append(board)
                 sites.append(self._site(over))
+                if len(boards) < cap:
+                    edges += (2 * j, 2 * j + 1)
             found.append(2 * j)
         if 2 * len(boards) > self.table.size:
             grown = self._table()
             grown[: self.table.size] = self.table
             self.table = grown
-        self.table[edges] = found
+        # the moves ahead past the cap stay unseen
+        self.table[edges[: len(found)]] = found
 
     def rebuild(self, cur: np.ndarray) -> np.ndarray:
         """Keep the start and the states of the doubled ids in cur; return cur renumbered."""
@@ -178,7 +206,7 @@ class _Chain:
 
 
 def _mix_np(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """splitmix64's output function of x, written to out (which may be x); tmp is scratch."""
+    """splitmix64's output function of x but its last round, into out (which may be x); tmp is scratch."""
     import numpy as np
 
     np.right_shift(x, 30, out=tmp)
@@ -187,8 +215,14 @@ def _mix_np(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     np.right_shift(out, 27, out=tmp)
     out ^= tmp
     out *= _MIX2
-    np.right_shift(out, 31, out=tmp)
-    out ^= tmp
+
+
+def _last_round(z: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64's last round, z ^= z >> 31, in place; tmp is scratch."""
+    import numpy as np
+
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
 
 
 def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np.ndarray:
@@ -215,7 +249,11 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
 
     if trials < 1:
         raise ValueError("need at least one trial")
-    thr = np.uint64(left_threshold(q0))
+    thr = left_threshold(q0)
+    # the last round keeps a draw's top 31 bits, so it cannot move a draw
+    # across a threshold whose low 33 bits are 0
+    last_round = thr & ((1 << 33) - 1) != 0
+    thr = np.uint64(thr)
     if max(c.c) < 2:
         # one ball a site: settled before the first move
         return np.ones(trials, dtype=bool)
@@ -236,17 +274,21 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
             s *= _GOLD
             s += np.uint64((seed + _GOLD) & _MASK)
             _mix_np(s, s, tmp[:new])
+            _last_round(s, tmp[:new])
             m, start = m + new, start + new
         cm, sm, zm, tm, bm, em = cur[:m], states[:m], z[:m], tmp[:m], b[:m], edge[:m]
         while True:
             sm += _GOLD
             _mix_np(sm, zm, tm)
+            if last_round:
+                _last_round(zm, tm)
             np.greater_equal(zm, thr, out=bm)
             np.add(cm, bm, out=em)
-            chain.table.take(em, out=cm)
+            # take(out=) in raise mode copies out through a temporary
+            cm[:] = chain.table.take(em)
             if cm.min() == _UNSEEN:
                 chain.explore(em[cm == _UNSEEN])
-                chain.table.take(em, out=cm)
+                cm[:] = chain.table.take(em)
             np.greater_equal(cm, 2 * _START, out=bm)
             live = np.count_nonzero(bm)
             if 4 * (m - live) >= m or len(chain) > _CHUNK or not live:

@@ -123,6 +123,14 @@ def test_eval_deep_recursion_is_a_usage_error(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_simulate_out_of_memory_is_a_usage_error(capsys):
+    # the flags of 2^62 trials take 2^62 bytes, more than any 64-bit address
+    # space holds, so the allocation fails at once
+    rc, out, err = run(capsys, "simulate", "2,0", "--trials", str(1 << 62))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_eval_crosscheck_mismatch_exit_code(capsys, monkeypatch):
     # inject a wrong oracle to drive the mismatch path
     monkeypatch.setattr(cli, "remixed_induction", lambda c: QPoly((99,)))

@@ -11,7 +11,7 @@ import remixed.simulate
 from remixed.config import Configuration
 from remixed.engine import success_probability
 from remixed.simulate import SimResult, estimate_success, left_threshold, simulate_batch
-from scalar_sim import SplitMix64, replay, run_once, subseed
+from scalar_sim import GOLD, MASK, MIX1, MIX2, SplitMix64, mix, replay, run_once, subseed
 
 
 def test_splitmix_known_output():
@@ -217,17 +217,130 @@ def test_one_pool_runs_one_tail(monkeypatch):
     assert sizes and all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
+# the same middle pile of 12 balls on 12 sites as the rebuild tests
+PILE_12 = (0,) * 5 + (12,) + (0,) * 6
+# 16 balls in the middle of 16 sites: a closure of 3013 states, past the cap
+PILE_16 = (0,) * 7 + (16,) + (0,) * 8
+
+
+@pytest.mark.parametrize("cap", [0, 5, None])
+@pytest.mark.parametrize(
+    "ct, q0, trials, seed", [*CHUNK_CASES, pytest.param(PILE_12, Fraction(1), 200, 8, id="pile12-q1-200-8")]
+)
+def test_flags_do_not_depend_on_the_explore_cap(monkeypatch, cap, ct, q0, trials, seed):
+    # cap 0 explores only the moves asked for, a move when a trial first takes it
+    if cap is not None:
+        monkeypatch.setattr(remixed.simulate, "_AHEAD", cap)
+    assert simulate_batch(Configuration(ct), q0, trials, seed).tolist() == replay(ct, q0, trials, seed)
+
+
+def counted_explores(monkeypatch):
+    """Patch _Chain.explore to record the chain's size after each call; return that list."""
+    sizes = []
+    explore = remixed.simulate._Chain.explore
+
+    def counted(chain, edges):
+        explore(chain, edges)
+        sizes.append(len(chain))
+
+    monkeypatch.setattr(remixed.simulate._Chain, "explore", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "ct, q0, trials, seeds",
+    [
+        ((0, 3, 0, 2, 0), Fraction(1, 3), 300, [7]),
+        # a lone trial may step right to (1, 2, 0), back left to the start and
+        # then take the start's other move, which the first move did not ask for
+        ((2, 1, 0), Fraction(1), 1, range(16)),
+    ],
+)
+def test_a_chain_under_the_cap_is_explored_once(monkeypatch, ct, q0, trials, seeds):
+    sizes = counted_explores(monkeypatch)
+    for seed in seeds:
+        assert simulate_batch(Configuration(ct), q0, trials, seed).tolist() == replay(ct, q0, trials, seed)
+    assert len(sizes) == len(seeds) and max(sizes) < remixed.simulate._AHEAD
+
+
+def test_a_chain_past_the_cap_is_explored_lazily(monkeypatch):
+    sizes = counted_explores(monkeypatch)
+    assert simulate_batch(Configuration(PILE_16), Fraction(2), 200, 11).tolist() == replay(
+        PILE_16, Fraction(2), 200, 11
+    )
+    # the first move fills the chain to the cap, and later ones add states as trials reach them
+    assert sizes[0] == remixed.simulate._AHEAD and len(sizes) > 1 and sizes == sorted(sizes)
+    reached = sizes[-1]
+    # the closure: 3011 board states and the two absorbing ids
+    monkeypatch.setattr(remixed.simulate, "_AHEAD", remixed.simulate._CHUNK)
+    assert reached <= len(full_chain(PILE_16)[0]) == 3013
+
+
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+    st.integers(0, 2**31 - 1).map(lambda top: top << 33),
+)
+@example([0, 2**64 - 1, 2**63, 2**63 - 1, 2**62 - 1], 0)
+@example([0, 2**64 - 1, 2**63, 2**63 - 1, 2**62 - 1], 2**62)
+@example([0, 2**64 - 1, 2**63, 2**63 - 1, 2**62 - 1], 2**63)
+@settings(max_examples=200, deadline=None)
+def test_the_last_round_cannot_cross_a_threshold_with_low_33_bits_zero(xs, thr):
+    # z ^= z >> 31 keeps the top 31 bits of z, all that z >= thr reads
+    x = np.array(xs, dtype=np.uint64)
+    z, tmp = np.empty_like(x), np.empty_like(x)
+    remixed.simulate._mix_np(x, z, tmp)
+    truncated = (z >= np.uint64(thr)).tolist()
+    remixed.simulate._last_round(z, tmp)
+    assert z.tolist() == [mix(v) for v in xs]
+    assert (z >= np.uint64(thr)).tolist() == truncated
+
+
+def unmix(z):
+    """The state x with mix(x) == z: each step of mix is a bijection of 64-bit words."""
+    for k, m in ((31, None), (27, MIX2), (30, MIX1)):
+        if m:
+            z = z * pow(m, -1, 1 << 64) & MASK
+        x = z
+        for _ in range(64 // k + 1):
+            x = z ^ (x >> k)
+        z = x
+    return z
+
+
+# left_threshold((2^31 + 1) / (2^31 - 1)) is 2^63 + 2^32: its low 32 bits are
+# 0, not its low 33, and the last round flips bit 32 of a draw of 2^63 or more
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(5, 2), Fraction(2**31 + 1, 2**31 - 1)])
+def test_the_last_round_decides_a_draw_next_to_the_threshold(q0):
+    # a draw that shares its top 31 bits with the threshold may cross it in
+    # the last round, about once in 2^31 draws: pick one, and a seed whose
+    # trial 0 draws it first
+    thr = left_threshold(q0)
+    top = thr >> 33 << 33
+    # d ^ (d >> 31) ^ (d >> 62) is the draw d before its last round
+    window = range(top, top + (1 << 33), 1 << 26)
+    draw = next(d for d in window if (d >= thr) != (d ^ (d >> 31) ^ (d >> 62) >= thr))
+    state = (unmix(draw) - GOLD) & MASK
+    seed = (unmix(state) - GOLD) & MASK
+    assert subseed(seed, 0) == state and SplitMix64(state).next_u64() == draw
+    # from (0, 2) a left move settles the board and a right one spills a ball
+    flags = simulate_batch(Configuration((0, 2)), q0, 1, seed).tolist()
+    assert flags == [draw < thr] == replay((0, 2), q0, 1, seed)
+
+
 def full_chain(ct):
-    """The simulator's chain of ct with every move from the start explored, and its states."""
+    """The simulator's chain of ct after one explore of the start's two moves, and the states it reaches.
+
+    The closure must fit under the cap, so that one explore fills it.
+    """
     chain = remixed.simulate._Chain(ct)
     start = remixed.simulate._START
+    chain.explore(np.array([2 * start, 2 * start + 1], dtype=np.intp))
     states, frontier = {start}, [start]
     while frontier:
-        edges = np.array([2 * i + d for i in frontier for d in (0, 1)], dtype=np.intp)
-        chain.explore(edges)
-        reached = (chain.table[edges] >> 1).tolist()
-        frontier = [j for j in set(reached) if j >= start and j not in states]
-        states.update(frontier)
+        reached = [int(chain.table[2 * i + d]) for i in frontier for d in (0, 1)]
+        assert remixed.simulate._UNSEEN not in reached
+        frontier = {j >> 1 for j in reached if j >> 1 >= start} - states
+        states |= frontier
     return chain, sorted(states)
 
 
