@@ -15,7 +15,9 @@ output i + 1 of the master stream on seed, so batches can be cut
 anywhere without changing outcomes.  A move draws the next output of the
 trial's stream and steps left when it is below left_threshold(q).  The
 last round of the output, z ^= z >> 31, keeps the top 31 bits, so a move
-skips it when the threshold's low 33 bits are 0, as at q = 0, 1/3, 1, 3.
+skips it when the threshold's low 33 bits are 0, as at q = 1/3, 1, 3.
+Where the threshold is 0 (q = 0, or q below 1/(2^64 - 1)), every move
+steps right, and no stream is seeded or drawn at all.
 
 simulate_batch walks the trials on a chain of board states.  A trial
 holds the id of its state, and a move is one gather from a table of next
@@ -30,6 +32,16 @@ until the next compaction drops it and hands its row to the next trial
 in index order, so at most _CHUNK trials are walked at once.  The chain is
 rebuilt whenever it grows past _CHUNK states, from those live trials hold,
 so neither grows with the number of trials; the flags do, a byte a trial.
+
+A chain is closed once no move of a state it holds is unseen, which
+happens on the first move of a batch when it closes under _AHEAD states;
+a rebuild reopens it.  A closed chain's table never changes again, so
+the batch composes it with itself into a table of _MOVES moves at once,
+indexed by the state and the word of the directions drawn: the trials
+then gather once every _MOVES moves, with no look for unseen moves.  A
+trial that ends within those moves stays on its absorbing id, which
+every composition keeps, and a live trial's k-th move still reads its
+k-th draw, so the flags are those of one move a gather.
 """
 
 from __future__ import annotations
@@ -94,6 +106,12 @@ _CHUNK = 1 << 15
 # states no trial may reach, some 1.6 ms of Python.
 _AHEAD = 1 << 10
 
+# Moves a closed chain takes per gather, from chain.ahead(_MOVES), whose
+# table holds 2^_MOVES entries a state.  Over the benchmark's 168 simulate
+# queries, 4, 5 and 6 timed alike, 3 some 2% and 8 some 5% slower: a trial
+# that ends on the first of them still draws them all.
+_MOVES = 4
+
 # Chain state ids: a ball left [1, n], the board settled on [1, n], and the
 # configuration itself.  The table holds ids doubled, so a move adds its
 # direction bit to the doubled id and gathers; a move no trial took reads -1,
@@ -110,6 +128,8 @@ class _Chain:
     is its own dict key and a move is two additions.  Each state also keeps
     the leftmost site holding two balls or more.  Entry 2 i + d of table is
     twice the id a left (d = 0) or right (d = 1) move from state i leads to.
+    closed is set when no entry of the states held is unseen, so the
+    table will not change until a rebuild.
     """
 
     def __init__(self, row: tuple[int, ...]) -> None:
@@ -123,6 +143,7 @@ class _Chain:
         self.sites = [-1, -1, self._site(board & self.high)]
         self.ids = {board: _START}
         self.table = self._table()
+        self.closed = False
 
     def __len__(self) -> int:
         return len(self.boards)
@@ -190,6 +211,7 @@ class _Chain:
             self.table = grown
         # the moves ahead past the cap stay unseen
         self.table[edges[: len(found)]] = found
+        self.closed = not (self.table[: 2 * len(boards)] == _UNSEEN).any()
 
     def rebuild(self, cur: np.ndarray) -> np.ndarray:
         """Keep the start and the states of the doubled ids in cur; return cur renumbered."""
@@ -202,7 +224,23 @@ class _Chain:
         self.sites = self.sites[:_START] + [self.sites[i] for i in kept]
         self.ids = {board: i for i, board in enumerate(self.boards) if i >= _START}
         self.table = self._table()
+        self.closed = False
         return 2 * (where.reshape(-1)[:-1] + _START)
+
+    def ahead(self, k: int) -> np.ndarray:
+        """The table of k moves at once, for a closed chain.
+
+        Entry 2^k i + w is twice the id that k moves from state i lead to,
+        the first move's direction the highest bit of w: it is k gathers
+        from table, and both absorbing ids lead back to themselves.
+        """
+        import numpy as np
+
+        one = self.table[: 2 * len(self.boards)]
+        composed = one
+        for _ in range(k - 1):
+            composed = one.take((composed[:, None] + np.arange(2)).reshape(-1))
+        return composed
 
 
 def _mix_np(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -225,6 +263,20 @@ def _last_round(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
+def _draw(s: np.ndarray, z: np.ndarray, tmp: np.ndarray, b: np.ndarray, thr: np.uint64, last_round: bool) -> np.ndarray:
+    """Advance each stream state in s and draw its next direction into b, True for right.
+
+    z and tmp are scratch; last_round says whether the draw needs it.
+    """
+    import numpy as np
+
+    s += _GOLD
+    _mix_np(s, z, tmp)
+    if last_round:
+        _last_round(z, tmp)
+    return np.greater_equal(z, thr, out=b)
+
+
 def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np.ndarray:
     """Per-trial success flags, trials walked in one pool on a chain of board states.
 
@@ -235,7 +287,12 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
 
     A move draws from each row's stream, adds the direction to the row's
     doubled state id and gathers the next one from the chain's table,
-    which explores the moves no trial took before.  A trial that ended
+    which explores the moves no trial took before.  Once the chain is
+    closed and holds at most _AHEAD states, the rows draw _MOVES
+    directions, fold them into one index of chain.ahead(_MOVES) and gather
+    once, so the composed table holds at most 2^_MOVES * _AHEAD entries;
+    at threshold 0 every direction is right and nothing is drawn.  Rows
+    are tested for ended trials after each gather.  A trial that ended
     keeps stepping on its absorbing id, until a quarter of the rows have
     ended, no trial is live or the chain needs a rebuild; then the ended
     rows' flags are recorded, the live rows move to the front and the next
@@ -250,6 +307,8 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
     if trials < 1:
         raise ValueError("need at least one trial")
     thr = left_threshold(q0)
+    # at threshold 0 every move steps right: no stream is seeded or drawn
+    draws = thr != 0
     # the last round keeps a draw's top 31 bits, so it cannot move a draw
     # across a threshold whose low 33 bits are 0
     last_round = thr & ((1 << 33) - 1) != 0
@@ -258,6 +317,8 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
         # one ball a site: settled before the first move
         return np.ones(trials, dtype=bool)
     chain = _Chain(c.c)
+    # chain.ahead(_MOVES), once the chain is closed
+    walk = None
     success = np.zeros(trials, dtype=bool)
     size = min(_CHUNK, trials)
     z, tmp, states = (np.empty(size, dtype=np.uint64) for _ in range(3))
@@ -268,27 +329,36 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
         new = min(size - m, trials - start)
         if new:
             orig[m : m + new], cur[m : m + new] = np.arange(start, start + new), 2 * _START
-            # trial i's stream starts at mix((i + 1) * _GOLD + seed)
-            s = states[m : m + new]
-            s[:] = orig[m : m + new]
-            s *= _GOLD
-            s += np.uint64((seed + _GOLD) & _MASK)
-            _mix_np(s, s, tmp[:new])
-            _last_round(s, tmp[:new])
+            if draws:
+                # trial i's stream starts at mix((i + 1) * _GOLD + seed)
+                s = states[m : m + new]
+                s[:] = orig[m : m + new]
+                s *= _GOLD
+                s += np.uint64((seed + _GOLD) & _MASK)
+                _mix_np(s, s, tmp[:new])
+                _last_round(s, tmp[:new])
             m, start = m + new, start + new
         cm, sm, zm, tm, bm, em = cur[:m], states[:m], z[:m], tmp[:m], b[:m], edge[:m]
         while True:
-            sm += _GOLD
-            _mix_np(sm, zm, tm)
-            if last_round:
-                _last_round(zm, tm)
-            np.greater_equal(zm, thr, out=bm)
-            np.add(cm, bm, out=em)
-            # take(out=) in raise mode copies out through a temporary
-            cm[:] = chain.table.take(em)
-            if cm.min() == _UNSEEN:
-                chain.explore(em[cm == _UNSEEN])
-                cm[:] = chain.table.take(em)
+            if walk is None and chain.closed and len(chain) <= _AHEAD:
+                walk = chain.ahead(_MOVES)
+            # fold the directions into em: em = 2^k i + w after k moves from state i
+            for k in range(1 if walk is None else _MOVES):
+                d = _draw(sm, zm, tm, bm, thr, last_round) if draws else 1
+                if k:
+                    em <<= 1
+                    em += d
+                else:
+                    np.add(cm, d, out=em)
+            # every index is in range; take(out=) in raise mode would copy
+            # out through a temporary, clip mode writes it directly
+            if walk is not None:
+                walk.take(em, out=cm, mode="clip")
+            else:
+                chain.table.take(em, out=cm, mode="clip")
+                if cm.min() == _UNSEEN:
+                    chain.explore(em[cm == _UNSEEN])
+                    chain.table.take(em, out=cm, mode="clip")
             np.greater_equal(cm, 2 * _START, out=bm)
             live = np.count_nonzero(bm)
             if 4 * (m - live) >= m or len(chain) > _CHUNK or not live:
@@ -300,6 +370,7 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
             buf[:m] = buf.take(kept)
         if len(chain) > _CHUNK:
             cur[:m] = chain.rebuild(cur[:m])
+            walk = None
     return success
 
 

@@ -510,3 +510,135 @@ def test_sim_result_json():
 def test_batch_dtype_and_shape():
     flags = simulate_batch(Configuration((2, 0)), Fraction(1), 37, 2)
     assert flags.shape == (37,) and flags.dtype == np.bool_
+
+
+def piles(nmax=6):
+    """Every configuration of at most nmax sites holding two balls or more on one site."""
+    for n in range(1, nmax + 1):
+        for bars in itertools.combinations(range(2 * n - 1), n - 1):
+            c = from_bars(n, bars)
+            if max(c.c) >= 2:
+                yield c
+
+
+def first_move(ct):
+    """The simulator's chain of ct after the first move of a batch, which takes both moves of the start."""
+    chain = remixed.simulate._Chain(ct)
+    start = remixed.simulate._START
+    chain.explore(np.array([2 * start, 2 * start + 1], dtype=np.intp))
+    return chain
+
+
+def unseen_reachable(chain):
+    """Whether a move the chain's table holds as unseen is reachable from the start."""
+    start = remixed.simulate._START
+    states, frontier = {start}, [start]
+    while frontier:
+        reached = [int(chain.table[2 * i + d]) for i in frontier for d in (0, 1)]
+        if remixed.simulate._UNSEEN in reached:
+            return True
+        frontier = {j >> 1 for j in reached if j >> 1 >= start} - states
+        states |= frontier
+    return False
+
+
+@pytest.mark.parametrize("cap", [None, 8])
+def test_a_chain_is_closed_once_no_unseen_move_is_reachable(monkeypatch, cap):
+    # under the default cap every one of these chains closes on the first
+    # move; a cap of 8 states leaves the larger ones open
+    if cap is not None:
+        monkeypatch.setattr(remixed.simulate, "_AHEAD", cap)
+    outcomes = set()
+    for c in piles():
+        chain = first_move(c.c)
+        assert chain.closed == (not unseen_reachable(chain)), c.c
+        outcomes.add(chain.closed)
+        if cap is None:
+            full_chain(c.c)
+    assert outcomes == ({True} if cap is None else {True, False})
+
+
+def test_the_16_ball_pile_stays_open_past_the_cap(monkeypatch):
+    chain = first_move(PILE_16)
+    assert len(chain) == remixed.simulate._AHEAD and not chain.closed and unseen_reachable(chain)
+    # an open chain is walked a move a gather, probing for unseen moves
+    composed = []
+    monkeypatch.setattr(remixed.simulate._Chain, "ahead", lambda chain, k: composed.append(k))
+    assert simulate_batch(Configuration(PILE_16), Fraction(2), 200, 11).tolist() == replay(
+        PILE_16, Fraction(2), 200, 11
+    )
+    assert not composed
+
+
+def test_a_closed_chain_is_composed_once_a_batch(monkeypatch):
+    composed = []
+    ahead = remixed.simulate._Chain.ahead
+
+    def counted(chain, k):
+        composed.append(k)
+        return ahead(chain, k)
+
+    monkeypatch.setattr(remixed.simulate._Chain, "ahead", counted)
+    ct = (0, 3, 0, 2, 0)
+    flags = simulate_batch(Configuration(ct), Fraction(1, 3), 3000, 7)
+    assert flags.tolist() == replay(ct, Fraction(1, 3), 3000, 7)
+    assert composed == [remixed.simulate._MOVES]
+
+
+def test_a_rebuild_reopens_the_chain():
+    chain = first_move((0, 3, 0, 2, 0))
+    assert chain.closed
+    chain.rebuild(np.array([2 * remixed.simulate._START], dtype=np.intp))
+    assert not chain.closed
+
+
+@pytest.mark.parametrize("k", sorted({1, 2, remixed.simulate._MOVES}))
+def test_the_composed_table_is_k_single_gathers(k):
+    fail, settled = remixed.simulate._FAIL, remixed.simulate._SETTLED
+    for c in piles():
+        chain = first_move(c.c)
+        ids = np.arange(len(chain))
+        composed = chain.ahead(k)
+        assert composed.shape == (len(chain) << k,)
+        for w in range(1 << k):
+            # the first move's direction is the highest bit of w
+            e = 2 * ids
+            for j in reversed(range(k)):
+                e = chain.table[e + (w >> j & 1)]
+            assert composed[(ids << k) + w].tolist() == e.tolist(), (c.c, w)
+            assert composed[(fail << k) + w] == 2 * fail and composed[(settled << k) + w] == 2 * settled
+
+
+# left_threshold(1 / 2^64) is 0: every move steps right though q > 0
+@pytest.mark.parametrize("q0", [Fraction(0), Fraction(1, 1 << 64)])
+@pytest.mark.parametrize(
+    "ct, trials, seed",
+    [(ct, trials, seed) for ct, _, trials, seed in (p.values for p in CHUNK_CASES)] + [(PILE_12, 200, 8)],
+)
+def test_a_zero_threshold_draws_nothing(monkeypatch, q0, ct, trials, seed):
+    assert left_threshold(q0) == 0
+    mixed = []
+    mix = remixed.simulate._mix_np
+
+    def counted(x, out, tmp):
+        mixed.append(x.size)
+        mix(x, out, tmp)
+
+    monkeypatch.setattr(remixed.simulate, "_mix_np", counted)
+    assert simulate_batch(Configuration(ct), q0, trials, seed).tolist() == replay(ct, q0, trials, seed)
+    assert not mixed
+
+
+# success count and sha256 of np.packbits(flags), measured on the kernel
+# that still seeded and drew every trial's stream at q = 0
+PINNED_ZERO_THRESHOLD = [
+    ((1, 0, 0, 0, 1, 0, 5, 1, 1, 1), Fraction(0), 100000, 11, 0,
+     "cbb9cbe95ae2de59b3651c6285d8e5c18a54cc806df29ddef5b5faecb0b15976"),
+]
+
+
+@pytest.mark.parametrize("ct, q0, trials, seed, successes, digest", PINNED_ZERO_THRESHOLD)
+def test_batch_flags_pinned_at_a_zero_threshold(ct, q0, trials, seed, successes, digest):
+    flags = simulate_batch(Configuration(ct), q0, trials, seed)
+    assert int(flags.sum()) == successes
+    assert hashlib.sha256(np.packbits(flags).tobytes()).hexdigest() == digest
