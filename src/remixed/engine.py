@@ -62,7 +62,7 @@ class BadContent(ValueError):
     """A drop order whose multiset of sites does not match the configuration."""
 
 
-def _brackets(n: int, u: int, v: int = 1) -> list[int]:
+def _brackets(n: int, u: int, v: int) -> list[int]:
     """B_k = sum of u^i v^(k-1-i) over i < k, for k = 0..n.
 
     B_k is v^(k-1) [k] at q = u/v; at v = 1 it is the bracket [k](u).

@@ -1,28 +1,28 @@
 """Exact polynomial and series arithmetic over the integers.
 
 Polynomials in q have integer coefficients stored densely, lowest degree
-first.  A power series in t truncated at t**k is the tuple of its k
-coefficients in QPoly, t**0 first.  Rational scalars are Fractions; no
-floating point enters any computation here.
+first; a t-series truncated at t**k is the tuple of its k QPoly
+coefficients, t**0 first.  Rational scalars are Fractions: no floats.
 
 One kernel, poly_sum, carries nearly all of the package's arithmetic.  It
 takes a signed sum of terms, each a power of q times polynomial factors
 times q-integers [a] = 1 + q + ... + q**(a-1), and evaluates the whole sum
-at one point x = 2**(8w) as one Python int (Kronecker substitution).  Each
-factor is packed into an int at a stride of w bytes, a bracket [a] is the
-shift-and-subtract (x**a - 1) over a division by x - 1 that is taken once
-for the whole sum, and the digits of the result are read back by adding
-a bias digit to each and XOR-ing it away again, which leaves every digit
-in two's complement.  The stride holds a bound on every coefficient of
-the sum, so the read-back is exact.  Packing and unpacking go through
-signed machine-word arrays, so both are linear and run at C speed.
-A product of two polynomials and a bracket product are one-term sums.
-kronecker_read reads a polynomial back the same way from its value at
-kronecker_point(bound), and kronecker_value packs it into that value.
+at one point x = 2**(8w) as one Python int (Kronecker substitution): each
+factor is packed at a stride of w bytes, and each [a] is x**a - 1, a shift
+and a subtraction, over one division by x - 1 for the whole sum.  Adding
+a bias digit and XOR-ing it away reads each digit back, exactly, in two's
+complement, as the stride bounds every coefficient; signed machine-word
+arrays pack and unpack at C speed.  A product, brackets included, is a
+one-term sum; kronecker_read and kronecker_value read and pack one
+polynomial at such a point.  The only QPoly arithmetic outside poly_sum
+is shift, a prefix of zeros, and two operators: __sub__, as verify's
+corrective suite subtracts thousands of times, three times faster by hand
+than as a two-term sum; and __add__, which no package path calls, as the
+benchmark's smoke test perturbs a table with it.
 
-A t-series of bracket products is multiplied by (t;q)_n at such a point
-too, one int per t-row, each row read back at its own length
-(_times_pochhammer); that is the only t-series product the package takes.
+_times_pochhammer multiplies a t-series of bracket products by (t;q)_n at
+such a point, one int per t-row read back at its own length: the only
+t-series product the package takes.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import comb, prod
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 class DegreeTooHigh(ValueError):
@@ -62,7 +61,7 @@ class QPoly:
     The zero polynomial is the empty tuple and its degree is None, kept as
     a sentinel rather than any numeric stand-in.
 
-    >>> p = QPoly((1, 1)) * QPoly((1, 1, 1))
+    >>> p = poly_sum([(1, 0, (QPoly((1, 1)), QPoly((1, 1, 1))), ())])
     >>> p.coeffs
     (1, 2, 2, 1)
     >>> p.evaluate(Fraction(2))
@@ -107,9 +106,6 @@ class QPoly:
             a, b = b, a
         return QPoly((*map(add, a, b), *a[len(b) :]))
 
-    def __neg__(self) -> QPoly:
-        return QPoly(tuple(map(neg, self.coeffs)))
-
     def __sub__(self, other: QPoly) -> QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -117,15 +113,6 @@ class QPoly:
         if len(a) >= len(b):
             return QPoly((*map(sub, a, b), *a[len(b) :]))
         return QPoly((*map(sub, a, b), *map(neg, b[len(a) :])))
-
-    def __mul__(self, other: QPoly | int) -> QPoly:
-        if isinstance(other, QPoly):
-            return poly_sum([(1, 0, (self, other), ())])
-        if isinstance(other, int):
-            return QPoly(tuple(map(mul, self.coeffs, repeat(other))))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def shift(self, k: int) -> QPoly:
         """Multiply by q**k.  k must be nonnegative."""

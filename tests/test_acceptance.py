@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, sqrt
 
 from remixed.verify import verify_abelian, verify_congruence, verify_corrective, verify_families
 from remixed.config import Configuration, all_configurations, core
@@ -31,10 +31,10 @@ from remixed.qcalc import (
     QPoly,
     poly_reverse,
     q_binomial,
-    q_factorial,
     q_int,
 )
 from remixed.simulate import estimate_success
+from series_reference import bracket_product_reference, poly_product
 
 FAILS = 0
 
@@ -51,8 +51,8 @@ def ok_line(ok: bool, label: str, detail: str = "") -> None:
 
 
 def test_criterion_1_worked_examples():
-    display_2332 = prod(map(q_int, (2, 2, 2, 4, 4))) - prod(map(q_int, (3, 3, 6)))
-    display_almost = prod(map(q_int, (3, 3, 3, 5))) - q_binomial(6, 2) * q_int(3)
+    display_2332 = bracket_product_reference((2, 2, 2, 4, 4)) - bracket_product_reference((3, 3, 6))
+    display_almost = bracket_product_reference((3, 3, 3, 5)) - poly_product(q_binomial(6, 2), q_int(3))
     cases = [
         ((3, 0, 0, 2, 0), a_lukasiewicz, (1, 2, 3, 4, 3, 2, 1)),
         (
@@ -238,7 +238,8 @@ def test_criterion_6_corrective_algebra():
         for r in range(1, 5):
             ct = (0,) * (p - 2) + (p,) + (0,) + (1,) * (r - 1)
             lhs = remixed_induction(Configuration(ct))
-            body = q_factorial(r - 1) * (prod([q_int(r + 1)] * p) - q_binomial(p + r, r))
+            power = bracket_product_reference([r + 1] * p)
+            body = bracket_product_reference(range(1, r), power - q_binomial(p + r, r))
             e = p * (p - 3) // 2
             same = lhs == body.shift(e) if e >= 0 else lhs.shift(-e) == body
             lemma_ok = lemma_ok and same

@@ -17,7 +17,8 @@ from remixed.engine import (
     remixed_induction,
     success_probability,
 )
-from remixed.qcalc import InvariantViolation, QPoly, kronecker_point, poly_reverse, q_factorial
+from remixed.qcalc import InvariantViolation, QPoly, kronecker_point, poly_reverse
+from series_reference import bracket_product_reference, poly_product
 
 
 def _landing(occupied, s, n):
@@ -182,7 +183,7 @@ def test_success_probability_in_unit_interval(n, data, q0):
 
 
 def test_remixed_exact_examples():
-    assert remixed_exact(Configuration((1, 1, 1))) == q_factorial(3)
+    assert remixed_exact(Configuration((1, 1, 1))) == bracket_product_reference(range(1, 4))
     assert remixed_exact(Configuration((3, 0, 0, 2, 0))).coeffs == (1, 2, 3, 4, 3, 2, 1)
     assert remixed_exact(Configuration((0, 1, 2, 2, 0))).coeffs == (0, 0, 1, 5, 12, 18, 18, 12, 5, 1)
 
@@ -380,7 +381,8 @@ def test_table_sums_to_catalan_times_q_factorial(oracle):
     # the identity exact_sweep checks at one point, as polynomials
     for n in range(1, 8):
         total = sum(oracle.table(n).values(), QPoly())
-        assert total == q_factorial(n) * (comb(2 * n, n) // (n + 1)), n
+        catalan = QPoly((comb(2 * n, n) // (n + 1),))
+        assert total == poly_product(bracket_product_reference(range(1, n + 1)), catalan), n
 
 
 def test_palindromic_via_reverse(oracle):

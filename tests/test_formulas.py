@@ -35,14 +35,18 @@ from remixed.qcalc import (
     ONE,
     ZERO,
     QPoly,
-    bracket_product,
     q_binomial,
-    q_factorial,
     q_int,
     q_pochhammer,
 )
 from remixed.qcalc import _stride
-from series_reference import pochhammer_reference, series_mul_reference
+from series_reference import (
+    bracket_product_reference,
+    negate,
+    pochhammer_reference,
+    poly_product,
+    series_mul_reference,
+)
 
 
 # ---------------------------------------------------------------- lukasiewicz
@@ -51,7 +55,7 @@ from series_reference import pochhammer_reference, series_mul_reference
 def test_lukasiewicz_examples():
     assert a_lukasiewicz(Configuration((3, 0, 0, 2, 0))).coeffs == (1, 2, 3, 4, 3, 2, 1)
     for n in range(1, 7):
-        assert a_lukasiewicz(Configuration((1,) * n)) == q_factorial(n)
+        assert a_lukasiewicz(Configuration((1,) * n)) == bracket_product_reference(range(1, n + 1))
     with pytest.raises(WrongFamily):
         a_lukasiewicz(Configuration((0, 2, 1)))
 
@@ -80,7 +84,7 @@ def test_connected_examples():
     for n in range(1, 7):
         # single site core at the left wall: one term, product [1]^n
         assert a_connected((n,), 0, n) == ONE
-    assert a_connected((1, 2), 0, 3) == q_int(2) * q_int(2)
+    assert a_connected((1, 2), 0, 3) == poly_product(q_int(2), q_int(2))
     with pytest.raises(ShiftOutOfRange):
         a_connected((1, 2, 2), 3, 5)
     with pytest.raises(ShiftOutOfRange):
@@ -174,12 +178,12 @@ def test_corrective_series_examples():
     ser = corrective_series((2,), (1,), 3)
     assert not ser[0]
     assert ser[1] == q_int(4).shift(1)
-    assert ser[2] == -ONE.shift(4)
+    assert ser[2] == negate(ONE.shift(4))
     assert not ser[3]
     # blocks wider than the gap still land inside [0, n]
     ser = corrective_series((1,), (1,), 2)
     assert ser[0] == q_int(3)
-    assert ser[1] == -ONE.shift(2)
+    assert ser[1] == negate(ONE.shift(2))
     assert not ser[2]
 
 
@@ -255,13 +259,13 @@ def test_q_hit_examples():
 
 
 def hit_series(h, trunc):
-    """The hit number generating series mod t**trunc, its products built by repeated *."""
-    rhs = [prod((q_int(j + e) for e in h.factor_offsets()), start=ONE) for j in range(trunc)]
+    """The hit number generating series mod t**trunc, every product by schoolbook."""
+    rhs = [bracket_product_reference(j + e for e in h.factor_offsets()) for j in range(trunc)]
     return series_mul_reference(pochhammer_reference(h.n + 1, trunc), tuple(rhs))
 
 
 def _core_series_reference(gamma, n, trunc):
-    rows = tuple(bracket_product([j + a for a in mset(gamma)]) for j in range(trunc))
+    rows = tuple(bracket_product_reference([j + a for a in mset(gamma)]) for j in range(trunc))
     return series_mul_reference(pochhammer_reference(n + 1, trunc), rows)
 
 
@@ -279,7 +283,7 @@ def test_pochhammer_products_match_schoolbook(n, data):
         parts = sorted(data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), reverse=True)
         lam = tuple(min(x, n - k) for k, x in enumerate(parts))
         offsets = HitIndex(lam, 0, n).factor_offsets()
-        rows = tuple(bracket_product([j + e for e in offsets]) for j in range(n + 1))
+        rows = tuple(bracket_product_reference([j + e for e in offsets]) for j in range(n + 1))
         want = series_mul_reference(pochhammer_reference(n + 1, n + 1), rows)
         assert [q_hit(HitIndex(lam, i, n)) for i in range(n + 1)] == list(want)
 
@@ -394,7 +398,8 @@ def test_cs_matches_configuration_polynomial():
                 for y in (1, 2):
                     p = CSParams(r, s, x, y)
                     lhs = remixed_induction(cs_configuration(p))
-                    assert lhs == q_factorial(x + y - 1) * carlitz_scoville_q(p)
+                    want = bracket_product_reference(range(1, x + y), carlitz_scoville_q(p))
+                    assert lhs == want
 
 
 def test_cs_q_recurrence():
@@ -403,20 +408,18 @@ def test_cs_q_recurrence():
             for r in (1, 2, 3):
                 for s in (1, 2, 3):
                     lhs = carlitz_scoville_q(CSParams(r, s, x, y))
-                    rhs = (
-                        q_int(s + x) * carlitz_scoville_q(CSParams(r - 1, s, x, y))
-                    ).shift(r + y - 1) + q_int(r + y) * carlitz_scoville_q(
-                        CSParams(r, s - 1, x, y)
-                    )
+                    left = poly_product(q_int(s + x), carlitz_scoville_q(CSParams(r - 1, s, x, y)))
+                    right = poly_product(q_int(r + y), carlitz_scoville_q(CSParams(r, s - 1, x, y)))
+                    rhs = left.shift(r + y - 1) + right
                     assert lhs == rhs
 
 
 def test_cs_q_recurrence_exponent_is_sharp():
     # one power of q higher already breaks the smallest case
     p = CSParams(1, 1, 1, 1)
-    wrong = (q_int(2) * carlitz_scoville_q(CSParams(0, 1, 1, 1))).shift(2) + q_int(
-        2
-    ) * carlitz_scoville_q(CSParams(1, 0, 1, 1))
+    left = poly_product(q_int(2), carlitz_scoville_q(CSParams(0, 1, 1, 1)))
+    right = poly_product(q_int(2), carlitz_scoville_q(CSParams(1, 0, 1, 1)))
+    wrong = left.shift(2) + right
     assert wrong != carlitz_scoville_q(p)
 
 
@@ -427,7 +430,7 @@ def test_cs_generating_series():
                 trunc = total + 1
                 lhs = tuple(carlitz_scoville_q(CSParams(i, total - i, x, y)) for i in range(trunc))
                 rhs_coeffs = tuple(
-                    q_binomial(j + x + y - 1, j) * prod([q_int(j + y)] * total, start=ONE)
+                    bracket_product_reference([j + y] * total, q_binomial(j + x + y - 1, j))
                     for j in range(trunc)
                 )
                 rhs = series_mul_reference(q_pochhammer(total + x + y, trunc), rhs_coeffs)
@@ -497,11 +500,9 @@ def test_assemble_matches_term_by_term_sum(terms):
     # the reference: each term as a QPoly, shifted, signed and added
     want = ZERO
     for t in terms:
-        base = ONE
-        for b in t.binoms:
-            base = base * q_binomial(*b)
-        p = bracket_product(t.brackets, base).shift(t.qexp)
-        want = want + (p if t.sign > 0 else -p)
+        base = poly_product(*(q_binomial(*b) for b in t.binoms))
+        p = bracket_product_reference(t.brackets, base).shift(t.qexp)
+        want = want + (p if t.sign > 0 else negate(p))
     assert formulas._assemble(terms) == want
 
 

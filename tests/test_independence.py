@@ -4,7 +4,9 @@ The drop-dynamics oracle must not import the closed formulas it checks,
 the simulator takes only Configuration from the package, so nothing from
 the exact engine it checks, and the closed formulas take from the engine
 only the recursion they fall back on.  The scalar reference the tests
-check the simulator against imports nothing from the package.  Inside the
+check the simulator against imports nothing from the package, and the
+schoolbook reference the tests check the product kernels against takes
+only the QPoly container and its ONE and ZERO.  Inside the
 engine, one drop step moves every ball and is the one place that searches
 for a hole, one walk over a stream of drop orders is the only caller of
 that step, for the single-order oracle and the sweep alike, and the point
@@ -13,7 +15,8 @@ of one order.  The identity suites, which check every route, are imported
 by the command line front end only.  In qcalc, one digit reader serves the
 packed evaluator and the oracle's read-back, and no module takes a private
 name of qcalc but the Pochhammer step of the formulas.  No module of the
-package holds an assert statement, which python -O strips.  numpy is
+package holds an assert statement, which python -O strips, and every
+name a module imports is read there, but for its stated re-exports.  numpy is
 imported only inside the simulator's array kernels, so every exact route,
 the sweep and the identity suites included, runs without loading it.
 """
@@ -150,6 +153,54 @@ def test_no_assert_in_the_package(path):
 
 def test_scalar_reference_imports_nothing_from_the_package():
     assert imports(TESTS / "scalar_sim.py") == {}
+
+
+def test_series_reference_takes_only_the_containers_from_the_package():
+    # the products it checks the kernels with are its own, never poly_sum's
+    assert imports(TESTS / "series_reference.py") == {"qcalc": {"QPoly", "ONE", "ZERO"}}
+
+
+def unread_imports(tree: ast.AST) -> set[str]:
+    """Names a module binds by an import statement and never reads.
+
+    A name in the module's __all__ counts as read; __future__ imports bind nothing.
+    """
+    bound: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return bound - read
+
+
+# a re-export stated in a comment beside its import
+REEXPORTS = {"formulas.py": {"ShiftOutOfRange"}}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_read(path):
+    assert unread_imports(ast.parse(path.read_text())) == REEXPORTS.get(path.name, set())
+
+
+def test_unread_import_reader_sees_every_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from itertools import repeat\n"
+        "from operator import mul, neg as minus\n"
+        "from .qcalc import QPoly, ONE\n"
+        "__all__ = ['QPoly']\n"
+        "def f(x: ONE):\n"
+        "    return minus(x), os.sep\n"
+    )
+    assert unread_imports(tree) == {"np", "repeat", "mul"}
 
 
 def import_time_modules(path: Path) -> set[str]:
