@@ -27,6 +27,7 @@ from .config import classify, max_weakly_shift, parse_config, shifted_config
 from .engine import SWEEP_MAX_N, exact_sweep, remixed_exact, remixed_induction, success_probability
 from .formulas import (
     CSParams,
+    EvalReport,
     a_connected,
     a_one_hole,
     a_weakly_lukasiewicz,
@@ -64,28 +65,26 @@ def cmd_eval(args: argparse.Namespace) -> tuple[dict, int]:
     c = parse_config(args.config)
     q = None if args.q is None else _parse_rational(args.q)
     if args.method == "exact":
-        method, poly, pretty, flags = "exact", remixed_exact(c), None, classify(c)
+        rep = EvalReport("exact", remixed_exact(c), classify(c))
     elif args.method == "induction":
-        method, poly, pretty, flags = "induction", remixed_induction(c), None, classify(c)
+        rep = EvalReport("induction", remixed_induction(c), classify(c))
     else:
         rep = dispatch(c)
-        method, poly, flags = rep.method, rep.poly, rep.flags
-        if args.method == "formula" and method == "induction":
+        if args.method == "formula" and rep.method == "induction":
             raise ValueError(f"no closed formula applies to {c}")
-        pretty = rep.pretty if args.pretty else None
     check = "skip"
     oracle = None
     if args.crosscheck:
-        oracle = remixed_induction(c) if method == "exact" else remixed_exact(c)
-        check = "pass" if oracle == poly else "fail"
-    result: dict = {"config": list(c.c), "method": method}
+        oracle = remixed_induction(c) if rep.method == "exact" else remixed_exact(c)
+        check = "pass" if oracle == rep.poly else "fail"
+    result: dict = {"config": list(c.c), "method": rep.method}
     if q is not None:
-        result["value"] = str(poly.evaluate(q))
+        result["value"] = str(rep.poly.evaluate(q))
     else:
-        result["poly"] = poly.to_json()
-    result["flags"] = flags.to_json()
+        result["poly"] = rep.poly.to_json()
+    result["flags"] = rep.flags.to_json()
     result["crosscheck"] = check
-    if args.pretty and pretty is not None:
+    if args.pretty and (pretty := rep.pretty) is not None:
         result["pretty"] = pretty
     if check == "fail":
         result["oracle"] = oracle.to_json()

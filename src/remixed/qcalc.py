@@ -15,10 +15,10 @@ complement, as the stride bounds every coefficient; signed machine-word
 arrays pack and unpack at C speed.  A product, brackets included, is a
 one-term sum; kronecker_read and kronecker_value read and pack one
 polynomial at such a point.  The only QPoly arithmetic outside poly_sum
-is shift, a prefix of zeros, and two operators: __sub__, as verify's
-corrective suite subtracts thousands of times, three times faster by hand
-than as a two-term sum; and __add__, which no package path calls, as the
-benchmark's smoke test perturbs a table with it.
+is __add__, with which verify's corrective suite checks a series against
+its definition thousands of times, three times faster by hand than as a
+two-term sum, and shift, a prefix of zeros, which the suite's
+factorization law reads.
 
 _times_pochhammer multiplies a t-series of bracket products by (t;q)_n at
 such a point, one int per t-row read back at its own length: the only
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from operator import add, neg, sub
+from operator import add, neg
 from typing import Iterable, Sequence
 
 class DegreeTooHigh(ValueError):
@@ -105,14 +105,6 @@ class QPoly:
         if len(a) < len(b):
             a, b = b, a
         return QPoly((*map(add, a, b), *a[len(b) :]))
-
-    def __sub__(self, other: QPoly) -> QPoly:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) >= len(b):
-            return QPoly((*map(sub, a, b), *a[len(b) :]))
-        return QPoly((*map(sub, a, b), *map(neg, b[len(a) :])))
 
     def shift(self, k: int) -> QPoly:
         """Multiply by q**k.  k must be nonnegative."""

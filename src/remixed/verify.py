@@ -124,7 +124,7 @@ def verify_corrective(nmax: int, table: Table) -> dict:
                     shifted = [ZERO] * (n + 1)
                     for i in range(n - span + 1):
                         shifted[i] = values[shifted_config(gamma, i, n).c]
-                    ok = all(series[t] == definition[t] - shifted[t] for t in range(n + 1))
+                    ok = all(series[t] + shifted[t] == definition[t] for t in range(n + 1))
                     if not ok:
                         failures.append({"alpha": list(alpha), "beta": list(beta), "n": n, "law": "definition"})
                     checks += 1

@@ -34,7 +34,7 @@ from remixed.qcalc import (
     q_int,
 )
 from remixed.simulate import estimate_success
-from series_reference import bracket_product_reference, poly_product
+from series_reference import bracket_product_reference, negate, poly_product
 
 FAILS = 0
 
@@ -51,8 +51,8 @@ def ok_line(ok: bool, label: str, detail: str = "") -> None:
 
 
 def test_criterion_1_worked_examples():
-    display_2332 = bracket_product_reference((2, 2, 2, 4, 4)) - bracket_product_reference((3, 3, 6))
-    display_almost = bracket_product_reference((3, 3, 3, 5)) - poly_product(q_binomial(6, 2), q_int(3))
+    display_2332 = bracket_product_reference((2, 2, 2, 4, 4)) + negate(bracket_product_reference((3, 3, 6)))
+    display_almost = bracket_product_reference((3, 3, 3, 5)) + negate(poly_product(q_binomial(6, 2), q_int(3)))
     cases = [
         ((3, 0, 0, 2, 0), a_lukasiewicz, (1, 2, 3, 4, 3, 2, 1)),
         (
@@ -222,7 +222,7 @@ def test_criterion_6_corrective_algebra():
                 if t <= r - 1:
                     want = want + prev[t]
                 if 1 <= t <= r:
-                    want = want - prev[t - 1].shift(p + r)
+                    want = want + negate(prev[t - 1].shift(p + r))
                 rec_ok = rec_ok and cur[t] == want
                 rec_checks += 1
             prev = cur
@@ -239,7 +239,7 @@ def test_criterion_6_corrective_algebra():
             ct = (0,) * (p - 2) + (p,) + (0,) + (1,) * (r - 1)
             lhs = remixed_induction(Configuration(ct))
             power = bracket_product_reference([r + 1] * p)
-            body = bracket_product_reference(range(1, r), power - q_binomial(p + r, r))
+            body = bracket_product_reference(range(1, r), power + negate(q_binomial(p + r, r)))
             e = p * (p - 3) // 2
             same = lhs == body.shift(e) if e >= 0 else lhs.shift(-e) == body
             lemma_ok = lemma_ok and same

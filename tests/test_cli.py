@@ -11,10 +11,10 @@ import pytest
 
 import remixed.cli as cli
 from remixed import __version__, formulas, verify
-from remixed.config import Configuration, classify, parse_config
+from remixed.config import Configuration, classify, parse_config, shifted_config
 from remixed.engine import SWEEP_MAX_N, success_probability
 from remixed.formulas import HitIndex, q_hit
-from remixed.qcalc import QPoly
+from remixed.qcalc import ONE, QPoly
 
 
 def run(capsys, *argv):
@@ -267,6 +267,13 @@ PINNED_OUTPUTS = {
         "d2da4c9cb13b812a4d3878e4bd8ba543f0f430a17958d55c422c291b43d8217d",
     "eval 0,0,3,0,0,3,0,0,3 --method formula":
         "1a8d4bb98a1d61af8191b3ede7521c3b155b94bb74eac2d3b25d8ae3666bbee7",
+    # dispatch falls back to the recursion, which has no factored form to print
+    "eval 0,0,3,0,0,3,0,0,3 --pretty":
+        "b3ca08f5120d1fb4915ff2f80d87bbb056132cc2abf806d37ee4fd9ec8dd9009",
+    "eval 1,1,1 --method induction --crosscheck --pretty":
+        "0cdb3a102b515bf38ebf28693493983a2edf203307ef4088ac0462777596753f",
+    "eval 0,3,0,2,0 --method exact --pretty":
+        "9fe22af7786f5d9de9fa655b74927eb59d0936b55527a42f25f6b7d0a0260ed3",
     "classify 1,0,3,0,1":
         "6ace06862d29e92366103fa24c9587e36ee3ef200c63db733c337077503a336a",
     "table connected --gamma 1,2,2 --n 5":
@@ -506,6 +513,39 @@ def test_broken_route_fails_every_check_it_feeds(oracle, monkeypatch):
                 if name in patched:
                     want.append({"config": list(ct), "family": verify._FAMILY_CHECKS.get(name, name)})
     assert broken["failures"] == want[:20]
+
+
+def test_planted_defects_fail_the_corrective_suite(oracle, monkeypatch):
+    # The corrective suite checks each series by addition against its
+    # definition; one unit planted on either side of that sum must fail
+    # exactly the records that read it, with unchanged check counts.
+    clean = verify.verify_corrective(5, oracle.table)
+    assert clean["passed"]
+    ct = shifted_config((1, 0, 4), 0, 5).c
+    table5 = dict(oracle.table(5))
+    table5[ct] = table5[ct] + ONE
+    broken = verify.verify_corrective(5, lambda n: table5 if n == 5 else oracle.table(n))
+    assert broken["checks"] == clean["checks"]
+    assert broken["failures"] == [{"alpha": [1], "beta": [4], "n": 5, "law": "definition"}]
+
+    real = verify.corrective_series
+
+    def planted(alpha, beta, n):
+        series = real(alpha, beta, n)
+        if (alpha, beta, n) != ((1,), (4,), 5):
+            return series
+        return (series[0], series[1] + ONE, *series[2:])
+
+    monkeypatch.setattr(verify, "corrective_series", planted)
+    broken = verify.verify_corrective(5, oracle.table)
+    assert broken["checks"] == clean["checks"]
+    # (1),(4) is the base every beta with r = 4 factors through; its own
+    # factorization compares the planted series with itself and passes
+    want = [
+        {"alpha": [1], "beta": list(beta), "n": 5, "law": "definition" if beta == (4,) else "factorization"}
+        for beta in verify._compositions(4)
+    ]
+    assert broken["failures"] == want
 
 
 # Each script breaks one route from inside, then runs the CLI on it; the

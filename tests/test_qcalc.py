@@ -63,7 +63,7 @@ def test_rejects_non_integer_coefficients():
 def test_ring_examples():
     assert times(q_int(2), ZERO) == ZERO
     assert times(q_int(2), q_int(2)) == QPoly((1, 2, 1))
-    assert q_int(2) - q_int(2) == ZERO
+    assert q_int(2) + negate(q_int(2)) == ZERO
 
 
 def test_q_int_values():
@@ -202,7 +202,7 @@ def test_ring_laws(a, b, c):
     assert a + ZERO == a
     assert times(a, ONE) == a
     assert times(a, ZERO) == ZERO
-    assert a - a == ZERO
+    assert a + negate(a) == ZERO
 
 
 @given(st.integers(1, 40))
@@ -248,7 +248,7 @@ def poly_sum_reference(terms):
     total = ZERO
     for sign, shift, factors, sizes in terms:
         term = bracket_product_reference(sizes, poly_product(*factors)).shift(shift)
-        total = total + term if sign > 0 else total - term
+        total = total + (term if sign > 0 else negate(term))
     return total
 
 
@@ -337,6 +337,7 @@ def test_normalization_keeps_interior_zeros():
         lambda: 1 + QPoly((1,)),
         lambda: QPoly((1,)) - 1,
         lambda: QPoly((1,)) * 1.5,
+        lambda: QPoly((1,)) - QPoly((1,)),
     ],
 )
 def test_foreign_operands_raise_type_error(op):
