@@ -24,7 +24,8 @@ checks that the values of its table sum to Cat_n [n]!(x), the sum of the
 A_c over all c being Cat_n [n]!.
 success_probability and drop_order_check walk one order at a rational
 point.  The second evaluator runs the final ball recursion at the same x,
-one memoized integer per node, and reads its value through _lift; it never
+one integer per node, memoized for every node below the top one, whose
+entry no later call would read; it reads its value through _lift and never
 touches probabilities.  Agreement of the two is the test suite's backbone.
 """
 
@@ -53,8 +54,8 @@ Point = tuple[list[int], list[int], list[int]]
 
 # Largest number of sites exact_sweep accepts.  The table it returns holds
 # C(2n - 1, n) polynomials of up to n(n-1)/2 + 1 coefficients, and a fresh
-# process running it peaks at 41 MB at n = 9, 143 MB at n = 10 and 630 MB
-# at n = 11, where it also takes about 17 s.
+# process running it peaks at 34 MB at n = 9, 83 MB at n = 10 and 340 MB
+# at n = 11, where it also takes about 15 s.
 SWEEP_MAX_N = 10
 
 
@@ -259,10 +260,12 @@ def remixed_induction(c: Configuration) -> QPoly:
     The ball at the largest occupied site is dropped last.  With it removed,
     each empty site j with exactly j-1 of the other balls to its left splits
     the dynamics into independent halves, weighted by where the last ball
-    lands.  Each node is one integer, its value at the oracle's point x,
-    memoized on the sub-tuple and x; _lift reads the result.
+    lands.  Each node is one integer, its value at the oracle's point x.
+    The sub-configurations are memoized on the sub-tuple and x; the top
+    level is called uncached, since its own entry would never be read
+    again, and _lift reads the result.
     """
-    return _lift(c.c, _induction(c.c, kronecker_point(factorial(c.n))))
+    return _lift(c.c, _induction.__wrapped__(c.c, kronecker_point(factorial(c.n))))
 
 
 def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
@@ -272,9 +275,10 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     the oracle's point x: the order of a configuration extends the order
     of every configuration it contains at its lowest sites, so those share
     the drops of the common prefix.  Each leaf is read by _lift, with
-    [n]!(x) computed once for the table.  The values read must sum to
-    Cat_n [n]!(x), which catches an error in one leaf's mass that leaves
-    its digits plausible.
+    [n]!(x) computed once for the table, and its digits are mapped
+    through one dict for the table, so equal coefficients are one int
+    object.  The values read must sum to Cat_n [n]!(x), which catches an
+    error in one leaf's mass that leaves its digits plausible.
 
     Raises ValueError for n above SWEEP_MAX_N.
     """
@@ -285,6 +289,7 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
     point = _point(n, kronecker_point(factorial(n)))
     fact = prod(point[0][1:])
     table: dict[tuple[int, ...], QPoly] = {}
+    shared: dict[int, int] = {}
     total = 0
     for word, mass, den in _walk(n, point, combinations_with_replacement(range(1, n + 1), n)):
         if mass:
@@ -294,7 +299,8 @@ def exact_sweep(n: int) -> dict[tuple[int, ...], QPoly]:
             ct = tuple(counts[1:])
             value = _value(ct, mass, den, fact)
             total += value
-            table[ct] = _lift(ct, value)
+            coeffs = _lift(ct, value).coeffs
+            table[ct] = QPoly._of_ints(tuple(map(shared.setdefault, coeffs, coeffs)))
     # every configuration has a positive success chance at q = x
     missing = comb(2 * n - 1, n) - len(table)
     if missing:

@@ -54,7 +54,7 @@ def require_nonnegative(p: QPoly, what: object) -> QPoly:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QPoly:
     """Dense integer polynomial in q, coefficients lowest degree first.
 

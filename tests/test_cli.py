@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import remixed.cli as cli
-from remixed import __version__, formulas, verify
+from remixed import __version__, engine, formulas, verify
 from remixed.config import Configuration, classify, parse_config, shifted_config
 from remixed.engine import SWEEP_MAX_N, success_probability
 from remixed.formulas import HitIndex, q_hit
@@ -513,6 +513,35 @@ def test_broken_route_fails_every_check_it_feeds(oracle, monkeypatch):
                 if name in patched:
                     want.append({"config": list(ct), "family": verify._FAMILY_CHECKS.get(name, name)})
     assert broken["failures"] == want[:20]
+
+
+def test_planted_defect_in_the_recursion_fallback_fails_its_two_rows(oracle, monkeypatch):
+    # (0, 2, 0, 0, 3) has no closed route, so dispatch sends it to the
+    # recursion and the families suite reads that one call for both its
+    # induction and its dispatch check: a defect there fails both rows
+    clean = verify.verify_families(5, oracle.table)
+    assert clean["passed"]
+    target = (0, 2, 0, 0, 3)
+    flags = classify(Configuration(target))
+    assert not any(applies(flags) for applies, _ in formulas.ROUTES.values())
+    real = formulas.remixed_induction
+
+    def planted(c):
+        poly = real(c)
+        return poly + ONE if c.c == target else poly
+
+    monkeypatch.setattr(formulas, "remixed_induction", planted)
+    broken = verify.verify_families(5, oracle.table)
+    assert broken["checks"] == clean["checks"]
+    assert broken["failures"] == [{"config": list(target), "family": family} for family in ("induction", "dispatch")]
+
+
+def test_families_suite_memoizes_only_sub_configurations(oracle):
+    # the recursion's top level is called uncached, so after the suite at
+    # nmax = 8 the memo holds the sub-configurations of its calls alone
+    engine._induction.cache_clear()
+    assert verify.verify_families(8, oracle.table)["passed"]
+    assert engine._induction.cache_info().currsize == 3042
 
 
 def test_planted_defects_fail_the_corrective_suite(oracle, monkeypatch):

@@ -247,6 +247,11 @@ def test_induction_memo_keeps_each_point_apart():
     halves = sorted(_halves(top.c))
     assert {kronecker_point(factorial(len(h))) for h in halves} == {2**8, 2**16, 2**32}
     assert remixed_induction(top) == want
+    # the top level is never memoized: asking the memo for it misses once,
+    # and every split it reads is a hit
+    misses = engine._induction.cache_info().misses
+    engine._induction(top.c, kronecker_point(factorial(top.n)))
+    assert engine._induction.cache_info().misses == misses + 1
     for half in halves:
         c = Configuration(half)
         assert remixed_induction(c) == remixed_exact(c), half
@@ -375,6 +380,9 @@ def test_sweep_tables_are_pinned(oracle):
         lines = (",".join(map(str, ct)) + ":" + ",".join(map(str, table[ct].coeffs)) + "\n" for ct in sorted(table))
         text = "".join(lines)
         assert hashlib.sha256(text.encode()).hexdigest() == want, n
+        # equal coefficients of one table are one int object
+        coeffs = [a for poly in table.values() for a in poly.coeffs]
+        assert len({id(a) for a in coeffs}) == len(set(coeffs)), n
 
 
 def test_table_sums_to_catalan_times_q_factorial(oracle):

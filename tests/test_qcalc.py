@@ -186,6 +186,12 @@ def test_pochhammer_coefficients_are_signed_binomials(n, trunc):
         assert got[j] == want
 
 
+def test_qpoly_holds_no_instance_dict():
+    # slots: a QPoly is its coefficient tuple and nothing more
+    assert not hasattr(QPoly((1, 2)), "__dict__")
+    assert not hasattr(QPoly._of_ints([3]), "__dict__")
+
+
 def test_json_round_trip():
     p = QPoly((1, -2, 3))
     blob = json.dumps(p.to_json())
