@@ -26,7 +26,10 @@ success_probability and drop_order_check walk one order at a rational
 point.  The second evaluator runs the final ball recursion at the same x,
 one integer per node, memoized for every node below the top one, whose
 entry no later call would read; it reads its value through _lift and never
-touches probabilities.  Agreement of the two is the test suite's backbone.
+touches probabilities.  Its weights are brackets and q-Pascal (_qbin) at x
+alone, so it is right at any integer x >= 2 and shares only the digit
+read-back with the other routes.  Agreement of the two is the test
+suite's backbone.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from .qcalc import (
     QPoly,
     kronecker_point,
     kronecker_read,
-    kronecker_value,
-    q_binomial,
     require_nonnegative,
 )
 
@@ -224,13 +225,21 @@ def drop_order_check(c: Configuration, order: tuple[int, ...], q0: Fraction) -> 
 
 
 @lru_cache(maxsize=None)
+def _qbin(n: int, k: int, x: int) -> int:
+    """qbin(n, k) at the integer x by q-Pascal, for 0 <= k <= n/2: the row is symmetric."""
+    if k == 0:
+        return 1
+    return _qbin(n - 1, k - 1, x) + x**k * _qbin(n - 1, min(k, n - 1 - k), x)
+
+
+@lru_cache(maxsize=None)
 def _wt(n: int, j: int, u: int, x: int) -> int:
-    """Weight of the last ball from start site u to landing site j, memoised per point x.
+    """Weight of the last ball from start site u to landing site j at the integer x, memoised.
 
     [u] qbin(n, j) for j >= u, else q**(u - j) [n + 1 - u] qbin(n, j - 1).
     """
     k, size, shift = (j, u, 0) if j >= u else (j - 1, n + 1 - u, u - j)
-    return x**shift * kronecker_value((1,) * size, x) * kronecker_value(q_binomial(n, k).coeffs, x)
+    return x**shift * ((x**size - 1) // (x - 1)) * _qbin(n, min(k, n - k), x)
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,10 @@ and a subtraction, over one division by x - 1 for the whole sum.  Adding
 a bias digit and XOR-ing it away reads each digit back, exactly, in two's
 complement, as the stride bounds every coefficient; signed machine-word
 arrays pack and unpack at C speed.  A product, brackets included, is a
-one-term sum; kronecker_read and kronecker_value read and pack one
-polynomial at such a point.  The only QPoly arithmetic outside poly_sum
-is __add__, with which verify's corrective suite checks a series against
-its definition thousands of times, three times faster by hand than as a
+one-term sum; kronecker_read reads one polynomial back off its value at
+such a point.  The only QPoly arithmetic outside poly_sum is __add__,
+with which verify's corrective suite checks a series against its
+definition thousands of times, three times faster by hand than as a
 two-term sum, and shift, a prefix of zeros, which the suite's
 factorization law reads.
 
@@ -278,17 +278,6 @@ def kronecker_read(value: int, bound: int, length: int) -> QPoly:
         return QPoly._of_ints(_unpack(value, width, length, _bias(width, length)))
     except OverflowError:
         raise DegreeTooHigh(f"value needs more than {length} digits") from None
-
-
-def kronecker_value(cs: Sequence[int], x: int) -> int:
-    """sum of cs[i] * x**i at x = kronecker_point(bound), for cs[i] in [0, bound]: kronecker_read undone.
-
-    Raises ValueError for an x that is not 2**(8w) with w >= 1.
-    """
-    width = (x.bit_length() - 1) // 8
-    if width < 1 or x != 1 << 8 * width:
-        raise ValueError(f"{x} is not 2**(8w) for any w >= 1")
-    return _pack(cs, width, 0)
 
 
 def bracket_product(sizes: Iterable[int], p: QPoly = ONE) -> QPoly:

@@ -637,6 +637,16 @@ BROKEN_ROUTES = {
         "argv = ['eval', '2,0', '--method', 'induction']\n",
         "invariant violated: coefficients of (2, 0) outside [0, 2]",
     ),
+    # a doubled q-binomial doubles every level of q-Pascal below it: on
+    # (1, 0, 0, 3) the q^5 and q^6 coefficients reach 128 = x/2, past the
+    # signed digits at x = 256, and carry into a degree above 4 * 3 / 2
+    "recursion_qbin": (
+        "from remixed import engine\n"
+        "real = engine._qbin\n"
+        "engine._qbin = lambda *args: 2 * real(*args)\n"
+        "argv = ['eval', '1,0,0,3', '--method', 'induction']\n",
+        "invariant violated: value of degree above 6 for (1, 0, 0, 3)",
+    ),
 }
 
 

@@ -7,7 +7,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remixed import config, formulas
+from remixed import config, engine, formulas, qcalc
 from remixed.config import BadSum, Configuration, all_configurations, classify, core
 from remixed.engine import remixed_exact, remixed_induction, success_probability
 from remixed.formulas import (
@@ -34,6 +34,7 @@ from remixed.formulas import (
 from remixed.qcalc import (
     ONE,
     ZERO,
+    InvariantViolation,
     QPoly,
     q_binomial,
     q_int,
@@ -580,7 +581,9 @@ def test_dispatch_always_agrees_with_recursion(n, data):
 def test_routes_agree_with_the_oracle_walk_at_integer_points():
     # [n]! P(success) at q0, from the drop walk at a rational point and
     # brackets summed in integers, reads no base-x digits; the exact routes
-    # all read theirs, so a digit misread there fails here
+    # all read theirs, so a digit misread there fails here.  The recursion's
+    # own value at q0 reads none either, so its weights are checked apart
+    # from any read-back
     rng = random.Random(30)
     cfgs = [c for n in range(1, 7) for c in all_configurations(n)]
     for n in (12, 20):
@@ -595,3 +598,30 @@ def test_routes_agree_with_the_oracle_walk_at_integer_points():
         assert want.denominator == 1, c.c
         assert dispatch(c).poly.evaluate(q0) == want, c.c
         assert remixed_induction(c).evaluate(q0) == want, c.c
+        assert engine._induction(c.c, q0) == want, c.c
+
+
+def _clear_recursion_memos():
+    for memo in (engine._induction, engine._wt, engine._qbin):
+        memo.cache_clear()
+
+
+def test_a_planted_q_binomial_reaches_the_formulas_but_not_the_recursion(monkeypatch):
+    # one wrong coefficient in the q-binomial kernel's memo: the formulas
+    # that read qbin(7, 2) go wrong, while the recursion builds its own
+    # q-binomials at x and must still agree with the oracle
+    good = q_binomial(7, 2).coeffs
+    monkeypatch.setitem(qcalc._QBIN_CACHE, (7, 2), QPoly((*good[:3], good[3] + 1, *good[4:])))
+    _clear_recursion_memos()
+    try:
+        for c in all_configurations(7):
+            assert remixed_induction(c) == remixed_exact(c), c.c
+        failed = 0
+        for c in all_configurations(6):
+            try:
+                failed += dispatch(c).poly != remixed_exact(c)
+            except InvariantViolation:
+                failed += 1
+        assert failed
+    finally:
+        _clear_recursion_memos()

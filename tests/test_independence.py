@@ -3,7 +3,11 @@
 The drop-dynamics oracle must not import the closed formulas it checks,
 the simulator takes only Configuration from the package, so nothing from
 the exact engine it checks, and the closed formulas take from the engine
-only the recursion they fall back on.  The scalar reference the tests
+only the recursion they fall back on.  The engine takes from qcalc only
+its two errors, the QPoly container, the sign check and the point and
+read-back of base-x digits: no q-binomial and no packing, so the
+recursion builds its weights at x itself, and a defect in the Pochhammer
+kernel the formulas read cannot reach it.  The scalar reference the tests
 check the simulator against imports nothing from the package, and the
 schoolbook reference the tests check the product kernels against takes
 only the QPoly container and its ONE and ZERO.  Inside the
@@ -70,6 +74,17 @@ def test_simulator_takes_only_the_configuration_from_the_package():
 
 def test_formulas_take_only_the_recursion_from_the_engine():
     assert imports(PACKAGE / "formulas.py")["engine"] == {"remixed_induction"}
+
+
+def test_engine_takes_no_q_binomial_or_packing_from_qcalc():
+    assert imports(PACKAGE / "engine.py")["qcalc"] == {
+        "DegreeTooHigh",
+        "InvariantViolation",
+        "QPoly",
+        "kronecker_point",
+        "kronecker_read",
+        "require_nonnegative",
+    }
 
 
 def hole_searchers(tree: ast.AST) -> set[str]:
