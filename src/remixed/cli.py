@@ -114,17 +114,19 @@ def cmd_table(args: argparse.Namespace) -> tuple[dict | None, int]:
     rows: list[tuple[str, object]] = []
     if args.kind in ("connected", "weakly", "one-hole"):
         gamma = _parse_tuple(_require(args.gamma, "gamma"), "gamma")
-        n = _sites(args)
-        shifted_config(gamma, 0, n)  # a bad core fails here, before the first row
+        want = None if args.n is None else _sites(args)
+        n = shifted_config(gamma, 0).n  # a bad core fails here, before the first row
+        if want not in (None, n):
+            raise ValueError(f"core holds {n} balls, configuration needs {want}")
     if args.kind == "connected":
         for i in range(n - len(gamma) + 1):
-            rows.append((str(i), a_connected(gamma, i, n)))
+            rows.append((str(i), a_connected(gamma, i)))
     elif args.kind == "weakly":
-        for i in range(max_weakly_shift(gamma, n) + 1):
-            rows.append((str(i), a_weakly_lukasiewicz(gamma, i, n)))
+        for i in range(max_weakly_shift(gamma) + 1):
+            rows.append((str(i), a_weakly_lukasiewicz(gamma, i)))
     elif args.kind == "one-hole":
         for i in range(n - len(gamma) + 1):
-            rows.append((str(i), a_one_hole(shifted_config(gamma, i, n))))
+            rows.append((str(i), a_one_hole(shifted_config(gamma, i))))
     elif args.kind == "cs":
         x, y = _require(args.x, "x"), _require(args.y, "y")
         rsmax = _require(args.rsmax, "rsmax")

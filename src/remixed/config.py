@@ -200,37 +200,36 @@ def classify(c: Configuration) -> ConfigFlags:
     )
 
 
-def _check_core(gamma: tuple[int, ...], n: int) -> None:
+def _check_core(gamma: tuple[int, ...]) -> int:
     if not gamma:
         raise Empty("empty core")
     if any(x < 0 for x in gamma):
         raise Negative(f"negative entry in {gamma}")
     if gamma[0] == 0 or gamma[-1] == 0:
         raise ValueError(f"core {gamma} must start and end with a ball")
-    if sum(gamma) != n:
-        raise BadSum(f"core holds {sum(gamma)} balls, configuration needs {n}")
+    n = sum(gamma)
     if len(gamma) > n:
         raise BadSum(f"core spans {len(gamma)} sites but only {n} exist")
+    return n
 
 
-def shifted_config(gamma: tuple[int, ...], i: int, n: int) -> Configuration:
+def shifted_config(gamma: tuple[int, ...], i: int) -> Configuration:
     """The configuration with i zeros, then the core gamma, then trailing zeros.
 
-    The one check of a (core, shift, n) triple: gamma is a core of n balls
-    on at most n sites, and the shift lies in [0, n - len(gamma)].
+    The one check of a (core, shift) pair: gamma is a core of its n balls on
+    at most n sites, and the shift lies in [0, n - len(gamma)].
 
-    >>> shifted_config((3, 0, 1), 1, 4).c
+    >>> shifted_config((3, 0, 1), 1).c
     (0, 3, 0, 1)
     """
     gamma = tuple(gamma)
-    _check_core(gamma, n)
-    m = len(gamma)
-    if not 0 <= i <= n - m:
-        raise ShiftOutOfRange(f"shift {i} outside [0, {n - m}]")
-    return Configuration((0,) * i + gamma + (0,) * (n - m - i))
+    free = _check_core(gamma) - len(gamma)
+    if not 0 <= i <= free:
+        raise ShiftOutOfRange(f"shift {i} outside [0, {free}]")
+    return Configuration((0,) * i + gamma + (0,) * (free - i))
 
 
-def max_weakly_shift(gamma: tuple[int, ...], n: int) -> int:
+def max_weakly_shift(gamma: tuple[int, ...]) -> int:
     """Largest i such that the shift of gamma by i stays in the weak family.
 
     Shifting right can only break the condition, so membership holds for
@@ -238,8 +237,7 @@ def max_weakly_shift(gamma: tuple[int, ...], n: int) -> int:
     the unshifted placement fails.
     """
     gamma = tuple(gamma)
-    _check_core(gamma, n)
-    best = _weak_bound(gamma, n)
+    best = _weak_bound(gamma, _check_core(gamma))
     if best < 0:
         raise NoWeaklyShift(f"core {gamma} fails the weak condition at every shift")
     return best

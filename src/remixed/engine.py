@@ -60,10 +60,6 @@ Point = tuple[list[int], list[int], list[int]]
 SWEEP_MAX_N = 10
 
 
-class BadContent(ValueError):
-    """A drop order whose multiset of sites does not match the configuration."""
-
-
 def _brackets(n: int, u: int, v: int) -> list[int]:
     """B_k = sum of u^i v^(k-1-i) over i < k, for k = 0..n.
 
@@ -213,15 +209,17 @@ def remixed_exact(c: Configuration) -> QPoly:
     return _lift(c.c, _value(c.c, mass, den, prod(point[0][1:])))
 
 
-def drop_order_check(c: Configuration, order: tuple[int, ...], q0: Fraction) -> Fraction:
-    """Success probability under an arbitrary drop order of the same balls.
+def drop_order_check(order: tuple[int, ...], q0: Fraction) -> Fraction:
+    """Success probability when balls drop at the sites of order, in turn.
 
-    Raises BadContent when order is not a rearrangement of the start sites.
+    An order of n balls on n sites fixes its configuration, sorted(order);
+    raises ValueError for an empty order or a site outside [1, n].
     """
     order = tuple(order)
-    if tuple(sorted(order)) != left_to_right_order(c):
-        raise BadContent(f"order {order} does not have content {c.c}")
-    return _probability(c.n, order, q0)
+    n = len(order)
+    if not order or min(order) < 1 or max(order) > n:
+        raise ValueError(f"drop order {order} needs at least one site, all in [1, {n}]")
+    return _probability(n, order, q0)
 
 
 @lru_cache(maxsize=None)
@@ -245,8 +243,6 @@ def _wt(n: int, j: int, u: int, x: int) -> int:
 @lru_cache(maxsize=None)
 def _induction(ct: tuple[int, ...], x: int) -> int:
     n = len(ct)
-    if sum(ct) != n:
-        return 0
     if n == 0:
         return 1
     u = max(i for i, k in enumerate(ct, start=1) if k > 0)

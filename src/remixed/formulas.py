@@ -17,7 +17,7 @@ family test and term builder in dispatch's precedence: dispatch takes the
 first route whose test its flags pass, the families suite of verify checks
 every route that applies, and each a_* formula looks its route up by name.
 The formulas of a core at a shift build c with config.shifted_config,
-which checks the core and the shift.
+which checks the core and the shift; the core's balls fix n.
 """
 
 from __future__ import annotations
@@ -161,13 +161,13 @@ def _core_terms(c: Configuration, flags: ConfigFlags) -> list[_Term]:
     ]
 
 
-def a_connected(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
+def a_connected(gamma: tuple[int, ...], i: int) -> QPoly:
     """Alternating binomial sum for a hole free core shifted by i.
 
-    >>> a_connected((1, 2, 2), 1, 5).coeffs
+    >>> a_connected((1, 2, 2), 1).coeffs
     (0, 0, 1, 5, 12, 18, 18, 12, 5, 1)
     """
-    return _by_route("connected", shifted_config(gamma, i, n), "core of {} has a hole")
+    return _by_route("connected", shifted_config(gamma, i), "core of {} has a hole")
 
 
 def _bracket_series(sizes: Sequence[int], n: int, trunc: int) -> tuple[QPoly, ...]:
@@ -190,16 +190,16 @@ def core_series(gamma: tuple[int, ...], n: int, trunc: int) -> tuple[QPoly, ...]
     return _bracket_series(mset(tuple(gamma)), n, trunc)
 
 
-def a_weakly_lukasiewicz(gamma: tuple[int, ...], i: int, n: int) -> QPoly:
+def a_weakly_lukasiewicz(gamma: tuple[int, ...], i: int) -> QPoly:
     """The connected sum formula, valid up to the largest weakly shift.
 
     The core may contain holes; what matters is that the shifted
     configuration still satisfies the weak order condition.
 
-    >>> a_weakly_lukasiewicz((3, 0, 2), 1, 5).coeffs
+    >>> a_weakly_lukasiewicz((3, 0, 2), 1).coeffs
     (0, 2, 6, 12, 17, 17, 12, 6, 2)
     """
-    return _by_route("weakly_lukasiewicz", shifted_config(gamma, i, n), "{} is not weakly placed")
+    return _by_route("weakly_lukasiewicz", shifted_config(gamma, i), "{} is not weakly placed")
 
 
 def one_hole_prefactor(
@@ -233,13 +233,13 @@ def _corrective_term(p: int, r: int, k: int, prefactor: tuple[int, tuple[int, ..
     return _Term(-1 if k % 2 else 1, qexp, brackets, ((p + r + 1, r - k),))
 
 
-def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> tuple[QPoly, ...]:
+def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[QPoly, ...]:
     """The finite t series correcting the connected identity at one hole.
 
     alpha and beta are the blocks around the hole; both must be free of
     holes themselves.  The result is a polynomial in t of degree at most
-    n with coefficients in Z[q]; negative powers of q from the prefactor
-    always cancel against the main exponent.
+    n, the balls of both blocks, with coefficients in Z[q]; negative
+    powers of q from the prefactor always cancel against the main exponent.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if not alpha or not beta:
@@ -247,10 +247,8 @@ def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> 
     if any(x < 1 for x in alpha) or any(x < 1 for x in beta):
         raise WrongFamily(f"blocks {alpha}, {beta} must be hole free")
     ell, p, r = len(alpha), sum(alpha), sum(beta)
-    if p + r != n:
-        raise WrongFamily(f"blocks hold {p + r} balls, configuration needs {n}")
     prefactor = one_hole_prefactor(alpha, beta)
-    coeffs = [ZERO] * (n + 1)
+    coeffs = [ZERO] * (p + r + 1)
     for k in range(r + 1):
         coeffs[p - ell + k] = _assemble([_corrective_term(p, r, k, prefactor)])
     return tuple(coeffs)
@@ -326,28 +324,24 @@ def q_hit(h: HitIndex) -> QPoly:
     return q_hits(h.lam, h.n)[h.i]
 
 
-def hit_to_connected(h: HitIndex) -> tuple[tuple[int, ...], int, int]:
-    """A connected core and shift whose polynomial is the hit number.
+def hit_to_connected(h: HitIndex) -> tuple[tuple[int, ...], int]:
+    """A connected core of h.n balls and a shift whose polynomial is the hit number.
 
-    The factor multiset of the hit identity is matched to the ball
-    multiset of a core; the candidate is accepted only after checking
-    polynomial equality, so a successful return is self certifying.
-    Raises NoMatch when the hit number is zero or the match fails.
+    The factor offsets k - lam_{n+1-k} are >= 0, the first <= 1, each at
+    most 1 above the one before, so their counts from min to max are a core
+    with no hole.  The candidate is accepted only after checking polynomial
+    equality, so a successful return is self certifying.  Raises NoMatch
+    when the hit number is zero or the match fails.
     """
-    n = h.n
-    offsets = sorted(h.factor_offsets())
-    z = 1 if offsets[0] == 0 else 0
-    shifted = [e + z for e in offsets]
-    m = shifted[-1]
-    if set(shifted) != set(range(1, m + 1)):
-        raise NoMatch(f"factor offsets {offsets} are not an interval")
-    gamma = tuple(shifted.count(a) for a in range(1, m + 1))
-    shift = h.i - z
-    if shift < 0 or shift > n - m:
+    offsets = h.factor_offsets()
+    lo = min(offsets)
+    gamma = tuple(offsets.count(e) for e in range(lo, max(offsets) + 1))
+    shift = h.i + lo - 1
+    if shift < 0 or shift > h.n - len(gamma):
         raise NoMatch(f"hit count {h.i} of {h.lam} has no matching placement")
-    if a_connected(gamma, shift, n) != q_hit(h):
+    if a_connected(gamma, shift) != q_hit(h):
         raise NoMatch(f"candidate {gamma} at shift {shift} fails verification")
-    return gamma, shift, n
+    return gamma, shift
 
 
 @dataclass(frozen=True)

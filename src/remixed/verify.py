@@ -103,10 +103,10 @@ def verify_congruence(nmax: int, table: Table) -> dict:
         cores = sorted({core(Configuration(ct)).gamma for ct in values})
         for gamma in cores:
             try:
-                k = max_weakly_shift(gamma, n)
+                k = max_weakly_shift(gamma)
             except NoWeaklyShift:
                 continue
-            lhs = tuple(values[shifted_config(gamma, i, n).c] for i in range(k + 1))
+            lhs = tuple(values[shifted_config(gamma, i).c] for i in range(k + 1))
             if lhs != core_series(gamma, n, k + 1):
                 failures.append({"core": list(gamma), "n": n, "k": k})
             checks += 1
@@ -121,16 +121,16 @@ def verify_corrective(nmax: int, table: Table) -> dict:
         values = table(n)
         for p in range(1, n):
             r = n - p
-            base = corrective_series((p,), (r,), n)
+            base = corrective_series((p,), (r,))
             for alpha in _compositions(p):
                 for beta in _compositions(r):
-                    series = corrective_series(alpha, beta, n)
+                    series = corrective_series(alpha, beta)
                     gamma = alpha + (0,) + beta
                     span = len(gamma)
                     definition = core_series(gamma, n, n + 1)
                     shifted = [ZERO] * (n + 1)
                     for i in range(n - span + 1):
-                        shifted[i] = values[shifted_config(gamma, i, n).c]
+                        shifted[i] = values[shifted_config(gamma, i).c]
                     ok = all(series[t] + shifted[t] == definition[t] for t in range(n + 1))
                     if not ok:
                         failures.append({"alpha": list(alpha), "beta": list(beta), "n": n, "law": "definition"})
@@ -163,7 +163,7 @@ def verify_abelian(nmax: int, table: Table) -> dict:
                 order = list(left_to_right_order(c))
                 rng.shuffle(order)
                 for q0 in qs:
-                    if drop_order_check(c, tuple(order), q0) != base[q0]:
+                    if drop_order_check(tuple(order), q0) != base[q0]:
                         failures.append({"config": list(c.c), "order": order, "q": str(q0)})
                     checks += 1
     return _report("abelian", checks, failures)

@@ -57,7 +57,7 @@ def test_criterion_1_worked_examples():
         ((3, 0, 0, 2, 0), a_lukasiewicz, (1, 2, 3, 4, 3, 2, 1)),
         (
             (0, 1, 2, 2, 0),
-            lambda c: a_connected(core(c).gamma, core(c).left_zeros, c.n),
+            lambda c: a_connected(core(c).gamma, core(c).left_zeros),
             (0, 0, 1, 5, 12, 18, 18, 12, 5, 1),
         ),
         ((1, 0, 3, 0, 1), a_almost_lukasiewicz, (0, 2, 6, 12, 16, 18, 16, 12, 6, 2)),
@@ -201,7 +201,7 @@ def _q_normal_form(p: int, r: int) -> list:
     """t coefficients of the corrective series, rebased to start at t^0, q^0."""
     if r == 0:
         return [ONE]
-    ser = corrective_series((p,), (r,), p + r)
+    ser = corrective_series((p,), (r,))
     low = comb(p, 2)
     rows = [ser[t + p - 1].coeffs for t in range(r + 1)]
     assert not any(c for cs in rows for c in cs[:low]), f"q^{low} does not divide the series"

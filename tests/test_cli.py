@@ -212,6 +212,20 @@ def test_table_one_hole(capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_core_tables_read_n_from_the_core(capsys):
+    # a core of n balls fixes n: the table without --n is the one with it
+    for kind, gamma, n in (("connected", "1,2,2", "5"), ("weakly", "3,0,2", "5"), ("one-hole", "2,0,2", "4")):
+        rc, out, err = run(capsys, "table", kind, "--gamma", gamma, "--format", "csv")
+        assert (rc, err) == (0, "")
+        assert (rc, out, err) == run(capsys, "table", kind, "--gamma", gamma, "--n", n, "--format", "csv")
+    # a given --n is checked after the core: a core spanning more sites than
+    # it holds balls reports its span before any --n it contradicts
+    rc, out, err = run(capsys, "table", "one-hole", "--gamma", "1,0,0,1", "--n", "3")
+    assert (rc, out, err) == (2, "", "error: core spans 4 sites but only 2 exist\n")
+    rc, out, err = run(capsys, "table", "connected", "--gamma", "1,2", "--n", "4")
+    assert (rc, out, err) == (2, "", "error: core holds 3 balls, configuration needs 4\n")
+
+
 def test_table_one_hole_rejects_a_core_with_outer_zeros(capsys):
     # (0,2,0,2) is no core: a table of its shifts would be one of core (2,0,2)
     rc, out, err = run(capsys, "table", "one-hole", "--gamma", "0,2,0,2", "--n", "4")
@@ -550,7 +564,7 @@ def test_planted_defects_fail_the_corrective_suite(oracle, monkeypatch):
     # exactly the records that read it, with unchanged check counts.
     clean = verify.verify_corrective(5, oracle.table)
     assert clean["passed"]
-    ct = shifted_config((1, 0, 4), 0, 5).c
+    ct = shifted_config((1, 0, 4), 0).c
     table5 = dict(oracle.table(5))
     table5[ct] = table5[ct] + ONE
     broken = verify.verify_corrective(5, lambda n: table5 if n == 5 else oracle.table(n))
@@ -559,9 +573,9 @@ def test_planted_defects_fail_the_corrective_suite(oracle, monkeypatch):
 
     real = verify.corrective_series
 
-    def planted(alpha, beta, n):
-        series = real(alpha, beta, n)
-        if (alpha, beta, n) != ((1,), (4,), 5):
+    def planted(alpha, beta):
+        series = real(alpha, beta)
+        if (alpha, beta) != ((1,), (4,)):
             return series
         return (series[0], series[1] + ONE, *series[2:])
 
@@ -575,6 +589,46 @@ def test_planted_defects_fail_the_corrective_suite(oracle, monkeypatch):
         for beta in verify._compositions(4)
     ]
     assert broken["failures"] == want
+
+
+def test_planted_defect_fails_the_congruence_suite(oracle):
+    # one unit added to a weakly placed n = 5 entry fails exactly the record
+    # of its core, with an unchanged check count
+    clean = verify.verify_congruence(5, oracle.table)
+    assert clean["passed"]
+    ct = shifted_config((3, 0, 2), 1).c
+    table5 = dict(oracle.table(5))
+    table5[ct] = table5[ct] + ONE
+    broken = verify.verify_congruence(5, lambda n: table5 if n == 5 else oracle.table(n))
+    assert broken["checks"] == clean["checks"]
+    assert broken["failures"] == [{"core": [3, 0, 2], "n": 5, "k": 1}]
+
+
+def test_planted_defect_fails_the_abelian_suite(monkeypatch):
+    # 1/1000 added to the success probability of one (order, q) cell fails
+    # exactly one record of the 345 checks at nmax 7
+    real = verify.drop_order_check
+    cells = []
+    monkeypatch.setattr(verify, "drop_order_check", lambda order, q0: cells.append((order, q0)) or real(order, q0))
+    clean = verify.verify_abelian(7, None)
+    assert clean["passed"] and clean["checks"] == 345 == len(cells)
+    order, q = cells[-1]
+    assert cells.count((order, q)) == 1 and len(order) == 7
+
+    def planted(o, q0):
+        return real(o, q0) + (Fraction(1, 1000) if (o, q0) == (order, q) else 0)
+
+    monkeypatch.setattr(verify, "drop_order_check", planted)
+    broken = verify.verify_abelian(7, None)
+    assert broken["checks"] == 345
+    content = [order.count(s) for s in range(1, 8)]
+    assert broken["failures"] == [{"config": content, "order": list(order), "q": str(q)}]
+
+
+def test_pretty_renders_a_power_of_q_above_one(capsys):
+    rc, out, _ = run(capsys, "eval", "0,0,0,6,0,0", "--pretty")
+    assert rc == 0
+    assert envelope(out)["result"]["pretty"] == "[4]^6 - [7] [3]^6 + q qbin(7,2) [2]^6 - q^3 qbin(7,3)"
 
 
 # Each script breaks one route from inside, then runs the CLI on it; the

@@ -113,30 +113,30 @@ def brute_weakly_shifts(gamma, n):
     """Every shift of gamma whose start sites u meet u_j <= max(u_{j-1} + 1, j)."""
     good = []
     for i in range(n - len(gamma) + 1):
-        u = left_to_right_order(shifted_config(gamma, i, n))
+        u = left_to_right_order(shifted_config(gamma, i))
         if all(u[j - 1] <= max(u[j - 2] + 1, j) for j in range(2, n + 1)):
             good.append(i)
     return good
 
 
 def test_max_weakly_shift_examples():
-    assert max_weakly_shift((3, 0, 2), 5) == 1
+    assert max_weakly_shift((3, 0, 2)) == 1
     for n in range(1, 8):
-        assert max_weakly_shift((n,), n) == n - 1
-    assert max_weakly_shift((1, 2, 2), 5) == 2
+        assert max_weakly_shift((n,)) == n - 1
+    assert max_weakly_shift((1, 2, 2)) == 2
     with pytest.raises(NoWeaklyShift):
-        max_weakly_shift((1, 0, 2), 3)
+        max_weakly_shift((1, 0, 2))
     # every core with n <= 8 against the search over all its shifts
     for n in range(1, 9):
         for gamma in {core(c).gamma for c in all_configurations(n)}:
             good = brute_weakly_shifts(gamma, n)
             if not good:
                 with pytest.raises(NoWeaklyShift):
-                    max_weakly_shift(gamma, n)
+                    max_weakly_shift(gamma)
                 continue
             # the good shifts form a prefix
             assert good == list(range(len(good)))
-            assert max_weakly_shift(gamma, n) == good[-1]
+            assert max_weakly_shift(gamma) == good[-1]
 
 
 def test_single_walk_matches_the_multi_pass_reference():
@@ -152,9 +152,9 @@ def test_single_walk_matches_the_multi_pass_reference():
             want = weak_bound_reference(gamma, n)
             if want < 0:
                 with pytest.raises(NoWeaklyShift):
-                    max_weakly_shift(gamma, n)
+                    max_weakly_shift(gamma)
             else:
-                assert max_weakly_shift(gamma, n) == want
+                assert max_weakly_shift(gamma) == want
     assert seen == 33098
 
 
@@ -162,11 +162,11 @@ def test_single_walk_matches_the_multi_pass_reference():
 def test_weakly_prefix_and_stability(n, data):
     c = data.draw(st.sampled_from([x for x in all_configurations(n) if classify(x).is_weakly_lukasiewicz]))
     dec = core(c)
-    k = max_weakly_shift(dec.gamma, n)
+    k = max_weakly_shift(dec.gamma)
     assert dec.left_zeros <= k
     # every smaller shift keeps the flag
     for i in range(k + 1):
-        assert classify(shifted_config(dec.gamma, i, n)).is_weakly_lukasiewicz
+        assert classify(shifted_config(dec.gamma, i)).is_weakly_lukasiewicz
     # dropping the rightmost ball keeps the flag on the truncated order
     u = left_to_right_order(c)[:-1]
     assert all(u[j - 1] <= max(u[j - 2] + 1, j) for j in range(2, len(u) + 1))

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from remixed import engine
 from remixed.config import Configuration, all_configurations, left_to_right_order
 from remixed.engine import (
-    BadContent,
     drop_order_check,
     exact_sweep,
     remixed_exact,
@@ -267,6 +266,29 @@ def test_induction_memo_keeps_each_point_apart():
         assert remixed_induction(c) == remixed_exact(c), ct
 
 
+def test_the_recursion_only_meets_balanced_tuples(monkeypatch):
+    # a split at an empty site j with j - 1 balls to its left leaves j - 1
+    # balls on j - 1 sites and the rest on the rest, so every tuple the
+    # recursion asks for holds as many balls as sites
+    real = engine._induction
+    seen = []
+
+    def recording(ct, x):
+        seen.append(ct)
+        return real(ct, x)
+
+    recording.__wrapped__ = real.__wrapped__  # the uncached top call recurses through recording
+    monkeypatch.setattr(engine, "_induction", recording)
+    real.cache_clear()
+    try:
+        for n in range(1, 7):
+            for c in all_configurations(n):
+                assert remixed_induction(c) == remixed_exact(c), c.c
+    finally:
+        real.cache_clear()
+    assert seen and all(sum(ct) == len(ct) for ct in seen)
+
+
 def test_exact_sweep_matches_per_config_evaluator(oracle):
     for n in range(1, 7):
         table = oracle.table(n)
@@ -421,12 +443,14 @@ def test_eulerian_specialization():
 def test_drop_order_examples():
     c = Configuration((0, 3, 0, 2, 0))
     for q0 in (Fraction(1, 3), Fraction(1), Fraction(2)):
-        assert drop_order_check(c, (2, 4, 4, 2, 2), q0) == success_probability(c, q0)
-        assert drop_order_check(c, left_to_right_order(c), q0) == success_probability(c, q0)
-    with pytest.raises(BadContent):
-        drop_order_check(Configuration((2, 0)), (1, 2), Fraction(1))
+        assert drop_order_check((2, 4, 4, 2, 2), q0) == success_probability(c, q0)
+        assert drop_order_check(left_to_right_order(c), q0) == success_probability(c, q0)
+    # an order of n balls fixes n sites: none at all, or a site off [1, n], is no order
+    for order in [(), (1, 3), (0, 2), (2, 4, 4, 2, 6)]:
+        with pytest.raises(ValueError):
+            drop_order_check(order, Fraction(1))
     with pytest.raises(ValueError):
-        drop_order_check(c, (2, 4, 4, 2, 2), Fraction(-1, 2))
+        drop_order_check((2, 4, 4, 2, 2), Fraction(-1, 2))
 
 
 @given(st.integers(2, 6), st.data())
@@ -436,7 +460,7 @@ def test_drop_order_invariance(n, data):
     order = list(left_to_right_order(c))
     data.draw(st.randoms(use_true_random=False)).shuffle(order)
     q0 = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(2)]))
-    assert drop_order_check(c, tuple(order), q0) == success_probability(c, q0)
+    assert drop_order_check(tuple(order), q0) == success_probability(c, q0)
 
 
 def test_degree_bound():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from remixed import config, engine, formulas, qcalc
-from remixed.config import BadSum, Configuration, all_configurations, classify, core
+from remixed.config import Configuration, all_configurations, classify, core
 from remixed.engine import remixed_exact, remixed_induction, success_probability
 from remixed.formulas import (
     BadPartition,
@@ -81,20 +81,17 @@ def test_lukasiewicz_vs_oracle(oracle):
 
 
 def test_connected_examples():
-    assert a_connected((1, 2, 2), 1, 5).coeffs == (0, 0, 1, 5, 12, 18, 18, 12, 5, 1)
+    assert a_connected((1, 2, 2), 1).coeffs == (0, 0, 1, 5, 12, 18, 18, 12, 5, 1)
     for n in range(1, 7):
         # single site core at the left wall: one term, product [1]^n
-        assert a_connected((n,), 0, n) == ONE
-    assert a_connected((1, 2), 0, 3) == poly_product(q_int(2), q_int(2))
+        assert a_connected((n,), 0) == ONE
+    assert a_connected((1, 2), 0) == poly_product(q_int(2), q_int(2))
     with pytest.raises(ShiftOutOfRange):
-        a_connected((1, 2, 2), 3, 5)
+        a_connected((1, 2, 2), 3)
     with pytest.raises(ShiftOutOfRange):
-        a_connected((1, 2, 2), -1, 5)
+        a_connected((1, 2, 2), -1)
     with pytest.raises(WrongFamily):
-        a_connected((1, 0, 2), 0, 3)
-    # a core with too few balls is not a core of n balls at all
-    with pytest.raises(BadSum):
-        a_connected((1, 2), 0, 4)
+        a_connected((1, 0, 2), 0)
 
 
 def test_connected_vs_oracle(oracle):
@@ -103,14 +100,14 @@ def test_connected_vs_oracle(oracle):
             c = Configuration(ct)
             if classify(c).is_connected:
                 dec = core(c)
-                assert a_connected(dec.gamma, dec.left_zeros, n) == want
+                assert a_connected(dec.gamma, dec.left_zeros) == want
 
 
 def test_connected_series_matches_termwise():
     gamma, n = (1, 2, 2), 5
     ser = core_series(gamma, n, 8)
     for j in range(3):
-        assert ser[j] == a_connected(gamma, j, n)
+        assert ser[j] == a_connected(gamma, j)
     for j in range(3, 8):
         assert not ser[j]
 
@@ -118,7 +115,7 @@ def test_connected_series_matches_termwise():
 def test_core_series_no_family_restriction():
     # holes are allowed here; the congruence suite leans on that
     ser = core_series((3, 0, 2), 5, 3)
-    assert ser[1] == a_weakly_lukasiewicz((3, 0, 2), 1, 5)
+    assert ser[1] == a_weakly_lukasiewicz((3, 0, 2), 1)
 
 
 # --------------------------------------------------------------------- almost
@@ -147,20 +144,20 @@ def test_almost_vs_oracle(oracle):
 
 
 def test_weakly_examples():
-    assert a_weakly_lukasiewicz((3, 0, 2), 1, 5).coeffs == (0, 2, 6, 12, 17, 17, 12, 6, 2)
+    assert a_weakly_lukasiewicz((3, 0, 2), 1).coeffs == (0, 2, 6, 12, 17, 17, 12, 6, 2)
     # past the largest weakly placed shift, and a core placed weakly nowhere
     with pytest.raises(WrongFamily):
-        a_weakly_lukasiewicz((3, 0, 2), 2, 5)
+        a_weakly_lukasiewicz((3, 0, 2), 2)
     with pytest.raises(WrongFamily):
-        a_weakly_lukasiewicz((1, 0, 2), 0, 3)
+        a_weakly_lukasiewicz((1, 0, 2), 0)
     with pytest.raises(ShiftOutOfRange):
-        a_weakly_lukasiewicz((3, 0, 2), -1, 5)
+        a_weakly_lukasiewicz((3, 0, 2), -1)
 
 
 def test_weakly_agrees_with_connected_when_hole_free():
     for gamma, n in [((1, 2, 2), 5), ((2, 1), 3), ((4,), 4)]:
         for i in range(n - len(gamma) + 1):
-            assert a_weakly_lukasiewicz(gamma, i, n) == a_connected(gamma, i, n)
+            assert a_weakly_lukasiewicz(gamma, i) == a_connected(gamma, i)
 
 
 def test_weakly_vs_oracle(oracle):
@@ -169,20 +166,20 @@ def test_weakly_vs_oracle(oracle):
             c = Configuration(ct)
             if classify(c).is_weakly_lukasiewicz:
                 dec = core(c)
-                assert a_weakly_lukasiewicz(dec.gamma, dec.left_zeros, n) == want
+                assert a_weakly_lukasiewicz(dec.gamma, dec.left_zeros) == want
 
 
 # ------------------------------------------------------------------- one hole
 
 
 def test_corrective_series_examples():
-    ser = corrective_series((2,), (1,), 3)
+    ser = corrective_series((2,), (1,))
     assert not ser[0]
     assert ser[1] == q_int(4).shift(1)
     assert ser[2] == negate(ONE.shift(4))
     assert not ser[3]
     # blocks wider than the gap still land inside [0, n]
-    ser = corrective_series((1,), (1,), 2)
+    ser = corrective_series((1,), (1,))
     assert ser[0] == q_int(3)
     assert ser[1] == negate(ONE.shift(2))
     assert not ser[2]
@@ -192,7 +189,7 @@ def test_corrective_series_support():
     for alpha, beta in [((1, 1), (1,)), ((2,), (2, 1)), ((1, 2), (1, 1))]:
         ell, p, r = len(alpha), sum(alpha), sum(beta)
         n = p + r
-        ser = corrective_series(alpha, beta, n)
+        ser = corrective_series(alpha, beta)
         for t in range(n + 1):
             if p - ell <= t <= p - ell + r:
                 assert ser[t]
@@ -202,11 +199,9 @@ def test_corrective_series_support():
 
 def test_corrective_series_rejects_bad_blocks():
     with pytest.raises(WrongFamily):
-        corrective_series((), (1,), 1)
+        corrective_series((), (1,))
     with pytest.raises(WrongFamily):
-        corrective_series((1, 0), (1,), 2)
-    with pytest.raises(WrongFamily):
-        corrective_series((1,), (1,), 3)
+        corrective_series((1, 0), (1,))
 
 
 def test_one_hole_examples():
@@ -354,10 +349,21 @@ def test_hit_series_stops_at_degree_n():
             assert not long[n + 1] and not long[n + 2]
 
 
+def test_hit_offsets_form_an_interval():
+    # hit_to_connected reads the offsets' counts from min to max as a core
+    # with no hole: every offset is >= 0, the first <= 1, and each at most 1
+    # above the one before, so the values fill an interval from 0 or 1
+    for n in range(1, 8):
+        for lam in _staircase_partitions(n):
+            offsets = HitIndex(lam, 0, n).factor_offsets()
+            assert min(offsets) in (0, 1), lam
+            assert set(offsets) == set(range(min(offsets), max(offsets) + 1)), lam
+
+
 def test_hit_to_connected_examples():
-    assert hit_to_connected(HitIndex((), 0, 3)) == ((1, 1, 1), 0, 3)
-    gamma, shift, n = hit_to_connected(HitIndex((2, 1), 1, 3))
-    assert a_connected(gamma, shift, n) == q_hit(HitIndex((2, 1), 1, 3))
+    assert hit_to_connected(HitIndex((), 0, 3)) == ((1, 1, 1), 0)
+    gamma, shift = hit_to_connected(HitIndex((2, 1), 1, 3))
+    assert a_connected(gamma, shift) == q_hit(HitIndex((2, 1), 1, 3))
     with pytest.raises(NoMatch):
         hit_to_connected(HitIndex((1,), 0, 1))
     with pytest.raises(NoMatch):
@@ -373,8 +379,8 @@ def test_hit_to_connected_exhaustive_small():
                     with pytest.raises(NoMatch):
                         hit_to_connected(h)
                 else:
-                    gamma, shift, total = hit_to_connected(h)
-                    assert total == n and sum(gamma) == n
+                    gamma, shift = hit_to_connected(h)
+                    assert sum(gamma) == n
                     assert 0 <= shift <= n - len(gamma)
 
 
@@ -558,7 +564,7 @@ def test_a_formulas_agree_with_routes(formula, method):
         # the formulas of a core at a shift take the core and shift of c
         if formula in (a_connected, a_weakly_lukasiewicz):
             dec = core(c)
-            return formula(dec.gamma, dec.left_zeros, c.n)
+            return formula(dec.gamma, dec.left_zeros)
         return formula(c)
 
     for n in range(1, 8):
