@@ -165,8 +165,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     c = parse_config(args.config)
-    if args.trials < 1:
-        raise ValueError("need at least one trial")
     q0 = _parse_rational(args.q)
     if q0 < 0:
         raise ValueError(f"--q must be nonnegative, got {args.q!r}")

@@ -14,22 +14,6 @@ from itertools import accumulate, combinations
 from .qcalc import InvariantViolation
 
 
-class BadSum(ValueError):
-    """Ball count does not match the number of sites."""
-
-
-class Negative(ValueError):
-    """A site holds a negative number of balls."""
-
-
-class Empty(ValueError):
-    """No sites at all."""
-
-
-class ShiftOutOfRange(ValueError):
-    """Shift index outside [0, n - m]."""
-
-
 class NoWeaklyShift(ValueError):
     """No placement of the core satisfies the weak order condition."""
 
@@ -43,13 +27,13 @@ class Configuration:
     def __post_init__(self) -> None:
         c = tuple(self.c)
         if not c:
-            raise Empty("a configuration needs at least one site")
+            raise ValueError("a configuration needs at least one site")
         if not set(map(type, c)) <= {int}:
             raise TypeError(f"entries must be int, got {c}")
         if min(c) < 0:
-            raise Negative(f"negative entry in {c}")
+            raise ValueError(f"negative entry in {c}")
         if sum(c) != len(c):
-            raise BadSum(f"{sum(c)} balls on {len(c)} sites")
+            raise ValueError(f"{sum(c)} balls on {len(c)} sites")
         object.__setattr__(self, "c", c)
 
     @property
@@ -97,7 +81,7 @@ def parse_config(text: str) -> Configuration:
     """
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
-        raise Empty("empty configuration text")
+        raise ValueError("empty configuration text")
     try:
         vals = tuple(int(p) for p in parts)
     except ValueError as exc:
@@ -202,14 +186,14 @@ def classify(c: Configuration) -> ConfigFlags:
 
 def _check_core(gamma: tuple[int, ...]) -> int:
     if not gamma:
-        raise Empty("empty core")
+        raise ValueError("empty core")
     if any(x < 0 for x in gamma):
-        raise Negative(f"negative entry in {gamma}")
+        raise ValueError(f"negative entry in {gamma}")
     if gamma[0] == 0 or gamma[-1] == 0:
         raise ValueError(f"core {gamma} must start and end with a ball")
     n = sum(gamma)
     if len(gamma) > n:
-        raise BadSum(f"core spans {len(gamma)} sites but only {n} exist")
+        raise ValueError(f"core spans {len(gamma)} sites but only {n} exist")
     return n
 
 
@@ -225,7 +209,7 @@ def shifted_config(gamma: tuple[int, ...], i: int) -> Configuration:
     gamma = tuple(gamma)
     free = _check_core(gamma) - len(gamma)
     if not 0 <= i <= free:
-        raise ShiftOutOfRange(f"shift {i} outside [0, {free}]")
+        raise ValueError(f"shift {i} outside [0, {free}]")
     return Configuration((0,) * i + gamma + (0,) * (free - i))
 
 

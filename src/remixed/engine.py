@@ -55,7 +55,7 @@ Point = tuple[list[int], list[int], list[int]]
 
 # Largest number of sites exact_sweep accepts.  The table it returns holds
 # C(2n - 1, n) polynomials of up to n(n-1)/2 + 1 coefficients, and a fresh
-# process running it peaks at 34 MB at n = 9, 83 MB at n = 10 and 340 MB
+# process running it peaks at 30 MB at n = 9, 79 MB at n = 10 and 340 MB
 # at n = 11, where it also takes about 15 s.
 SWEEP_MAX_N = 10
 

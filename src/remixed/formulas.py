@@ -28,7 +28,6 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .config import ConfigFlags, Configuration, classify, mset, shifted_config
-from .config import ShiftOutOfRange  # re-exported: a_connected and a_weakly_lukasiewicz raise it
 from .engine import remixed_induction
 from .qcalc import (
     InvariantViolation,
@@ -39,18 +38,6 @@ from .qcalc import (
     q_binomial,
     require_nonnegative,
 )
-
-
-class WrongFamily(ValueError):
-    """The configuration or core is outside the formula's family."""
-
-
-class BadPartition(ValueError):
-    """The partition does not fit the staircase for its size."""
-
-
-class NoMatch(ValueError):
-    """No connected configuration matches the requested hit number."""
 
 
 class _Term(NamedTuple):
@@ -109,11 +96,11 @@ def _render(terms: Sequence[_Term]) -> str:
 
 
 def _by_route(method: str, c: Configuration, outside: str) -> QPoly:
-    """c's polynomial by the route named method; WrongFamily(outside) if c fails its test."""
+    """c's polynomial by the route named method; ValueError(outside) if c fails its test."""
     flags = classify(c)
     applies, build = ROUTES[method]
     if not applies(flags):
-        raise WrongFamily(outside.format(c.c))
+        raise ValueError(outside.format(c.c))
     return sum_terms(build(c, flags), c.c)
 
 
@@ -243,9 +230,9 @@ def corrective_series(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[QP
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if not alpha or not beta:
-        raise WrongFamily("both blocks around the hole must be nonempty")
+        raise ValueError("both blocks around the hole must be nonempty")
     if any(x < 1 for x in alpha) or any(x < 1 for x in beta):
-        raise WrongFamily(f"blocks {alpha}, {beta} must be hole free")
+        raise ValueError(f"blocks {alpha}, {beta} must be hole free")
     ell, p, r = len(alpha), sum(alpha), sum(beta)
     prefactor = one_hole_prefactor(alpha, beta)
     coeffs = [ZERO] * (p + r + 1)
@@ -288,19 +275,19 @@ class HitIndex:
         lam = tuple(self.lam)
         n = self.n
         if n < 1:
-            raise BadPartition("size must be positive")
+            raise ValueError("size must be positive")
         if any(x < 0 for x in lam):
-            raise BadPartition(f"negative part in {lam}")
+            raise ValueError(f"negative part in {lam}")
         if any(lam[k] < lam[k + 1] for k in range(len(lam) - 1)):
-            raise BadPartition(f"{lam} is not weakly decreasing")
+            raise ValueError(f"{lam} is not weakly decreasing")
         if len(lam) > n and any(x > 0 for x in lam[n:]):
-            raise BadPartition(f"{lam} has more than {n} parts")
+            raise ValueError(f"{lam} has more than {n} parts")
         lam = (lam + (0,) * n)[:n]
         for k in range(n):
             if lam[k] > n - k:
-                raise BadPartition(f"part {lam[k]} at row {k + 1} leaves the staircase")
+                raise ValueError(f"part {lam[k]} at row {k + 1} leaves the staircase")
         if not 0 <= self.i <= n:
-            raise BadPartition(f"hit count {self.i} outside [0, {n}]")
+            raise ValueError(f"hit count {self.i} outside [0, {n}]")
         object.__setattr__(self, "lam", lam)
 
     def factor_offsets(self) -> list[int]:
@@ -330,7 +317,7 @@ def hit_to_connected(h: HitIndex) -> tuple[tuple[int, ...], int]:
     The factor offsets k - lam_{n+1-k} are >= 0, the first <= 1, each at
     most 1 above the one before, so their counts from min to max are a core
     with no hole.  The candidate is accepted only after checking polynomial
-    equality, so a successful return is self certifying.  Raises NoMatch
+    equality, so a successful return is self certifying.  Raises ValueError
     when the hit number is zero or the match fails.
     """
     offsets = h.factor_offsets()
@@ -338,9 +325,9 @@ def hit_to_connected(h: HitIndex) -> tuple[tuple[int, ...], int]:
     gamma = tuple(offsets.count(e) for e in range(lo, max(offsets) + 1))
     shift = h.i + lo - 1
     if shift < 0 or shift > h.n - len(gamma):
-        raise NoMatch(f"hit count {h.i} of {h.lam} has no matching placement")
+        raise ValueError(f"hit count {h.i} of {h.lam} has no matching placement")
     if a_connected(gamma, shift) != q_hit(h):
-        raise NoMatch(f"candidate {gamma} at shift {shift} fails verification")
+        raise ValueError(f"candidate {gamma} at shift {shift} fails verification")
     return gamma, shift
 
 

@@ -232,6 +232,11 @@ def test_table_one_hole_rejects_a_core_with_outer_zeros(capsys):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+def test_table_rejects_a_gamma_that_is_not_integers(capsys):
+    rc, out, err = run(capsys, "table", "connected", "--gamma", "1,x")
+    assert (rc, out, err) == (2, "", "error: gamma must be comma separated integers, got '1,x'\n")
+
+
 def test_table_impossible_sizes(capsys):
     # an empty range of shifts or sizes, or a gamma that is no core, is a
     # usage error, not an empty table
@@ -480,7 +485,10 @@ def test_simulate_deterministic(capsys):
 
 def test_simulate_argument_validation(capsys):
     rc, _, err = run(capsys, "simulate", "2,0", "--trials", "0")
-    assert rc == 2 and err.startswith("error:")
+    assert rc == 2 and err == "error: need at least one trial\n"
+    # the simulator checks the trials, so a bad --q is reported first
+    rc, _, err = run(capsys, "simulate", "2,0", "--trials", "0", "--q", "x")
+    assert rc == 2 and err == "error: --q takes an integer or a/b with integers a and b, got 'x'\n"
     rc, _, err = run(capsys, "simulate", "2,1")
     assert rc == 2 and err.startswith("error:")
     rc, _, err = run(capsys, "simulate", "2,0", "--q", "-1")

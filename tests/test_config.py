@@ -1,13 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from remixed.config import (
-    BadSum,
     Configuration,
-    Empty,
-    Negative,
     NoWeaklyShift,
     all_configurations,
     classify,
@@ -25,14 +23,23 @@ from config_reference import classify_reference, weak_bound_reference
 def test_parse_examples():
     assert parse_config("0,3,0,2,0").c == (0, 3, 0, 2, 0)
     assert parse_config("1").n == 1
-    with pytest.raises(BadSum):
+    with pytest.raises(ValueError, match=re.escape("2 balls on 3 sites")):
         parse_config("2,0,0")
-    with pytest.raises(Negative):
+    with pytest.raises(ValueError, match=re.escape("negative entry in (3, -1)")):
         parse_config("3,-1")
-    with pytest.raises(Empty):
+    with pytest.raises(ValueError, match=re.escape("empty configuration text")):
         parse_config("")
     with pytest.raises(ValueError):
         parse_config("1,a")
+
+
+def test_rejects_what_has_no_site_or_a_negative_entry():
+    with pytest.raises(ValueError, match=re.escape("a configuration needs at least one site")):
+        Configuration(())
+    with pytest.raises(ValueError, match=re.escape("empty core")):
+        shifted_config((), 0)
+    with pytest.raises(ValueError, match=re.escape("negative entry in (1, -1, 2)")):
+        shifted_config((1, -1, 2), 0)
 
 
 def test_rejects_non_int_entries():
@@ -195,3 +202,4 @@ def test_enumeration_is_lexicographic_and_complete():
         assert cfgs == sorted(cfgs)
         assert len(cfgs) == comb(2 * n - 1, n)
         assert len(set(cfgs)) == len(cfgs)
+    assert list(all_configurations(0)) == []

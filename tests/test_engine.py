@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -309,6 +310,11 @@ def test_exact_sweep_rejects_n_above_cap(monkeypatch):
     monkeypatch.setattr(engine, "_drop", refuse)
     with pytest.raises(ValueError, match=f"at most {engine.SWEEP_MAX_N} sites"):
         exact_sweep(engine.SWEEP_MAX_N + 1)
+
+
+def test_exact_sweep_needs_a_site():
+    with pytest.raises(ValueError, match=re.escape("need at least one site")):
+        exact_sweep(0)
 
 
 def test_corrupt_leaf_mass_fails_integrality_check(monkeypatch):

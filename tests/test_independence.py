@@ -19,8 +19,9 @@ of one order.  The identity suites, which check every route, are imported
 by the command line front end only.  In qcalc, one digit reader serves the
 packed evaluator and the oracle's read-back, and no module takes a private
 name of qcalc but the Pochhammer step of the formulas.  No module of the
-package holds an assert statement, which python -O strips, and every
-name a module imports is read there, but for its stated re-exports.  numpy is
+package holds an assert statement, which python -O strips, every
+name a module imports is read there, and every error class the package
+defines is caught by name somewhere in it.  numpy is
 imported only inside the simulator's array kernels, so every exact route,
 the sweep and the identity suites included, runs without loading it.
 """
@@ -194,13 +195,9 @@ def unread_imports(tree: ast.AST) -> set[str]:
     return bound - read
 
 
-# a re-export stated in a comment beside its import
-REEXPORTS = {"formulas.py": {"ShiftOutOfRange"}}
-
-
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_imported_name_is_read(path):
-    assert unread_imports(ast.parse(path.read_text())) == REEXPORTS.get(path.name, set())
+    assert unread_imports(ast.parse(path.read_text())) == set()
 
 
 def test_unread_import_reader_sees_every_form():
@@ -216,6 +213,66 @@ def test_unread_import_reader_sees_every_form():
         "    return minus(x), os.sep\n"
     )
     assert unread_imports(tree) == {"np", "repeat", "mul"}
+
+
+def _name(node: ast.AST) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def error_classes(tree: ast.AST) -> set[str]:
+    """Classes with a base named Exception, ending in Error or itself such a class."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    bases = {node.name: set(map(_name, node.bases)) for node in classes}
+    found: set[str] = set()
+    while True:
+        more = {
+            name
+            for name, names in bases.items()
+            if any(b == "Exception" or (b or "").endswith("Error") or b in found for b in names)
+        }
+        if more == found:
+            return found
+        found = more
+
+
+def caught_names(tree: ast.AST) -> set[str]:
+    """Names an except clause catches, alone or in a tuple, bare or as an attribute."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found.update(map(_name, node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]))
+    return found
+
+
+def test_every_error_class_is_caught_in_the_package():
+    # bad input is a ValueError with its message, as cli.main reports it; a
+    # class of its own exists only where package code tells it apart.  One
+    # tree holds every module, since a class is often caught in another.
+    package = ast.Module([ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")], [])
+    defined = error_classes(package)
+    assert defined == {"NoWeaklyShift", "DegreeTooHigh", "InvariantViolation"}
+    assert defined - caught_names(package) == set()
+
+
+def test_error_class_readers_see_every_form():
+    tree = ast.parse(
+        "class A(ValueError): pass\n"
+        "class B(errors.LookupError): pass\n"
+        "class C(Exception): pass\n"
+        "class D(E): pass\n"
+        "class E(A): pass\n"
+        "class F: pass\n"
+        "try:\n"
+        "    pass\n"
+        "except A:\n"
+        "    pass\n"
+        "except (errors.B, KeyError) as exc:\n"
+        "    pass\n"
+        "except:\n"
+        "    pass\n"
+    )
+    assert error_classes(tree) == {"A", "B", "C", "D", "E"}
+    assert caught_names(tree) == {"A", "B", "KeyError"}
 
 
 def import_time_modules(path: Path) -> set[str]:

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -63,18 +64,24 @@ def test_ring_examples():
     assert times(q_int(2), ZERO) == ZERO
     assert times(q_int(2), q_int(2)) == QPoly((1, 2, 1))
     assert q_int(2) + negate(q_int(2)) == ZERO
+    with pytest.raises(ValueError, match=re.escape("negative shift")):
+        QPoly((1,)).shift(-1)
 
 
 def test_q_int_values():
     assert q_int(0) == ZERO
     assert q_int(1) == ONE
     assert q_int(4).coeffs == (1, 1, 1, 1)
+    with pytest.raises(ValueError, match=re.escape("bracket of a negative integer")):
+        q_int(-1)
 
 
 def test_q_factorial_values():
     assert q_factorial(0) == ONE
     assert q_factorial(2).coeffs == (1, 1)
     assert q_factorial(3).coeffs == (1, 2, 2, 1)
+    with pytest.raises(ValueError, match=re.escape("factorial of a negative integer")):
+        q_factorial(-1)
 
 
 def test_q_binomial_values():
@@ -84,6 +91,8 @@ def test_q_binomial_values():
     assert q_binomial(5, -1) == ZERO
     assert q_binomial(3, 0) == ONE
     assert q_binomial(3, 3) == ONE
+    with pytest.raises(ValueError, match=re.escape("negative row index")):
+        q_binomial(-1, 0)
 
 
 @given(st.integers(0, 30), st.integers(0, 30))
