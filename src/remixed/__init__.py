@@ -45,7 +45,6 @@ from .formulas import (
     a_weakly_lukasiewicz,
     corrective_series,
     a_one_hole,
-    q_hit,
     q_hits,
     hit_to_connected,
     carlitz_scoville_q,
@@ -84,7 +83,6 @@ __all__ = [
     "a_weakly_lukasiewicz",
     "corrective_series",
     "a_one_hole",
-    "q_hit",
     "q_hits",
     "hit_to_connected",
     "carlitz_scoville_q",

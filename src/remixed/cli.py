@@ -26,7 +26,6 @@ from . import __version__
 from .config import classify, max_weakly_shift, parse_config, shifted_config
 from .engine import SWEEP_MAX_N, exact_sweep, remixed_exact, remixed_induction, success_probability
 from .formulas import (
-    CSParams,
     EvalReport,
     a_connected,
     a_one_hole,
@@ -134,7 +133,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[dict | None, int]:
             raise ValueError("rsmax must be nonnegative")
         for total in range(rsmax + 1):
             for r in range(total + 1):
-                p = carlitz_scoville_q(CSParams(r, total - r, x, y))
+                p = carlitz_scoville_q(r, total - r, x, y)
                 rows.append((f"{r}:{total - r}", p))
     elif args.kind == "hit":
         lam = _parse_tuple(_require(getattr(args, "lambda"), "lambda"), "lambda")
@@ -247,9 +246,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: invariant violated: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, RecursionError, MemoryError, ImportError) as exc:
         # RecursionError: the last ball recursion takes one frame per site;
-        # MemoryError: simulate keeps a byte of flags a trial
+        # MemoryError: simulate keeps a byte of flags a trial; ImportError:
+        # simulate imports numpy on its first call, the exact routes never do
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if result is not None:

@@ -263,114 +263,91 @@ def a_one_hole(c: Configuration) -> QPoly:
     return _by_route("one_hole", c, "core of {} does not have exactly one hole")
 
 
-@dataclass(frozen=True)
-class HitIndex:
-    """A partition inside the staircase and a hit count to extract."""
-
-    lam: tuple[int, ...]
-    i: int
-    n: int
-
-    def __post_init__(self) -> None:
-        lam = tuple(self.lam)
-        n = self.n
-        if n < 1:
-            raise ValueError("size must be positive")
-        if any(x < 0 for x in lam):
-            raise ValueError(f"negative part in {lam}")
-        if any(lam[k] < lam[k + 1] for k in range(len(lam) - 1)):
-            raise ValueError(f"{lam} is not weakly decreasing")
-        if len(lam) > n and any(x > 0 for x in lam[n:]):
-            raise ValueError(f"{lam} has more than {n} parts")
-        lam = (lam + (0,) * n)[:n]
-        for k in range(n):
-            if lam[k] > n - k:
-                raise ValueError(f"part {lam[k]} at row {k + 1} leaves the staircase")
-        if not 0 <= self.i <= n:
-            raise ValueError(f"hit count {self.i} outside [0, {n}]")
-        object.__setattr__(self, "lam", lam)
-
-    def factor_offsets(self) -> list[int]:
-        """The multiset of differences k - lam_{n+1-k} for k = 1..n."""
-        return [k - self.lam[self.n - k] for k in range(1, self.n + 1)]
+def _staircase(lam: Sequence[int], n: int) -> tuple[int, ...]:
+    """lam padded to n parts; ValueError unless it is a partition inside the staircase of size n."""
+    lam = tuple(lam)
+    if n < 1:
+        raise ValueError("size must be positive")
+    if any(x < 0 for x in lam):
+        raise ValueError(f"negative part in {lam}")
+    if any(lam[k] < lam[k + 1] for k in range(len(lam) - 1)):
+        raise ValueError(f"{lam} is not weakly decreasing")
+    if len(lam) > n and any(x > 0 for x in lam[n:]):
+        raise ValueError(f"{lam} has more than {n} parts")
+    lam = (lam + (0,) * n)[:n]
+    for k in range(n):
+        if lam[k] > n - k:
+            raise ValueError(f"part {lam[k]} at row {k + 1} leaves the staircase")
+    return lam
 
 
 def q_hits(lam: tuple[int, ...], n: int) -> tuple[QPoly, ...]:
     """The q-hit numbers of lam in the staircase of size n, for i = 0..n.
 
     They are the coefficients of one generating series: core_series over
-    the factor offsets in place of the core balls.  Its numerator series
-    is a polynomial in t of degree at most n, so the truncation n + 1 is
-    exact.
+    the factor offsets k - lam_{n+1-k}, k = 1..n, in place of the core
+    balls.  Its numerator series is a polynomial in t of degree at most n,
+    so the truncation n + 1 is exact.
     """
-    return _bracket_series(HitIndex(lam, 0, n).factor_offsets(), n, n + 1)
+    lam = _staircase(lam, n)
+    return _bracket_series([k - lam[n - k] for k in range(1, n + 1)], n, n + 1)
 
 
-def q_hit(h: HitIndex) -> QPoly:
-    """Coefficient extraction from the hit number generating identity (q_hits)."""
-    return q_hits(h.lam, h.n)[h.i]
-
-
-def hit_to_connected(h: HitIndex) -> tuple[tuple[int, ...], int]:
-    """A connected core of h.n balls and a shift whose polynomial is the hit number.
+def hit_to_connected(lam: tuple[int, ...], n: int, i: int) -> tuple[tuple[int, ...], int]:
+    """A connected core of n balls and a shift whose polynomial is q_hits(lam, n)[i].
 
     The factor offsets k - lam_{n+1-k} are >= 0, the first <= 1, each at
     most 1 above the one before, so their counts from min to max are a core
     with no hole.  The candidate is accepted only after checking polynomial
     equality, so a successful return is self certifying.  Raises ValueError
-    when the hit number is zero or the match fails.
+    for lam outside the staircase, a hit count i outside [0, n], a zero hit
+    number or a failed match.
     """
-    offsets = h.factor_offsets()
+    lam = _staircase(lam, n)
+    if not 0 <= i <= n:
+        raise ValueError(f"hit count {i} outside [0, {n}]")
+    offsets = [k - lam[n - k] for k in range(1, n + 1)]
     lo = min(offsets)
     gamma = tuple(offsets.count(e) for e in range(lo, max(offsets) + 1))
-    shift = h.i + lo - 1
-    if shift < 0 or shift > h.n - len(gamma):
-        raise ValueError(f"hit count {h.i} of {h.lam} has no matching placement")
-    if a_connected(gamma, shift) != q_hit(h):
+    shift = i + lo - 1
+    if shift < 0 or shift > n - len(gamma):
+        raise ValueError(f"hit count {i} of {lam} has no matching placement")
+    if a_connected(gamma, shift) != q_hits(lam, n)[i]:
         raise ValueError(f"candidate {gamma} at shift {shift} fails verification")
     return gamma, shift
 
 
-@dataclass(frozen=True)
-class CSParams:
-    """Indices of the two sided q Eulerian triangle entry A(r,s|x,y)."""
-
-    r: int
-    s: int
-    x: int
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.r < 0 or self.s < 0:
-            raise ValueError("r and s must be nonnegative")
-        if self.x < 1 or self.y < 1:
-            raise ValueError("x and y must be positive")
+def _check_cs(r: int, s: int, x: int, y: int) -> None:
+    """ValueError unless A(r,s|x,y) is an entry of the two sided triangle."""
+    if r < 0 or s < 0:
+        raise ValueError("r and s must be nonnegative")
+    if x < 1 or y < 1:
+        raise ValueError("x and y must be positive")
 
 
-def cs_configuration(p: CSParams) -> Configuration:
+def cs_configuration(r: int, s: int, x: int, y: int) -> Configuration:
     """The configuration whose polynomial defines A(r,s|x,y)."""
-    return Configuration(
-        (0,) * p.r + (1,) * (p.y - 1) + (p.r + p.s + 1,) + (1,) * (p.x - 1) + (0,) * p.s
-    )
+    _check_cs(r, s, x, y)
+    return Configuration((0,) * r + (1,) * (y - 1) + (r + s + 1,) + (1,) * (x - 1) + (0,) * s)
 
 
-def carlitz_scoville_q(p: CSParams) -> QPoly:
-    """Closed form for the q analog of the two sided Eulerian numbers.
+def carlitz_scoville_q(r: int, s: int, x: int, y: int) -> QPoly:
+    """Closed form for the q analog A(r,s|x,y) of the two sided Eulerian numbers.
 
-    >>> carlitz_scoville_q(CSParams(1, 1, 1, 1)).coeffs
+    >>> carlitz_scoville_q(1, 1, 1, 1).coeffs
     (0, 2, 2)
     """
-    rs = p.r + p.s
+    _check_cs(r, s, x, y)
     terms = [
         _Term(
-            -1 if (p.r + j) % 2 else 1,
-            comb(p.r - j, 2),
-            (j + p.y,) * rs,
-            ((j + p.x + p.y - 1, j), (rs + p.x + p.y, p.r - j)),
+            -1 if (r + j) % 2 else 1,
+            comb(r - j, 2),
+            (j + y,) * (r + s),
+            ((j + x + y - 1, j), (r + s + x + y, r - j)),
         )
-        for j in range(p.r + 1)
+        for j in range(r + 1)
     ]
-    return sum_terms(terms, p)
+    return sum_terms(terms, (r, s, x, y))
 
 
 # The closed formula routes by expected term count, fewest first, which is

@@ -14,8 +14,6 @@ from remixed.verify import verify_abelian, verify_congruence, verify_corrective,
 from remixed.config import Configuration, all_configurations, core
 from remixed.engine import remixed_exact, remixed_induction, success_probability
 from remixed.formulas import (
-    CSParams,
-    HitIndex,
     a_almost_lukasiewicz,
     a_connected,
     a_lukasiewicz,
@@ -23,7 +21,7 @@ from remixed.formulas import (
     carlitz_scoville_q,
     corrective_series,
     dispatch,
-    q_hit,
+    q_hits,
 )
 from remixed.qcalc import (
     ONE,
@@ -164,14 +162,13 @@ def test_criterion_5_specializations_at_one(oracle):
     cs_checks = 0
     for x in (1, 2, 3):
         for y in (1, 2, 3):
-            assert carlitz_scoville_q(CSParams(0, 0, x, y)).evaluate(1) == 1
+            assert carlitz_scoville_q(0, 0, x, y).evaluate(1) == 1
             for r in range(1, 6):
                 for s in range(1, 7 - r):
-                    lhs = carlitz_scoville_q(CSParams(r, s, x, y)).evaluate(1)
-                    rhs = (s + x) * carlitz_scoville_q(CSParams(r - 1, s, x, y)).evaluate(
-                        1
-                    ) + (r + y) * carlitz_scoville_q(CSParams(r, s - 1, x, y)).evaluate(1)
-                    cs_ok = cs_ok and lhs == rhs
+                    lhs = carlitz_scoville_q(r, s, x, y).evaluate(1)
+                    left = carlitz_scoville_q(r - 1, s, x, y).evaluate(1)
+                    right = carlitz_scoville_q(r, s - 1, x, y).evaluate(1)
+                    cs_ok = cs_ok and lhs == (s + x) * left + (r + y) * right
                     cs_checks += 1
     ok_line(cs_ok, "criterion 5: two sided recurrence at q = 1, r+s <= 6, x,y <= 3", f"{cs_checks} cells")
 
@@ -190,7 +187,7 @@ def test_criterion_5_specializations_at_one(oracle):
     hit_rows = 0
     for n in range(1, 7):
         for lam in staircase(n):
-            total = sum(q_hit(HitIndex(lam, i, n)).evaluate(1) for i in range(n + 1))
+            total = sum(p.evaluate(1) for p in q_hits(lam, n))
             hit_ok = hit_ok and total == factorial(n)
             hit_rows += 1
     ok_line(hit_ok, "criterion 5: hit number rows sum to n! at q = 1, n <= 6", f"{hit_rows} rows")

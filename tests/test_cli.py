@@ -13,7 +13,7 @@ import remixed.cli as cli
 from remixed import __version__, engine, formulas, verify
 from remixed.config import Configuration, classify, parse_config, shifted_config
 from remixed.engine import SWEEP_MAX_N, success_probability
-from remixed.formulas import HitIndex, q_hit
+from remixed.formulas import q_hits
 from remixed.qcalc import ONE, QPoly
 
 
@@ -131,6 +131,15 @@ def test_simulate_out_of_memory_is_a_usage_error(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_simulate_without_numpy_is_a_usage_error():
+    # simulate imports numpy on its first call; a fresh interpreter where
+    # that import fails prints an error line, not a traceback
+    script = "import sys; sys.modules['numpy'] = None; from remixed.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = python("-c", script, "simulate", "2,0", "--trials", "5")
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_eval_crosscheck_mismatch_exit_code(capsys, monkeypatch):
     # inject a wrong oracle to drive the mismatch path
     monkeypatch.setattr(cli, "remixed_induction", lambda c: QPoly((99,)))
@@ -179,7 +188,7 @@ def test_table_hit(capsys):
     rows = env["result"]["rows"]
     assert len(rows) == 4
     for row in rows:
-        want = q_hit(HitIndex((2, 1), int(row["index"]), 3))
+        want = q_hits((2, 1), 3)[int(row["index"])]
         assert row["poly"] == want.to_json()
     rc, _, err = run(capsys, "table", "hit", "--lambda", "9", "--n", "3")
     assert rc == 2 and err.startswith("error:")

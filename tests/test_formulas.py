@@ -12,8 +12,6 @@ from remixed import config, engine, formulas, qcalc
 from remixed.config import Configuration, all_configurations, classify, core
 from remixed.engine import remixed_exact, remixed_induction, success_probability
 from remixed.formulas import (
-    CSParams,
-    HitIndex,
     a_almost_lukasiewicz,
     a_connected,
     a_lukasiewicz,
@@ -26,7 +24,7 @@ from remixed.formulas import (
     dispatch,
     hit_to_connected,
     mset,
-    q_hit,
+    q_hits,
 )
 from remixed.qcalc import (
     ONE,
@@ -233,36 +231,56 @@ def test_one_hole_vs_oracle(oracle):
 
 
 def test_hit_index_validation():
-    with pytest.raises(ValueError, match=re.escape("negative part in (-1,)")):
-        HitIndex((-1,), 0, 2)
-    with pytest.raises(ValueError, match=re.escape("(1, 2) is not weakly decreasing")):
-        HitIndex((1, 2), 0, 3)
-    with pytest.raises(ValueError, match=re.escape("part 2 at row 1 leaves the staircase")):
-        HitIndex((2,), 0, 1)
-    with pytest.raises(ValueError, match=re.escape("(1, 1, 1) has more than 2 parts")):
-        HitIndex((1, 1, 1), 0, 2)
+    # q_hits and hit_to_connected check lam and n alike, in the same order
+    for call in (q_hits, lambda lam, n: hit_to_connected(lam, n, 0)):
+        with pytest.raises(ValueError, match=re.escape("negative part in (-1,)")):
+            call((-1,), 2)
+        with pytest.raises(ValueError, match=re.escape("(1, 2) is not weakly decreasing")):
+            call((1, 2), 3)
+        with pytest.raises(ValueError, match=re.escape("part 2 at row 1 leaves the staircase")):
+            call((2,), 1)
+        with pytest.raises(ValueError, match=re.escape("(1, 1, 1) has more than 2 parts")):
+            call((1, 1, 1), 2)
+        with pytest.raises(ValueError, match=re.escape("size must be positive")):
+            call((), 0)
+        # a bad size is reported before a bad part
+        with pytest.raises(ValueError, match=re.escape("size must be positive")):
+            call((-1,), 0)
+    # the hit count is checked after lam, and only where one is taken
     with pytest.raises(ValueError, match=re.escape("hit count 3 outside [0, 2]")):
-        HitIndex((), 3, 2)
-    with pytest.raises(ValueError, match=re.escape("size must be positive")):
-        HitIndex((), 0, 0)
-    assert HitIndex((2, 1), 0, 3).lam == (2, 1, 0)
+        hit_to_connected((), 2, 3)
+    with pytest.raises(ValueError, match=re.escape("hit count -1 outside [0, 2]")):
+        hit_to_connected((), 2, -1)
+    with pytest.raises(ValueError, match=re.escape("part 2 at row 1 leaves the staircase")):
+        hit_to_connected((2,), 1, 5)
+    # lam is padded to n parts, with trailing zeros past n allowed
+    assert q_hits((2, 1), 3) == q_hits((2, 1, 0), 3) == q_hits((2, 1, 0, 0, 0), 3)
+    with pytest.raises(
+        ValueError, match=re.escape("hit count 0 of (2, 2, 0) has no matching placement")
+    ):
+        hit_to_connected((2, 2), 3, 0)
 
 
 def test_q_hit_examples():
-    assert q_hit(HitIndex((), 0, 2)) == q_int(2)
-    assert not q_hit(HitIndex((1,), 0, 1))
-    assert q_hit(HitIndex((1,), 1, 1)) == ONE
+    assert q_hits((), 2)[0] == q_int(2)
+    assert not q_hits((1,), 1)[0]
+    assert q_hits((1,), 1)[1] == ONE
     # the generating series taken well past the degree changes nothing
-    h = HitIndex((2, 1), 1, 3)
-    long = hit_series(h, 9)
-    assert long[1] == q_hit(h)
+    long = hit_series((2, 1), 3, 9)
+    assert long[1] == q_hits((2, 1), 3)[1]
     assert all(not long[k] for k in range(4, 9))
 
 
-def hit_series(h, trunc):
+def factor_offsets(lam, n):
+    """The hit factor offsets k - lam_{n+1-k} for k = 1..n, lam padded with zeros to n parts."""
+    lam = tuple(lam) + (0,) * (n - len(lam))
+    return [k - lam[n - k] for k in range(1, n + 1)]
+
+
+def hit_series(lam, n, trunc):
     """The hit number generating series mod t**trunc, every product by schoolbook."""
-    rhs = [bracket_product_reference(j + e for e in h.factor_offsets()) for j in range(trunc)]
-    return series_mul_reference(pochhammer_reference(h.n + 1, trunc), tuple(rhs))
+    rhs = [bracket_product_reference(j + e for e in factor_offsets(lam, n)) for j in range(trunc)]
+    return series_mul_reference(pochhammer_reference(n + 1, trunc), tuple(rhs))
 
 
 def _core_series_reference(gamma, n, trunc):
@@ -273,7 +291,7 @@ def _core_series_reference(gamma, n, trunc):
 @settings(deadline=None)
 @given(st.integers(0, 9), st.data())
 def test_pochhammer_products_match_schoolbook(n, data):
-    """q_pochhammer, core_series and q_hit against schoolbook products with (t;q)."""
+    """q_pochhammer, core_series and q_hits against schoolbook products with (t;q)."""
     below, above = st.integers(0, n), st.integers(n + 2, n + 4)
     trunc = data.draw(st.one_of(st.just(0), st.just(n + 1), above, below), label="trunc")
     assert q_pochhammer(n, trunc) == pochhammer_reference(n, trunc)
@@ -283,10 +301,10 @@ def test_pochhammer_products_match_schoolbook(n, data):
         # clamped to the staircase, parts often reach it, and then hit offsets are 0
         parts = sorted(data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), reverse=True)
         lam = tuple(min(x, n - k) for k, x in enumerate(parts))
-        offsets = HitIndex(lam, 0, n).factor_offsets()
+        offsets = factor_offsets(lam, n)
         rows = tuple(bracket_product_reference([j + e for e in offsets]) for j in range(n + 1))
         want = series_mul_reference(pochhammer_reference(n + 1, n + 1), rows)
-        assert [q_hit(HitIndex(lam, i, n)) for i in range(n + 1)] == list(want)
+        assert q_hits(lam, n) == want
 
 
 @settings(deadline=None, max_examples=100)
@@ -341,16 +359,14 @@ def test_q_hit_counts_permutations_at_one():
             counts = [0] * (n + 1)
             for sigma in permutations(range(1, n + 1)):
                 counts[sum(1 for k in range(n) if sigma[k] <= lam[k])] += 1
-            for i in range(n + 1):
-                assert q_hit(HitIndex(lam, i, n)).evaluate(1) == counts[i]
+            assert [p.evaluate(1) for p in q_hits(lam, n)] == counts
 
 
 def test_hit_series_stops_at_degree_n():
     for n in range(1, 6):
         for lam in _staircase_partitions(n):
-            long = hit_series(HitIndex(lam, 0, n), n + 3)
-            for i in range(n + 1):
-                assert long[i] == q_hit(HitIndex(lam, i, n))
+            long = hit_series(lam, n, n + 3)
+            assert long[: n + 1] == q_hits(lam, n)
             assert not long[n + 1] and not long[n + 2]
 
 
@@ -360,36 +376,35 @@ def test_hit_offsets_form_an_interval():
     # above the one before, so the values fill an interval from 0 or 1
     for n in range(1, 8):
         for lam in _staircase_partitions(n):
-            offsets = HitIndex(lam, 0, n).factor_offsets()
+            offsets = factor_offsets(lam, n)
             assert min(offsets) in (0, 1), lam
             assert set(offsets) == set(range(min(offsets), max(offsets) + 1)), lam
 
 
 def test_hit_to_connected_examples():
-    assert hit_to_connected(HitIndex((), 0, 3)) == ((1, 1, 1), 0)
-    gamma, shift = hit_to_connected(HitIndex((2, 1), 1, 3))
-    assert a_connected(gamma, shift) == q_hit(HitIndex((2, 1), 1, 3))
+    assert hit_to_connected((), 3, 0) == ((1, 1, 1), 0)
+    gamma, shift = hit_to_connected((2, 1), 3, 1)
+    assert a_connected(gamma, shift) == q_hits((2, 1), 3)[1]
     with pytest.raises(
         ValueError, match=re.escape("hit count 0 of (1,) has no matching placement")
     ):
-        hit_to_connected(HitIndex((1,), 0, 1))
+        hit_to_connected((1,), 1, 0)
     with pytest.raises(
         ValueError, match=re.escape("hit count 2 of (0, 0) has no matching placement")
     ):
-        hit_to_connected(HitIndex((), 2, 2))
+        hit_to_connected((), 2, 2)
 
 
 def test_hit_to_connected_exhaustive_small():
     for n in range(1, 5):
         for lam in _staircase_partitions(n):
-            for i in range(n + 1):
-                h = HitIndex(lam, i, n)
-                if not q_hit(h):
-                    msg = f"hit count {i} of {h.lam} has no matching placement"
+            for i, hit in enumerate(q_hits(lam, n)):
+                if not hit:
+                    msg = f"hit count {i} of {lam} has no matching placement"
                     with pytest.raises(ValueError, match=re.escape(msg)):
-                        hit_to_connected(h)
+                        hit_to_connected(lam, n, i)
                 else:
-                    gamma, shift = hit_to_connected(h)
+                    gamma, shift = hit_to_connected(lam, n, i)
                     assert sum(gamma) == n
                     assert 0 <= shift <= n - len(gamma)
 
@@ -398,14 +413,17 @@ def test_hit_to_connected_exhaustive_small():
 
 
 def test_cs_examples():
-    assert carlitz_scoville_q(CSParams(0, 0, 2, 3)) == ONE
-    assert carlitz_scoville_q(CSParams(1, 1, 1, 1)).coeffs == (0, 2, 2)
-    assert cs_configuration(CSParams(1, 1, 1, 1)).c == (0, 3, 0)
-    assert cs_configuration(CSParams(2, 1, 2, 3)).c == (0, 0, 1, 1, 4, 1, 0)
-    with pytest.raises(ValueError):
-        CSParams(-1, 0, 1, 1)
-    with pytest.raises(ValueError):
-        CSParams(0, 0, 0, 1)
+    assert carlitz_scoville_q(0, 0, 2, 3) == ONE
+    assert carlitz_scoville_q(1, 1, 1, 1).coeffs == (0, 2, 2)
+    assert cs_configuration(1, 1, 1, 1).c == (0, 3, 0)
+    assert cs_configuration(2, 1, 2, 3).c == (0, 0, 1, 1, 4, 1, 0)
+    for f in (carlitz_scoville_q, cs_configuration):
+        for args in [(-1, 0, 1, 1), (0, -1, 1, 1), (-1, 0, 0, 1)]:
+            with pytest.raises(ValueError, match=re.escape("r and s must be nonnegative")):
+                f(*args)
+        for args in [(0, 0, 0, 1), (0, 0, 1, 0)]:
+            with pytest.raises(ValueError, match=re.escape("x and y must be positive")):
+                f(*args)
 
 
 def test_cs_matches_configuration_polynomial():
@@ -413,9 +431,8 @@ def test_cs_matches_configuration_polynomial():
         for s in range(3):
             for x in (1, 2):
                 for y in (1, 2):
-                    p = CSParams(r, s, x, y)
-                    lhs = remixed_induction(cs_configuration(p))
-                    want = bracket_product_reference(range(1, x + y), carlitz_scoville_q(p))
+                    lhs = remixed_induction(cs_configuration(r, s, x, y))
+                    want = bracket_product_reference(range(1, x + y), carlitz_scoville_q(r, s, x, y))
                     assert lhs == want
 
 
@@ -424,20 +441,19 @@ def test_cs_q_recurrence():
         for y in (1, 2, 3):
             for r in (1, 2, 3):
                 for s in (1, 2, 3):
-                    lhs = carlitz_scoville_q(CSParams(r, s, x, y))
-                    left = poly_product(q_int(s + x), carlitz_scoville_q(CSParams(r - 1, s, x, y)))
-                    right = poly_product(q_int(r + y), carlitz_scoville_q(CSParams(r, s - 1, x, y)))
+                    lhs = carlitz_scoville_q(r, s, x, y)
+                    left = poly_product(q_int(s + x), carlitz_scoville_q(r - 1, s, x, y))
+                    right = poly_product(q_int(r + y), carlitz_scoville_q(r, s - 1, x, y))
                     rhs = left.shift(r + y - 1) + right
                     assert lhs == rhs
 
 
 def test_cs_q_recurrence_exponent_is_sharp():
     # one power of q higher already breaks the smallest case
-    p = CSParams(1, 1, 1, 1)
-    left = poly_product(q_int(2), carlitz_scoville_q(CSParams(0, 1, 1, 1)))
-    right = poly_product(q_int(2), carlitz_scoville_q(CSParams(1, 0, 1, 1)))
+    left = poly_product(q_int(2), carlitz_scoville_q(0, 1, 1, 1))
+    right = poly_product(q_int(2), carlitz_scoville_q(1, 0, 1, 1))
     wrong = left.shift(2) + right
-    assert wrong != carlitz_scoville_q(p)
+    assert wrong != carlitz_scoville_q(1, 1, 1, 1)
 
 
 def test_cs_generating_series():
@@ -445,7 +461,7 @@ def test_cs_generating_series():
         for y in (1, 2):
             for total in range(4):
                 trunc = total + 1
-                lhs = tuple(carlitz_scoville_q(CSParams(i, total - i, x, y)) for i in range(trunc))
+                lhs = tuple(carlitz_scoville_q(i, total - i, x, y) for i in range(trunc))
                 rhs_coeffs = tuple(
                     bracket_product_reference([j + y] * total, q_binomial(j + x + y - 1, j))
                     for j in range(trunc)

@@ -20,20 +20,25 @@ by the command line front end only.  In qcalc, one digit reader serves the
 packed evaluator and the oracle's read-back, and no module takes a private
 name of qcalc but the Pochhammer step of the formulas.  No module of the
 package holds an assert statement, which python -O strips, every
-name a module imports is read there, and every error class the package
-defines is caught by name somewhere in it.  numpy is
+name a module imports is read there, every error class the package
+defines is caught by name somewhere in it, and every class an exported
+function's signature names is exported too.  numpy is
 imported only inside the simulator's array kernels, so every exact route,
 the sweep and the identity suites included, runs without loading it.
 """
 
 import ast
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import remixed
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "remixed"
@@ -273,6 +278,33 @@ def test_error_class_readers_see_every_form():
     )
     assert error_classes(tree) == {"A", "B", "C", "D", "E"}
     assert caught_names(tree) == {"A", "B", "KeyError"}
+
+
+def annotation_names(func) -> set[str]:
+    """Identifiers in the annotations of a function's parameters and return value."""
+    texts = map(inspect.formatannotation, func.__annotations__.values())
+    return {name for text in texts for name in re.findall(r"[A-Za-z_]\w*", text)}
+
+
+def test_exported_functions_take_only_exported_types():
+    # a caller of an exported function can name, from the package itself,
+    # every class of the package that the function takes or returns
+    package = ast.Module([ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")], [])
+    hidden = {node.name for node in ast.walk(package) if isinstance(node, ast.ClassDef)} - set(remixed.__all__)
+    found = {
+        (name, ident)
+        for name in remixed.__all__
+        if inspect.isfunction(func := getattr(remixed, name))
+        for ident in annotation_names(func) & hidden
+    }
+    assert found == set()
+
+
+def test_annotation_reader_sees_every_form():
+    def probe(a: "tuple[Index, ...]", *rest: int, b: "mod.Params | None" = None, **kw: "Q") -> "dict[str, Q]":
+        pass
+
+    assert annotation_names(probe) == {"tuple", "Index", "int", "mod", "Params", "None", "Q", "dict", "str"}
 
 
 def import_time_modules(path: Path) -> set[str]:
