@@ -153,19 +153,13 @@ def _walk(n: int, point: Point, words: Iterable[tuple[int, ...]]) -> Iterator[tu
         prev = word
 
 
-def _probability(n: int, order: tuple[int, ...], q0: Fraction) -> Fraction:
-    """The chance that dropping balls at the sites of order fills [1, n], at q0."""
-    ((_, mass, den),) = _walk(n, _point(n, q0), [order])
-    return Fraction(mass, den)
-
-
 def success_probability(c: Configuration, q0: Fraction) -> Fraction:
     """Chance that the drop dynamics ends with every site holding one ball.
 
     >>> success_probability(Configuration((2, 0)), Fraction(1))
     Fraction(1, 2)
     """
-    return _probability(c.n, left_to_right_order(c), q0)
+    return drop_order_check(left_to_right_order(c), q0)
 
 
 def _value(ct: tuple[int, ...], mass: int, den: int, fact: int) -> int:
@@ -219,7 +213,8 @@ def drop_order_check(order: tuple[int, ...], q0: Fraction) -> Fraction:
     n = len(order)
     if not order or min(order) < 1 or max(order) > n:
         raise ValueError(f"drop order {order} needs at least one site, all in [1, {n}]")
-    return _probability(n, order, q0)
+    ((_, mass, den),) = _walk(n, _point(n, q0), [order])
+    return Fraction(mass, den)
 
 
 @lru_cache(maxsize=None)

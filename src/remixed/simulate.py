@@ -21,27 +21,26 @@ steps right, and no stream is seeded or drawn at all.
 
 simulate_batch walks the trials on a chain of board states.  A trial
 holds the id of its state, and a move is one gather from a table of next
-ids by the direction drawn.  A move no trial took before is explored in
-Python, and while the chain holds fewer than _AHEAD states, exploring
-goes on breadth first past it: a chain that closes under _AHEAD states is
-complete after the first move of a batch, and past that, the first trial
-to take a move explores it.  Two absorbing ids end a
-trial: a ball left [1, n], or the board settled on [1, n].  Both moves of
-an absorbing id lead back to it, so an ended trial stays parked on its id
-until the next compaction drops it and hands its row to the next trial
-in index order, so at most _CHUNK trials are walked at once.  The chain is
-rebuilt whenever it grows past _CHUNK states, from those live trials hold,
-so neither grows with the number of trials; the flags do, a byte a trial.
+ids by the direction drawn.  The chain is built breadth first from the
+start, in Python, until no move of a state it holds is unseen or it
+holds min(_AHEAD, _CHUNK) states, and it is closed in the first case:
+that is decided there, once.  Two absorbing ids end a trial: a ball left
+[1, n], or the board settled on [1, n].  Both moves of an absorbing id
+lead back to it, so an ended trial stays parked on its id until the next
+compaction drops it and hands its row to the next trial in index order,
+so at most _CHUNK trials are walked at once.
 
-A chain is closed once no move of a state it holds is unseen, which
-happens on the first move of a batch when it closes under _AHEAD states;
-a rebuild reopens it.  A closed chain's table never changes again, so
-the batch composes it with itself into a table of _MOVES moves at once,
-indexed by the state and the word of the directions drawn: the trials
-then gather once every _MOVES moves, with no look for unseen moves.  A
-trial that ends within those moves stays on its absorbing id, which
-every composition keeps, and a live trial's k-th move still reads its
-k-th draw, so the flags are those of one move a gather.
+A closed chain's table never changes, so the batch composes it with
+itself into a table of _MOVES moves at once, indexed by the state and the
+word of the directions drawn: the trials gather once every _MOVES moves,
+with no look for unseen moves.  A trial that ends within those moves
+stays on its absorbing id, which every composition keeps, and a live
+trial's k-th move still reads its k-th draw, so the flags are those of
+one move a gather.  An open chain is walked a move a gather, and the
+first trial to take an unseen move explores it.  An open chain is rebuilt
+whenever it grows past _CHUNK states, from those live trials hold, so
+neither grows with the number of trials; the flags do, a byte a trial.
+A closed chain holds at most _CHUNK states and is never rebuilt.
 """
 
 from __future__ import annotations
@@ -99,11 +98,11 @@ class SimResult:
 # more than 2 * _CHUNK + 3 ids.
 _CHUNK = 1 << 15
 
-# The states explore fills the chain to ahead of the moves asked for; it
-# stops at _CHUNK if that is less, so the 2 * _CHUNK + 3 bound holds.  The
-# benchmark's chains close at 169 states or fewer and caps of 128 to 4096
-# timed alike on them, while a chain that never closes pays for this many
-# states no trial may reach, some 1.6 ms of Python.
+# The states a chain is built to ahead of its trials; it stops at _CHUNK if
+# that is less, so a closed chain is never rebuilt.  The benchmark's chains
+# close at 169 states or fewer and caps of 128 to 4096 timed alike on them,
+# while a chain that never closes pays for this many states no trial may
+# reach, some 1.6 ms of Python.
 _AHEAD = 1 << 10
 
 # Moves a closed chain takes per gather, from chain.ahead(_MOVES), whose
@@ -128,8 +127,8 @@ class _Chain:
     is its own dict key and a move is two additions.  Each state also keeps
     the leftmost site holding two balls or more.  Entry 2 i + d of table is
     twice the id a left (d = 0) or right (d = 1) move from state i leads to.
-    closed is set when no entry of the states held is unseen, so the
-    table will not change until a rebuild.
+    closed says whether the chain was built to its closure, so that no
+    entry of the states held is unseen and the table never changes.
     """
 
     def __init__(self, row: tuple[int, ...]) -> None:
@@ -142,8 +141,7 @@ class _Chain:
         self.boards = [0, 0, board]
         self.sites = [-1, -1, self._site(board & self.high)]
         self.ids = {board: _START}
-        self.table = self._table()
-        self.closed = False
+        self.closed = self._close(min(_AHEAD, _CHUNK))
 
     def __len__(self) -> int:
         return len(self.boards)
@@ -160,61 +158,50 @@ class _Chain:
         """The leftmost site whose cell has a bit in over."""
         return ((over & -over).bit_length() - 1) // self.w
 
-    def explore(self, edges: np.ndarray) -> None:
-        """Fill the table at the moves e = 2 i + d in edges, adding the states they reach.
+    def _step(self, e: int) -> int:
+        """Twice the id that move e = 2 i + d leads to, numbering the state it reaches if new."""
+        i = e >> 1
+        s = self.sites[i]
+        t = s - 1 + 2 * (e & 1)
+        if not 0 <= t < self.n:
+            return 2 * _FAIL
+        board = self.boards[i] - self.unit[s] + self.unit[t]
+        over = board & self.high
+        if not over:
+            return 2 * _SETTLED
+        j = self.ids.get(board)
+        if j is None:
+            j = self.ids[board] = len(self.boards)
+            self.boards.append(board)
+            self.sites.append(self._site(over))
+        return 2 * j
 
-        Then go on breadth first, from the other move of each state asked
-        for and both moves of each state added, while the chain holds fewer
-        than min(_AHEAD, _CHUNK) states: a chain that closes under that is
-        complete after the first move of a batch.
+    def _close(self, cap: int) -> bool:
+        """Build the table breadth first from the start; return whether no move is left unseen.
+
+        The moves of the states held are taken in id order while the chain
+        holds fewer than cap states, so it never holds more than cap.
         """
-        import numpy as np
-
-        n, boards, sites, ids, unit, high = self.n, self.boards, self.sites, self.ids, self.unit, self.high
-        # many trials share a move just after they are seeded: count them
-        # when that is cheaper than a set, which costs a Python step a trial
-        if 16 * edges.size > len(boards):
-            edges = np.flatnonzero(np.bincount(edges)).tolist()
-        else:
-            edges = list(set(edges.tolist()))
-        asked = len(edges)
-        cap = min(_AHEAD, _CHUNK)
-        if len(boards) < cap:
-            wanted = set(edges)
-            edges += [e ^ 1 for e in edges if e ^ 1 not in wanted and self.table[e ^ 1] == _UNSEEN]
         found = []
-        for e in edges:
-            if len(found) >= asked and len(boards) >= cap:
-                break
-            i = e >> 1
-            s = sites[i]
-            t = s - 1 + 2 * (e & 1)
-            if not 0 <= t < n:
-                found.append(2 * _FAIL)
-                continue
-            board = boards[i] - unit[s] + unit[t]
-            over = board & high
-            if not over:
-                found.append(2 * _SETTLED)
-                continue
-            j = ids.get(board)
-            if j is None:
-                j = ids[board] = len(boards)
-                boards.append(board)
-                sites.append(self._site(over))
-                if len(boards) < cap:
-                    edges += (2 * j, 2 * j + 1)
-            found.append(2 * j)
-        if 2 * len(boards) > self.table.size:
+        while len(found) < 2 * (len(self.boards) - _START) and len(self.boards) < cap:
+            found.append(self._step(2 * _START + len(found)))
+        self.table = self._table()
+        self.table[2 * _START : 2 * _START + len(found)] = found
+        return len(found) == 2 * (len(self.boards) - _START)
+
+    def explore(self, edges: np.ndarray) -> None:
+        """Fill the table at the moves e = 2 i + d in edges, adding the states they reach."""
+        # a set, not np.unique, whose first call imports numpy.ma
+        edges = list(set(edges.tolist()))
+        found = [self._step(e) for e in edges]
+        if 2 * len(self.boards) > self.table.size:
             grown = self._table()
             grown[: self.table.size] = self.table
             self.table = grown
-        # the moves ahead past the cap stay unseen
-        self.table[edges[: len(found)]] = found
-        self.closed = not (self.table[: 2 * len(boards)] == _UNSEEN).any()
+        self.table[edges] = found
 
     def rebuild(self, cur: np.ndarray) -> np.ndarray:
-        """Keep the start and the states of the doubled ids in cur; return cur renumbered."""
+        """Keep the start and the states of the doubled ids in cur, every move unseen; return cur renumbered."""
         import numpy as np
 
         # the start is the least id a trial can hold, so it stays at _START
@@ -224,7 +211,6 @@ class _Chain:
         self.sites = self.sites[:_START] + [self.sites[i] for i in kept]
         self.ids = {board: i for i, board in enumerate(self.boards) if i >= _START}
         self.table = self._table()
-        self.closed = False
         return 2 * (where.reshape(-1)[:-1] + _START)
 
     def ahead(self, k: int) -> np.ndarray:
@@ -285,13 +271,13 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
     sites never empty again, so the final support can no longer be
     [1, n].
 
-    A move draws from each row's stream, adds the direction to the row's
-    doubled state id and gathers the next one from the chain's table,
-    which explores the moves no trial took before.  Once the chain is
-    closed and holds at most _AHEAD states, the rows draw _MOVES
-    directions, fold them into one index of chain.ahead(_MOVES) and gather
-    once, so the composed table holds at most 2^_MOVES * _AHEAD entries;
-    at threshold 0 every direction is right and nothing is drawn.  Rows
+    The walk is chosen once a batch.  On a closed chain the rows draw
+    _MOVES directions, fold them into one index of chain.ahead(_MOVES)
+    and gather once, so the composed table holds at most 2^_MOVES * _AHEAD
+    entries.  On an open one a move draws from each row's stream, adds the
+    direction to the row's doubled state id and gathers the next one from
+    the chain's table, exploring the moves no trial took before.  At
+    threshold 0 every direction is right and nothing is drawn.  Rows
     are tested for ended trials after each gather.  A trial that ended
     keeps stepping on its absorbing id, until a quarter of the rows have
     ended, no trial is live or the chain needs a rebuild; then the ended
@@ -317,8 +303,7 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
         # one ball a site: settled before the first move
         return np.ones(trials, dtype=bool)
     chain = _Chain(c.c)
-    # chain.ahead(_MOVES), once the chain is closed
-    walk = None
+    walk, moves = (chain.ahead(_MOVES), _MOVES) if chain.closed else (None, 1)
     success = np.zeros(trials, dtype=bool)
     size = min(_CHUNK, trials)
     z, tmp, states = (np.empty(size, dtype=np.uint64) for _ in range(3))
@@ -340,10 +325,8 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
             m, start = m + new, start + new
         cm, sm, zm, tm, bm, em = cur[:m], states[:m], z[:m], tmp[:m], b[:m], edge[:m]
         while True:
-            if walk is None and chain.closed and len(chain) <= _AHEAD:
-                walk = chain.ahead(_MOVES)
             # fold the directions into em: em = 2^k i + w after k moves from state i
-            for k in range(1 if walk is None else _MOVES):
+            for k in range(moves):
                 d = _draw(sm, zm, tm, bm, thr, last_round) if draws else 1
                 if k:
                     em <<= 1
@@ -370,7 +353,6 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
             buf[:m] = buf.take(kept)
         if len(chain) > _CHUNK:
             cur[:m] = chain.rebuild(cur[:m])
-            walk = None
     return success
 
 

@@ -157,7 +157,7 @@ def test_one_builder_of_the_oracle_weights():
     # the point a walk runs at is built by the oracle, the sweep and the
     # probability of one order only
     builders = callers(ast.parse((PACKAGE / "engine.py").read_text()), "_point")
-    assert builders == {"remixed_exact", "exact_sweep", "_probability"}
+    assert builders == {"remixed_exact", "exact_sweep", "drop_order_check"}
 
 
 def test_only_the_cli_imports_the_identity_suites():

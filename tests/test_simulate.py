@@ -252,24 +252,30 @@ def counted_explores(monkeypatch):
     [
         ((0, 3, 0, 2, 0), Fraction(1, 3), 300, [7]),
         # a lone trial may step right to (1, 2, 0), back left to the start and
-        # then take the start's other move, which the first move did not ask for
+        # then take the start's other move, which its first move did not take
         ((2, 1, 0), Fraction(1), 1, range(16)),
     ],
 )
 def test_a_chain_under_the_cap_is_explored_once(monkeypatch, ct, q0, trials, seeds):
+    # the chain is built to its closure once, when it is made: no move of
+    # the batch explores it again, and it is never rebuilt
+    assert len(remixed.simulate._Chain(ct)) < remixed.simulate._AHEAD
     sizes = counted_explores(monkeypatch)
+    rebuilds = []
+    monkeypatch.setattr(remixed.simulate._Chain, "rebuild", lambda chain, cur: rebuilds.append(cur))
     for seed in seeds:
         assert simulate_batch(Configuration(ct), q0, trials, seed).tolist() == replay(ct, q0, trials, seed)
-    assert len(sizes) == len(seeds) and max(sizes) < remixed.simulate._AHEAD
+    assert sizes == [] and rebuilds == []
 
 
 def test_a_chain_past_the_cap_is_explored_lazily(monkeypatch):
+    # the chain is built to the cap, and moves add states as trials reach them
+    assert len(remixed.simulate._Chain(PILE_16)) == remixed.simulate._AHEAD
     sizes = counted_explores(monkeypatch)
     assert simulate_batch(Configuration(PILE_16), Fraction(2), 200, 11).tolist() == replay(
         PILE_16, Fraction(2), 200, 11
     )
-    # the first move fills the chain to the cap, and later ones add states as trials reach them
-    assert sizes[0] == remixed.simulate._AHEAD and len(sizes) > 1 and sizes == sorted(sizes)
+    assert len(sizes) > 1 and sizes[-1] > remixed.simulate._AHEAD and sizes == sorted(sizes)
     reached = sizes[-1]
     # the closure: 3011 board states and the two absorbing ids
     monkeypatch.setattr(remixed.simulate, "_AHEAD", remixed.simulate._CHUNK)
@@ -328,19 +334,20 @@ def test_the_last_round_decides_a_draw_next_to_the_threshold(q0):
 
 
 def full_chain(ct):
-    """The simulator's chain of ct after one explore of the start's two moves, and the states it reaches.
+    """The simulator's chain of ct as it is built, and the states it reaches.
 
-    The closure must fit under the cap, so that one explore fills it.
+    The closure must fit under the cap, so that the chain is closed when it
+    is built: it holds exactly the states the start reaches.
     """
     chain = remixed.simulate._Chain(ct)
     start = remixed.simulate._START
-    chain.explore(np.array([2 * start, 2 * start + 1], dtype=np.intp))
     states, frontier = {start}, [start]
     while frontier:
         reached = [int(chain.table[2 * i + d]) for i in frontier for d in (0, 1)]
         assert remixed.simulate._UNSEEN not in reached
         frontier = {j >> 1 for j in reached if j >> 1 >= start} - states
         states |= frontier
+    assert chain.closed and sorted(states) == list(range(start, len(chain)))
     return chain, sorted(states)
 
 
@@ -521,14 +528,6 @@ def piles(nmax=6):
                 yield c
 
 
-def first_move(ct):
-    """The simulator's chain of ct after the first move of a batch, which takes both moves of the start."""
-    chain = remixed.simulate._Chain(ct)
-    start = remixed.simulate._START
-    chain.explore(np.array([2 * start, 2 * start + 1], dtype=np.intp))
-    return chain
-
-
 def unseen_reachable(chain):
     """Whether a move the chain's table holds as unseen is reachable from the start."""
     start = remixed.simulate._START
@@ -544,13 +543,13 @@ def unseen_reachable(chain):
 
 @pytest.mark.parametrize("cap", [None, 8])
 def test_a_chain_is_closed_once_no_unseen_move_is_reachable(monkeypatch, cap):
-    # under the default cap every one of these chains closes on the first
-    # move; a cap of 8 states leaves the larger ones open
+    # under the default cap every one of these chains closes when it is
+    # built; a cap of 8 states leaves the larger ones open
     if cap is not None:
         monkeypatch.setattr(remixed.simulate, "_AHEAD", cap)
     outcomes = set()
     for c in piles():
-        chain = first_move(c.c)
+        chain = remixed.simulate._Chain(c.c)
         assert chain.closed == (not unseen_reachable(chain)), c.c
         outcomes.add(chain.closed)
         if cap is None:
@@ -559,7 +558,7 @@ def test_a_chain_is_closed_once_no_unseen_move_is_reachable(monkeypatch, cap):
 
 
 def test_the_16_ball_pile_stays_open_past_the_cap(monkeypatch):
-    chain = first_move(PILE_16)
+    chain = remixed.simulate._Chain(PILE_16)
     assert len(chain) == remixed.simulate._AHEAD and not chain.closed and unseen_reachable(chain)
     # an open chain is walked a move a gather, probing for unseen moves
     composed = []
@@ -586,17 +585,27 @@ def test_a_closed_chain_is_composed_once_a_batch(monkeypatch):
 
 
 def test_a_rebuild_reopens_the_chain():
-    chain = first_move((0, 3, 0, 2, 0))
-    assert chain.closed
-    chain.rebuild(np.array([2 * remixed.simulate._START], dtype=np.intp))
-    assert not chain.closed
+    # a rebuild keeps the start at _START and one state a distinct live id,
+    # and every move of the states it keeps reads unseen
+    start, unseen = remixed.simulate._START, remixed.simulate._UNSEEN
+    chain = remixed.simulate._Chain((0, 3, 0, 2, 0))
+    live = [7, 3, 7, start, 3, 9]
+    boards, start_board = [chain.boards[i] for i in live], chain.boards[start]
+    cur = chain.rebuild(2 * np.array(live, dtype=np.intp)).tolist()
+    assert chain.boards[start] == start_board and len(chain) == start + len(set(live))
+    assert [chain.boards[j >> 1] for j in cur] == boards and all(j % 2 == 0 for j in cur)
+    # one new id a distinct live id, and one live id a new id
+    assert len(set(zip(live, cur))) == len(set(live)) == len(set(cur))
+    assert chain.ids == {board: i for i, board in enumerate(chain.boards) if i >= start}
+    assert chain.table[: len(remixed.simulate._PARKED)].tolist() == list(remixed.simulate._PARKED)
+    assert (chain.table[2 * start : 2 * len(chain)] == unseen).all()
 
 
 @pytest.mark.parametrize("k", sorted({1, 2, remixed.simulate._MOVES}))
 def test_the_composed_table_is_k_single_gathers(k):
     fail, settled = remixed.simulate._FAIL, remixed.simulate._SETTLED
     for c in piles():
-        chain = first_move(c.c)
+        chain = remixed.simulate._Chain(c.c)
         ids = np.arange(len(chain))
         composed = chain.ahead(k)
         assert composed.shape == (len(chain) << k,)
