@@ -238,6 +238,34 @@ def build_parser() -> argparse.ArgumentParser:
 # that replaces either must call _parser.cache_clear() before main sees it.
 _parser = lru_cache(maxsize=1)(build_parser)
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _indented(obj: object, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys, lists, tuples and scalars.
+
+    An indent sends json.dumps down its pure-Python encoder; here strings,
+    lists of strings included, are quoted in C.  pad is the newline and
+    indent obj's line starts with.  A scalar's text does not depend on the
+    indent, so any scalar but str, int, bool and None goes to json.dumps.
+    """
+    if obj.__class__ is str:
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if obj.__class__ is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [_quote(k) + ": " + _indented(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = map(_quote, obj) if set(map(type, obj)) == {str} else [_indented(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if obj else "[]"
+    return json.dumps(obj)
+
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
@@ -255,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     if result is not None:
         inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
         env = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
-        sys.stdout.write(json.dumps(env, indent=2) + "\n")
+        sys.stdout.write(_indented(env) + "\n")
     return code
 
 

@@ -10,8 +10,9 @@ of the two sided Eulerian triangle, and dispatches a configuration to the
 cheapest applicable method.
 
 Every formula is a signed sum of one term type, _Term: a power of q times
-Gaussian binomials times brackets, added up by sum_terms in one poly_sum
-that rejects a negative coefficient.  Which family formula applies to a
+Gaussian binomials times brackets.  _assemble adds the terms up in one
+poly_sum, which takes each binomial as its (n, k) pair; sum_terms also
+rejects a negative coefficient.  Which family formula applies to a
 configuration is said once, in ROUTES, the dict from a method name to its
 family test and term builder in dispatch's precedence: dispatch takes the
 first route whose test its flags pass, the families suite of verify checks
@@ -35,7 +36,6 @@ from .qcalc import (
     ZERO,
     _times_pochhammer,
     poly_sum,
-    q_binomial,
     require_nonnegative,
 )
 
@@ -74,9 +74,7 @@ def _assemble(terms: Sequence[_Term]) -> QPoly:
     for t in terms:
         if t.qexp < 0:
             raise InvariantViolation(f"negative q exponent {t.qexp} in a formula term")
-    return poly_sum(
-        (t.sign, t.qexp, [q_binomial(*b) for b in t.binoms], t.brackets) for t in terms
-    )
+    return poly_sum((t.sign, t.qexp, t.binoms, t.brackets) for t in terms)
 
 
 def sum_terms(terms: Sequence[_Term], what: object) -> QPoly:

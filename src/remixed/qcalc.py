@@ -12,13 +12,18 @@ factor is packed at a stride of w bytes, and each [a] is x**a - 1, a shift
 and a subtraction, over one division by x - 1 for the whole sum.  Adding
 a bias digit and XOR-ing it away reads each digit back, exactly, in two's
 complement, as the stride bounds every coefficient; signed machine-word
-arrays pack and unpack at C speed.  A product, brackets included, is a
-one-term sum; kronecker_read reads one polynomial back off its value at
-such a point.  The only QPoly arithmetic outside poly_sum is __add__,
-with which verify's corrective suite checks a series against its
-definition thousands of times, three times faster by hand than as a
-two-term sum, and shift, a prefix of zeros, which the suite's
-factorization law reads.
+arrays pack and unpack at C speed.  A factor may also be a pair (n, k) for
+the Gaussian binomial qbin(n, k), as the family formulas give theirs: its
+norm comb(n, k) and degree k(n - k) enter the stride's bound in closed
+form, and its value at x is packed from q_binomial's cache once per stride
+and kept beside it, served only while the cache holds the entry it was
+packed from.  Any other QPoly keeps nothing and is packed at each use.  A
+product, brackets included, is a one-term sum; kronecker_read reads one
+polynomial back off its value at such a point.  The only QPoly arithmetic
+outside poly_sum is __add__, with which verify's corrective suite checks
+a series against its definition thousands of times, three times faster
+by hand than as a two-term sum, and shift, a prefix of zeros, which the
+suite's factorization law reads.
 
 _times_pochhammer multiplies a t-series of bracket products by (t;q)_n at
 such a point, one int per t-row read back at its own length: the only
@@ -193,21 +198,27 @@ def _unpack(packed: int, width: int, n: int, bias: int) -> list[int]:
     return words.tolist()
 
 
-def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -> QPoly:
+def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly | tuple[int, int]], Sequence[int]]]) -> QPoly:
     """The sum of sign * q**shift * prod(factors) * prod of [a] for a in sizes, over the terms.
 
-    A term is (sign, shift, factors, sizes) with sign +1 or -1.  Every term
-    is evaluated at x = 2**(8w) as one int; a term with k brackets is also
-    multiplied by (x - 1)**(K - k), K the most brackets of any term, so
-    that the sum divides exactly by (x - 1)**K once.  The stride w holds
-    B, the sum over the terms of prod |f|_1 over the factors times prod
-    of the sizes: B bounds every coefficient of the sum, and every
-    coefficient of a factor too.  Terms with a zero factor or a size 0
-    are skipped.  Raises ValueError for a sign other than +1 or -1, or a
-    negative size or shift.
+    A term is (sign, shift, factors, sizes) with sign +1 or -1.  A factor
+    is a QPoly or a pair (n, k), a tuple that stands for qbin(n, k), zero
+    when k is out of [0, n].  Every term is evaluated at x = 2**(8w) as one
+    int; a term with k brackets is also multiplied by (x - 1)**(K - k), K
+    the most brackets of any term, so that the sum divides exactly by
+    (x - 1)**K once.  The stride w holds B, the sum over the terms of
+    prod |f|_1 over the factors times prod of the sizes: B bounds every
+    coefficient of the sum, and every coefficient of a factor too.  A
+    pair's norm and degree are closed forms, comb(n, k) and k(n - k), as
+    a q-binomial has nonnegative coefficients; its value at x comes from
+    _QBIN_VALUES (see there), packed once per stride.  Terms with a zero
+    factor or a size 0 are skipped.  Raises ValueError for a sign other
+    than +1 or -1, or a negative size, shift or row index n.
 
     >>> poly_sum([(1, 0, (QPoly((1, 1)),), (3,)), (-1, 2, (), (2,))]).coeffs
     (1, 2, 1)
+    >>> poly_sum([(1, 0, ((4, 2),), ()), (-1, 1, ((3, 1),), ())]).coeffs
+    (1, 0, 1, 0, 1)
     """
     kept = []
     bound = length = top = 0
@@ -222,8 +233,15 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
         size = prod(sizes)
         degree = shift + sum(sizes) - len(sizes)
         for f in factors:
-            size *= sum(map(abs, f.coeffs))
-            degree += len(f.coeffs) - 1
+            if f.__class__ is tuple:
+                n, k = f
+                if n < 0:
+                    raise ValueError("negative row index")
+                size *= comb(n, k) if k >= 0 else 0
+                degree += k * (n - k)
+            else:
+                size *= sum(map(abs, f.coeffs))
+                degree += len(f.coeffs) - 1
         if not size:  # a zero factor or a size 0
             continue
         bound += size
@@ -240,7 +258,16 @@ def poly_sum(terms: Iterable[tuple[int, int, Sequence[QPoly], Sequence[int]]]) -
     for sign, shift, factors, sizes in kept:
         x = 1
         for f in factors:
-            x *= _pack(f.coeffs, width, bias)
+            if f.__class__ is tuple:
+                n, k = f
+                entry = _QBIN_CACHE.get((n, k if k + k <= n else n - k))
+                got = _QBIN_VALUES.get((n, k, width))
+                if got is None or got[0] is not entry:
+                    entry = q_binomial(n, k)
+                    got = _QBIN_VALUES[n, k, width] = (entry, _pack(entry.coeffs, width, bias))
+                x *= got[1]
+            else:
+                x *= _pack(f.coeffs, width, bias)
         for a in sizes:
             x = (x << bits * a) - x
         for _ in range(top - len(sizes)):
@@ -316,6 +343,10 @@ def q_factorial(n: int) -> QPoly:
 
 
 _QBIN_CACHE: dict[tuple[int, int], QPoly] = {}
+# poly_sum's values of the q-binomials at x = 2**(8w): (n, k, w) -> (the
+# _QBIN_CACHE entry packed, its value), served only while the cache holds
+# that very entry, so a replaced entry or a cleared cache is never read stale
+_QBIN_VALUES: dict[tuple[int, int, int], tuple[QPoly, int]] = {}
 
 
 def q_binomial(n: int, k: int) -> QPoly:

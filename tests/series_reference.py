@@ -58,3 +58,11 @@ def pochhammer_reference(n, trunc):
         factor = (ONE, QPoly((0,) * i + (-1,)), *[ZERO] * trunc)[:trunc]
         out = series_mul_reference(out, factor)
     return out
+
+
+def q_binomial_reference(n, k):
+    """qbin(n, k) by q-Pascal, qbin(n, k) = qbin(n-1, k-1) + q**k qbin(n-1, k); ZERO for k outside [0, n]."""
+    row = [ONE]  # qbin(0, 0)
+    for m in range(1, n + 1):
+        row = [ONE] + [row[j - 1] + row[j].shift(j) for j in range(1, m)] + [ONE]
+    return row[k] if 0 <= k <= n else ZERO

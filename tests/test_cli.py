@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import remixed.cli as cli
 from remixed import __version__, engine, formulas, verify
@@ -328,6 +329,62 @@ def test_command_output_pinned(capsys, argv):
     rc, out, err = run(capsys, *argv.split())
     digest = hashlib.sha256(json.dumps([out, err, rc]).encode()).hexdigest()
     assert digest == PINNED_OUTPUTS[argv]
+
+
+# strings with non-ASCII text, quotes, backslashes and control characters
+json_text = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t/é€😀'), max_size=8)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from((0, 1, -1, 10**20, -(10**24) - 7))
+    | st.floats()
+    | json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(json_text, max_size=4)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(json_values)
+def test_envelope_writer_matches_the_indent_encoder(obj):
+    assert cli._indented(obj) == json.dumps(obj, indent=2)
+
+
+def assert_written_as_json_indents(out):
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_pinned_envelopes_are_the_indent_encoding(capsys):
+    # every pinned command but the csv table and the one that exits 2 prints an envelope
+    envelopes = 0
+    for argv in PINNED_OUTPUTS:
+        _, out, _ = run(capsys, *argv.split())
+        if out.startswith("{"):
+            assert_written_as_json_indents(out)
+            envelopes += 1
+    assert envelopes == len(PINNED_OUTPUTS) - 2
+
+
+def test_failure_envelopes_are_the_indent_encoding(capsys, monkeypatch):
+    # exit 3: the crosscheck mismatch of test_eval_crosscheck_mismatch_exit_code
+    with monkeypatch.context() as m:
+        m.setattr(cli, "remixed_induction", lambda c: QPoly((99,)))
+        rc, out, _ = run(capsys, "eval", "1,1", "--method", "exact", "--crosscheck")
+    assert rc == 3
+    assert_written_as_json_indents(out)
+    # exit 4: one unit planted on a recursion result fails the families suite
+    real = formulas.remixed_induction
+    monkeypatch.setattr(formulas, "remixed_induction", lambda c: real(c) + ONE)
+    rc, out, _ = run(capsys, "verify", "families", "--nmax", "4")
+    assert rc == 4
+    assert envelope(out)["result"]["suites"][0]["failures"]
+    assert_written_as_json_indents(out)
 
 
 def test_verify_all_small(capsys):

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from remixed import qcalc
 from remixed.qcalc import (
     ONE,
     ZERO,
@@ -29,6 +30,7 @@ from series_reference import (
     negate,
     pochhammer_reference,
     poly_product,
+    q_binomial_reference,
     schoolbook,
 )
 
@@ -257,15 +259,21 @@ def poly_sum_reference(terms):
     """The sum of the terms of poly_sum, each built by schoolbook products."""
     total = ZERO
     for sign, shift, factors, sizes in terms:
+        factors = [q_binomial_reference(*f) if isinstance(f, tuple) else f for f in factors]
         term = bracket_product_reference(sizes, poly_product(*factors)).shift(shift)
         total = total + (term if sign > 0 else negate(term))
     return total
 
 
+# a factor is a QPoly or a pair (n, k) for qbin(n, k), k in range or not
 poly_terms = st.tuples(
     st.sampled_from((1, -1)),
     st.integers(0, 5),
-    st.lists(st.lists(coefficients, max_size=6).map(lambda cs: QPoly(tuple(cs))), max_size=3),
+    st.lists(
+        st.lists(coefficients, max_size=6).map(lambda cs: QPoly(tuple(cs)))
+        | st.tuples(st.integers(0, 14), st.integers(-2, 16)),
+        max_size=3,
+    ),
     st.lists(st.integers(0, 6), max_size=4),
 )
 
@@ -284,12 +292,54 @@ def test_poly_sum_edges():
         poly_sum([(1, 0, (), (0, -1))])
     with pytest.raises(ValueError):
         poly_sum([(1, -1, (ONE,), ())])
+    with pytest.raises(ValueError, match="negative row index"):
+        poly_sum([(1, 0, ((-1, 0),), ())])
     # a sign is +1 or -1 and nothing else, also on a term that is skipped
     for sign in (2, 0, -3):
         with pytest.raises(ValueError):
             poly_sum([(sign, 0, (QPoly((100,)),), ())])
         with pytest.raises(ValueError):
             poly_sum([(1, 0, (QPoly((5,)),), ()), (sign, 0, (ZERO,), ())])
+
+
+def test_poly_sum_takes_every_q_binomial_by_its_pair():
+    # each pair (n, k) for 0 <= k <= n <= 14 beside its mirror (n, n - k),
+    # with signs, shifts and brackets mixed in; a pair with k outside
+    # [0, n] is a zero term and leaves the rest of the sum alone
+    for n in range(15):
+        for k in range(-2, n + 3):
+            terms = [
+                ((-1) ** (n + k), k % 3, ((n, k),), (n % 4 + 2, 3)),
+                (-1, n % 2, ((n, n - k), QPoly((2, -1))), (k % 5,)),
+                (1, 1, (), (4,)),
+            ]
+            assert poly_sum(terms) == poly_sum_reference(terms), (n, k)
+            if not 0 <= k <= n:
+                assert poly_sum(terms[:1]) == ZERO
+                assert poly_sum(terms) == poly_sum_reference(terms[1:])
+
+
+def test_a_q_binomial_value_is_never_served_stale(monkeypatch):
+    # poly_sum keeps the value of qbin(7, 2) packed at the stride of this
+    # sum; whatever an earlier test left there, a replaced entry and an
+    # entry packed before the cache was cleared must not be read again
+    terms = [(1, 2, ((7, 2),), (3,)), (-1, 0, ((7, 5), QPoly((1, 1))), ())]
+    good = q_binomial(7, 2)
+    want = poly_sum_reference(terms)
+    wrong = QPoly((*good.coeffs[:3], good.coeffs[3] + 1, *good.coeffs[4:]))
+    planted = [(s, e, [wrong if isinstance(f, tuple) else f for f in fs], a) for s, e, fs, a in terms]
+    try:
+        assert poly_sum(terms) == want
+        monkeypatch.setitem(qcalc._QBIN_CACHE, (7, 2), wrong)
+        assert poly_sum(terms) == poly_sum_reference(planted) != want
+        qcalc._QBIN_CACHE.clear()
+        assert poly_sum(terms) == want
+        qcalc._QBIN_CACHE[7, 2] = wrong
+        assert poly_sum(terms) == poly_sum_reference(planted)
+    finally:
+        monkeypatch.undo()
+        qcalc._QBIN_CACHE.clear()
+    assert poly_sum(terms) == want
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -321,6 +371,8 @@ def test_bracket_product_matches_repeated_brackets(sizes, p):
 
 def test_bracket_product_edge_sizes():
     p = QPoly((3, -1, 0, 2))
+    assert bracket_product((2,), QPoly((1, -1))).coeffs == (1, 0, -1)
+    assert bracket_product((4, 1, 6, 2), p) == bracket_product_reference((4, 6, 2), p)
     assert bracket_product((1,), p) == p
     assert bracket_product((0,), p) == ZERO
     assert bracket_product((), p) == p
