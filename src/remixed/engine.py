@@ -26,10 +26,11 @@ success_probability and drop_order_check walk one order at a rational
 point.  The second evaluator runs the final ball recursion at the same x,
 one integer per node, memoized for every node below the top one, whose
 entry no later call would read; it reads its value through _lift and never
-touches probabilities.  Its weights are brackets and q-Pascal (_qbin) at x
-alone, so it is right at any integer x >= 2 and shares only the digit
-read-back with the other routes.  Agreement of the two is the test
-suite's backbone.
+touches probabilities.  The dynamics are abelian, so any occupied site may
+drop last; it drops the fullest.  Its weights are brackets and q-Pascal
+(_qbin) at x alone, so it is right at any integer x >= 2 and shares only
+the digit read-back with the other routes.  Agreement of the two is the
+test suite's backbone.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def _induction(ct: tuple[int, ...], x: int) -> int:
     n = len(ct)
     if n == 0:
         return 1
-    u = max(i for i, k in enumerate(ct, start=1) if k > 0)
+    u = ct.index(max(ct)) + 1
     d = list(ct)
     d[u - 1] -= 1
     total = pref = 0
@@ -257,13 +258,13 @@ def _induction(ct: tuple[int, ...], x: int) -> int:
 def remixed_induction(c: Configuration) -> QPoly:
     """The configuration polynomial via the last ball recursion.
 
-    The ball at the largest occupied site is dropped last.  With it removed,
-    each empty site j with exactly j-1 of the other balls to its left splits
-    the dynamics into independent halves, weighted by where the last ball
-    lands.  Each node is one integer, its value at the oracle's point x.
-    The sub-configurations are memoized on the sub-tuple and x; the top
-    level is called uncached, since its own entry would never be read
-    again, and _lift reads the result.
+    The leftmost fullest site drops its ball last (by the abelian property
+    any occupied site may).  With it removed, each empty site j with exactly
+    j-1 of the other balls to its left splits the dynamics into independent
+    halves, weighted by where the last ball lands.  Each node is one
+    integer, its value at the oracle's point x.  The sub-configurations are
+    memoized on the sub-tuple and x; the top level is called uncached, since
+    its own entry would never be read again, and _lift reads the result.
     """
     return _lift(c.c, _induction.__wrapped__(c.c, kronecker_point(factorial(c.n))))
 

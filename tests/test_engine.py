@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remixed import engine
+from remixed import engine, verify
 from remixed.config import Configuration, all_configurations, left_to_right_order
 from remixed.engine import (
     drop_order_check,
@@ -18,6 +19,7 @@ from remixed.engine import (
     success_probability,
 )
 from remixed.qcalc import InvariantViolation, QPoly, kronecker_point, poly_reverse
+from induction_reference import largest_site_induction
 from series_reference import bracket_product_reference, poly_product
 
 
@@ -222,10 +224,20 @@ def test_oracle_agreement_sampled_large():
             assert remixed_exact(c) == remixed_induction(c), ct
 
 
+def _uniform(rng, n):
+    """A uniform random configuration of n balls on n sites, by stars and bars."""
+    bars = sorted(rng.sample(range(2 * n - 1), n - 1))
+    return tuple(b - a - 1 for a, b in zip([-1, *bars], [*bars, 2 * n - 1]))
+
+
 def _halves(ct):
-    """The configurations the last ball recursion splits ct into, and theirs, recursively."""
+    """The configurations the last ball recursion splits ct into, and theirs, recursively.
+
+    The ball at the fullest site, the leftmost of equals, drops last, as in
+    engine._induction.
+    """
     n = len(ct)
-    u = max(i for i, k in enumerate(ct, start=1) if k)
+    u = ct.index(max(ct)) + 1
     d = list(ct)
     d[u - 1] -= 1
     out = set()
@@ -259,9 +271,7 @@ def test_induction_memo_keeps_each_point_apart():
     rng = random.Random(24)
     cfgs = [(n,) + (0,) * (n - 1) for n in (20, 21)] + [(0,) * (n - 1) + (n,) for n in (20, 21)]
     for n in range(11, 17):
-        for _ in range(20):
-            bars = sorted(rng.sample(range(2 * n - 1), n - 1))
-            cfgs.append(tuple(b - a - 1 for a, b in zip([-1, *bars], [*bars, 2 * n - 1])))
+        cfgs += [_uniform(rng, n) for _ in range(20)]
     for ct in cfgs:
         c = Configuration(ct)
         assert remixed_induction(c) == remixed_exact(c), ct
@@ -288,6 +298,58 @@ def test_the_recursion_only_meets_balanced_tuples(monkeypatch):
     finally:
         real.cache_clear()
     assert seen and all(sum(ct) == len(ct) for ct in seen)
+
+
+def _piles(n):
+    """The n balls piled on site 1, on the middle site and on site n."""
+    return [tuple(n if i == s else 0 for i in range(n)) for s in (0, n // 2, n - 1)]
+
+
+def test_any_occupied_site_can_drop_last():
+    # the package drops the fullest site last, the reference the largest
+    # occupied site: they split differently and agree by the abelian property
+    rng = random.Random(46)
+    cfgs = [c.c for n in range(1, 8) for c in all_configurations(n)]
+    for n in range(20, 31, 2):
+        cfgs += _piles(n) + [_uniform(rng, n) for _ in range(3)]
+    for ct in cfgs:
+        x = kronecker_point(factorial(len(ct)))
+        assert engine._induction.__wrapped__(ct, x) == largest_site_induction.__wrapped__(ct, x), ct
+
+
+def test_the_fullest_site_memoizes_fewer_splits_than_the_largest():
+    rng = random.Random(13)
+    cfgs = [_uniform(rng, n) for n in range(10, 14) for _ in range(25)]
+    engine._induction.cache_clear()
+    largest_site_induction.cache_clear()
+    try:
+        for ct in cfgs:
+            c = Configuration(ct)
+            x = kronecker_point(factorial(c.n))
+            assert remixed_induction(c) == engine._lift(ct, largest_site_induction.__wrapped__(ct, x)), ct
+        assert engine._induction.cache_info().currsize < largest_site_induction.cache_info().currsize
+    finally:
+        largest_site_induction.cache_clear()
+
+
+def test_a_weight_from_the_largest_site_after_a_fullest_split_is_caught(oracle, monkeypatch):
+    # the recursion splits at the fullest site but weighs the last ball as
+    # if it started at the largest occupied site: the rule and the weight
+    # must name the same ball.  _induction is rebuilt from its own source
+    # into a copy of the module namespace, so the mutant recurses into itself.
+    src = inspect.getsource(engine._induction)
+    assert "_wt(n, j, u, x)" in src
+    ns = dict(vars(engine))
+    exec(src.replace("_wt(n, j, u, x)", "_wt(n, j, max(i for i, k in enumerate(ct, start=1) if k), x)"), ns)
+    monkeypatch.setattr(engine, "_induction", ns["_induction"])
+    wrong = [ct for n in range(1, 6) for ct, want in oracle.table(n).items() if remixed_induction(Configuration(ct)) != want]
+    # 148 of the 175 configurations with n <= 5
+    assert len(wrong) == 148
+    assert not verify.verify_families(5, oracle.table)["passed"]
+    # the two-rule comparison kills it too
+    ct = wrong[0]
+    x = kronecker_point(factorial(len(ct)))
+    assert ns["_induction"].__wrapped__(ct, x) != largest_site_induction.__wrapped__(ct, x)
 
 
 def test_exact_sweep_matches_per_config_evaluator(oracle):
