@@ -171,7 +171,14 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     exact = success_probability(c, q0)
     p = float(exact)
     sigma = math.sqrt(p * (1 - p) / res.trials)
-    if sigma == 0:
+    if sigma == 0 and 0 < exact < 1:
+        # p underflowed to 0 or rounded to 1: the squared deviation, exactly
+        n = res.trials
+        try:
+            dev = f"{math.sqrt((res.successes - n * exact) ** 2 / (n * exact * (1 - exact))):.4f}"
+        except OverflowError:
+            dev = "inf"
+    elif sigma == 0:
         dev = "0.0000" if res.estimate == exact else "inf"
     else:
         dev = f"{abs(res.successes / res.trials - p) / sigma:.4f}"

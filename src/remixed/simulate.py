@@ -23,12 +23,12 @@ simulate_batch walks the trials on a chain of board states.  A trial
 holds the id of its state, and a move is one gather from a table of next
 ids by the direction drawn.  The chain is built breadth first from the
 start, in Python, until no move of a state it holds is unseen or it
-holds min(_AHEAD, _CHUNK) states, and it is closed in the first case:
-that is decided there, once.  Two absorbing ids end a trial: a ball left
-[1, n], or the board settled on [1, n].  Both moves of an absorbing id
-lead back to it, so an ended trial stays parked on its id until the next
-compaction drops it and hands its row to the next trial in index order,
-so at most _CHUNK trials are walked at once.
+holds _AHEAD states, and it is closed in the first case: that is decided
+there, once.  Two absorbing ids end a trial: a ball left [1, n], or the
+board settled on [1, n].  Both moves of an absorbing id lead back to it,
+so an ended trial stays parked on its id until the next compaction drops
+it and hands its row to the next trial in index order, so at most _CHUNK
+trials are walked at once.
 
 A closed chain's table never changes, so the batch composes it with
 itself into a table of _MOVES moves at once, indexed by the state and the
@@ -37,10 +37,11 @@ with no look for unseen moves.  A trial that ends within those moves
 stays on its absorbing id, which every composition keeps, and a live
 trial's k-th move still reads its k-th draw, so the flags are those of
 one move a gather.  An open chain is walked a move a gather, and the
-first trial to take an unseen move explores it.  An open chain is rebuilt
-whenever it grows past _CHUNK states, from those live trials hold, so
-neither grows with the number of trials; the flags do, a byte a trial.
-A closed chain holds at most _CHUNK states and is never rebuilt.
+first trial to take an unseen move explores it.  An open chain keeps
+every state its trials have reached and every move they have explored, so
+no move is stepped twice and the chain holds at most its closure, whatever
+the number of trials; the flags grow a byte a trial.  A closed chain holds
+at most _AHEAD states.
 """
 
 from __future__ import annotations
@@ -92,17 +93,13 @@ class SimResult:
         }
 
 
-# Trials walked at once, and the states the chain holds before it is
-# rebuilt from the ones its live trials stand on.  A rebuild keeps at most
-# one state a trial and a move adds at most one, so the chain never holds
-# more than 2 * _CHUNK + 3 ids.
+# Trials walked at once: the rows of the pool.
 _CHUNK = 1 << 15
 
-# The states a chain is built to ahead of its trials; it stops at _CHUNK if
-# that is less, so a closed chain is never rebuilt.  The benchmark's chains
-# close at 169 states or fewer and caps of 128 to 4096 timed alike on them,
-# while a chain that never closes pays for this many states no trial may
-# reach, some 1.6 ms of Python.
+# The states a chain is built to ahead of its trials.  The benchmark's
+# chains close at 169 states or fewer and caps of 128 to 4096 timed alike
+# on them, while a chain that never closes pays for this many states no
+# trial may reach, some 1.6 ms of Python.
 _AHEAD = 1 << 10
 
 # Moves a closed chain takes per gather, from chain.ahead(_MOVES), whose
@@ -141,7 +138,7 @@ class _Chain:
         self.boards = [0, 0, board]
         self.sites = [-1, -1, self._site(board & self.high)]
         self.ids = {board: _START}
-        self.closed = self._close(min(_AHEAD, _CHUNK))
+        self.closed = self._close(_AHEAD)
 
     def __len__(self) -> int:
         return len(self.boards)
@@ -199,19 +196,6 @@ class _Chain:
             grown[: self.table.size] = self.table
             self.table = grown
         self.table[edges] = found
-
-    def rebuild(self, cur: np.ndarray) -> np.ndarray:
-        """Keep the start and the states of the doubled ids in cur, every move unseen; return cur renumbered."""
-        import numpy as np
-
-        # the start is the least id a trial can hold, so it stays at _START
-        kept, where = np.unique(np.append(cur >> 1, _START), return_inverse=True)
-        kept = kept.tolist()
-        self.boards = self.boards[:_START] + [self.boards[i] for i in kept]
-        self.sites = self.sites[:_START] + [self.sites[i] for i in kept]
-        self.ids = {board: i for i, board in enumerate(self.boards) if i >= _START}
-        self.table = self._table()
-        return 2 * (where.reshape(-1)[:-1] + _START)
 
     def ahead(self, k: int) -> np.ndarray:
         """The table of k moves at once, for a closed chain.
@@ -276,17 +260,17 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
     and gather once, so the composed table holds at most 2^_MOVES * _AHEAD
     entries.  On an open one a move draws from each row's stream, adds the
     direction to the row's doubled state id and gathers the next one from
-    the chain's table, exploring the moves no trial took before.  At
-    threshold 0 every direction is right and nothing is drawn.  Rows
-    are tested for ended trials after each gather.  A trial that ended
+    the chain's table, exploring the moves no trial took before and
+    keeping them, so the chain grows to at most its closure.  At threshold
+    0 every direction is right and nothing is drawn.  Rows are tested for
+    ended trials after each gather.  A trial that ended
     keeps stepping on its absorbing id, until a quarter of the rows have
-    ended, no trial is live or the chain needs a rebuild; then the ended
-    rows' flags are recorded, the live rows move to the front and the next
-    trials, in index order, are seeded behind them, in a pool of
-    min(_CHUNK, trials) rows that drains once at the end.  The rows, draws,
-    directions and moves live in buffers made once a batch.  Since a
-    trial's stream depends only on (seed, index), the flags do not depend
-    on the pool size.
+    ended or no trial is live; then the ended rows' flags are recorded,
+    the live rows move to the front and the next trials, in index order,
+    are seeded behind them, in a pool of min(_CHUNK, trials) rows that
+    drains once at the end.  The rows, draws, directions and moves live
+    in buffers made once a batch.  Since a trial's stream depends only on
+    (seed, index), the flags do not depend on the pool size.
     """
     import numpy as np
 
@@ -344,15 +328,13 @@ def simulate_batch(c: Configuration, q0: Fraction, trials: int, seed: int) -> np
                     chain.table.take(em, out=cm, mode="clip")
             np.greater_equal(cm, 2 * _START, out=bm)
             live = np.count_nonzero(bm)
-            if 4 * (m - live) >= m or len(chain) > _CHUNK or not live:
+            if 4 * (m - live) >= m or not live:
                 break
         success[orig[:m][cm == 2 * _SETTLED]] = True
         kept = bm.nonzero()[0]
         m = kept.size
         for buf in (cur, states, orig):
             buf[:m] = buf.take(kept)
-        if len(chain) > _CHUNK:
-            cur[:m] = chain.rebuild(cur[:m])
     return success
 
 

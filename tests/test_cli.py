@@ -543,6 +543,41 @@ def test_simulate_compares_with_the_exact_value_above_ten_sites(capsys):
     assert float(result["sigma_deviation"]) >= 0
 
 
+def test_simulate_deviation_where_p_rounds_to_one(capsys):
+    # p = 1 - ~2e-21 is 1.0 as a float, and 100 successes of 100 is what p predicts
+    rc, out, _ = run(capsys, "simulate", "3,0,0", "--q", "1/1000000000000000000000", "--trials", "100")
+    result = envelope(out)["result"]
+    assert rc == 0 and result["sim"]["successes"] == 100
+    assert result["sigma_deviation"] == "0.0000"
+
+
+# 12 balls on the first of 12 sites at q = 10^30: p is about 10^-1980, 0.0 as a float
+TINY_P = ("12" + ",0" * 11, "--q", "1" + "0" * 30, "--trials", "100")
+
+
+def test_simulate_deviation_where_p_underflows(capsys):
+    rc, out, _ = run(capsys, "simulate", *TINY_P)
+    result = envelope(out)["result"]
+    assert rc == 0 and result["sim"]["successes"] == 0
+    assert 0 < Fraction(result["exact"]) < Fraction(1, 10**1979)
+    assert result["sigma_deviation"] == "0.0000"
+
+
+def test_simulate_deviation_too_large_for_a_float_is_inf(capsys, monkeypatch):
+    # one success at p ~ 10^-1980 is some 10^989 sigma off: "inf", not an OverflowError
+    estimate = cli.estimate_success
+
+    def one_success(c, q0, trials, seed):
+        res = estimate(c, q0, trials, seed)
+        return type(res)(res.trials, 1, Fraction(1, res.trials), res.q, res.seed)
+
+    monkeypatch.setattr(cli, "estimate_success", one_success)
+    rc, out, _ = run(capsys, "simulate", *TINY_P)
+    result = envelope(out)["result"]
+    assert rc == 0 and result["sim"]["successes"] == 1
+    assert result["sigma_deviation"] == "inf"
+
+
 def test_simulate_deterministic(capsys):
     _, first, _ = run(capsys, "simulate", "0,3,0", "--q", "1/2", "--trials", "200", "--seed", "5")
     _, second, _ = run(capsys, "simulate", "0,3,0", "--q", "1/2", "--trials", "200", "--seed", "5")

@@ -132,13 +132,20 @@ CHUNK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 64])
+# ahead 0 leaves every chain open, so a refilled pool walks it a move a gather
+@pytest.mark.parametrize(
+    "chunk, ahead",
+    [pytest.param(chunk, None, id=str(chunk)) for chunk in (1, 3, 64)]
+    + [pytest.param(chunk, 0, id=f"{chunk}-ahead0") for chunk in (1, 3, 64)],
+)
 @pytest.mark.parametrize("ct, q0, trials, seed", CHUNK_CASES)
-def test_flags_do_not_depend_on_chunk(monkeypatch, chunk, ct, q0, trials, seed):
+def test_flags_do_not_depend_on_chunk(monkeypatch, chunk, ahead, ct, q0, trials, seed):
     c = Configuration(ct)
     default = simulate_batch(c, q0, trials, seed)
     assert default.tolist() == replay(ct, q0, trials, seed)
     monkeypatch.setattr(remixed.simulate, "_CHUNK", chunk)
+    if ahead is not None:
+        monkeypatch.setattr(remixed.simulate, "_AHEAD", ahead)
     assert simulate_batch(c, q0, trials, seed).tolist() == default.tolist()
 
 
@@ -159,42 +166,10 @@ def test_batch_replays_a_count_beyond_one_byte(q0):
     assert simulate_batch(c, q0, 4, 21).tolist() == replay(c.c, q0, 4, 21)
 
 
-def test_chain_rebuilds_keep_the_flags(monkeypatch):
-    # 12 balls in the middle of 12 sites reach far more than 16 board states
-    # within one chunk of 16 trials, so the chain is rebuilt again and again
-    sizes = []
-    rebuild = remixed.simulate._Chain.rebuild
-
-    def counted(chain, cur):
-        sizes.append(len(chain))
-        return rebuild(chain, cur)
-
-    monkeypatch.setattr(remixed.simulate, "_CHUNK", 16)
-    monkeypatch.setattr(remixed.simulate._Chain, "rebuild", counted)
-    ct = (0,) * 5 + (12,) + (0,) * 6
-    assert simulate_batch(Configuration(ct), Fraction(1), 200, 8).tolist() == replay(ct, Fraction(1), 200, 8)
-    # a rebuild keeps the two ends, the start and one state a trial, and a
-    # move adds at most one state a trial
-    assert sizes and max(sizes) <= 2 * 16 + 3
-
-
-def test_parked_trials_never_reach_a_rebuild(monkeypatch):
-    # an ended trial stays on its absorbing id until the rows are compacted,
-    # and the compaction comes first: a rebuild only sees live trials
-    seen = []
-    rebuild = remixed.simulate._Chain.rebuild
-
-    def checked(chain, cur):
-        seen.append(int(cur.min()) if cur.size else None)
-        return rebuild(chain, cur)
-
-    monkeypatch.setattr(remixed.simulate, "_CHUNK", 16)
-    monkeypatch.setattr(remixed.simulate._Chain, "rebuild", checked)
-    ct = (0,) * 5 + (12,) + (0,) * 6
-    assert simulate_batch(Configuration(ct), Fraction(1), 200, 8).tolist() == replay(ct, Fraction(1), 200, 8)
-    assert seen and all(low is None or low >= 2 * remixed.simulate._START for low in seen)
+def test_parked_trials_on_the_first_move(monkeypatch):
     # every move from (0, 2) ends the trial: all rows park on the first move
     # of each of two chunks, the second one short
+    monkeypatch.setattr(remixed.simulate, "_CHUNK", 16)
     for q0 in (Fraction(0), Fraction(1000)):
         assert simulate_batch(Configuration((0, 2)), q0, 27, 5).tolist() == replay((0, 2), q0, 27, 5)
 
@@ -217,7 +192,7 @@ def test_one_pool_runs_one_tail(monkeypatch):
     assert sizes and all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
-# the same middle pile of 12 balls on 12 sites as the rebuild tests
+# the same middle pile of 12 balls on 12 sites as the pool test: a closure of 928 states
 PILE_12 = (0,) * 5 + (12,) + (0,) * 6
 # 16 balls in the middle of 16 sites: a closure of 3013 states, past the cap
 PILE_16 = (0,) * 7 + (16,) + (0,) * 8
@@ -258,14 +233,12 @@ def counted_explores(monkeypatch):
 )
 def test_a_chain_under_the_cap_is_explored_once(monkeypatch, ct, q0, trials, seeds):
     # the chain is built to its closure once, when it is made: no move of
-    # the batch explores it again, and it is never rebuilt
+    # the batch explores it again
     assert len(remixed.simulate._Chain(ct)) < remixed.simulate._AHEAD
     sizes = counted_explores(monkeypatch)
-    rebuilds = []
-    monkeypatch.setattr(remixed.simulate._Chain, "rebuild", lambda chain, cur: rebuilds.append(cur))
     for seed in seeds:
         assert simulate_batch(Configuration(ct), q0, trials, seed).tolist() == replay(ct, q0, trials, seed)
-    assert sizes == [] and rebuilds == []
+    assert sizes == []
 
 
 def test_a_chain_past_the_cap_is_explored_lazily(monkeypatch):
@@ -280,6 +253,29 @@ def test_a_chain_past_the_cap_is_explored_lazily(monkeypatch):
     # the closure: 3011 board states and the two absorbing ids
     monkeypatch.setattr(remixed.simulate, "_AHEAD", remixed.simulate._CHUNK)
     assert reached <= len(full_chain(PILE_16)[0]) == 3013
+
+
+def test_an_open_chain_steps_each_move_once(monkeypatch):
+    # a pool of 16 rows refilled through 200 trials on a chain explored only
+    # as trials reach it: the chain keeps every state and every move explored
+    monkeypatch.setattr(remixed.simulate, "_AHEAD", 0)
+    monkeypatch.setattr(remixed.simulate, "_CHUNK", 16)
+    stepped, chains = [], set()
+    step = remixed.simulate._Chain._step
+
+    def counted(chain, e):
+        stepped.append((chain.boards[e >> 1], e & 1))
+        chains.add(chain)
+        return step(chain, e)
+
+    monkeypatch.setattr(remixed.simulate._Chain, "_step", counted)
+    assert simulate_batch(Configuration(PILE_16), Fraction(2), 200, 11).tolist() == replay(
+        PILE_16, Fraction(2), 200, 11
+    )
+    assert stepped and len(set(stepped)) == len(stepped)
+    # at most the closure of test_a_chain_past_the_cap_is_explored_lazily
+    (chain,) = chains
+    assert len(chain) <= 3013
 
 
 @given(
@@ -582,23 +578,6 @@ def test_a_closed_chain_is_composed_once_a_batch(monkeypatch):
     flags = simulate_batch(Configuration(ct), Fraction(1, 3), 3000, 7)
     assert flags.tolist() == replay(ct, Fraction(1, 3), 3000, 7)
     assert composed == [remixed.simulate._MOVES]
-
-
-def test_a_rebuild_reopens_the_chain():
-    # a rebuild keeps the start at _START and one state a distinct live id,
-    # and every move of the states it keeps reads unseen
-    start, unseen = remixed.simulate._START, remixed.simulate._UNSEEN
-    chain = remixed.simulate._Chain((0, 3, 0, 2, 0))
-    live = [7, 3, 7, start, 3, 9]
-    boards, start_board = [chain.boards[i] for i in live], chain.boards[start]
-    cur = chain.rebuild(2 * np.array(live, dtype=np.intp)).tolist()
-    assert chain.boards[start] == start_board and len(chain) == start + len(set(live))
-    assert [chain.boards[j >> 1] for j in cur] == boards and all(j % 2 == 0 for j in cur)
-    # one new id a distinct live id, and one live id a new id
-    assert len(set(zip(live, cur))) == len(set(live)) == len(set(cur))
-    assert chain.ids == {board: i for i, board in enumerate(chain.boards) if i >= start}
-    assert chain.table[: len(remixed.simulate._PARKED)].tolist() == list(remixed.simulate._PARKED)
-    assert (chain.table[2 * start : 2 * len(chain)] == unseen).all()
 
 
 @pytest.mark.parametrize("k", sorted({1, 2, remixed.simulate._MOVES}))
